@@ -66,22 +66,29 @@ class CoxeterGraph:
     cyclic: bool = False
     forks: tuple[tuple[int, int, int], ...] = ()
     maj_weight: tuple[int, ...] | None = None
+    # computed once from m; the hot loops read these directly
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    bonds: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        size = len(self.names)
+        adjacency = tuple(tuple(j for j in range(size) if self.m[i][j] >= 3)
+                          for i in range(size))
+        bonds = tuple((i, j, self.m[i][j]) for i in range(size)
+                      for j in adjacency[i] if j > i)
+        object.__setattr__(self, "adjacency", adjacency)
+        object.__setattr__(self, "bonds", bonds)
 
     @property
     def size(self) -> int:
         return len(self.names)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(self.size) if self.m[i][j] >= 3)
+        return self.adjacency[i]
 
     def edges(self) -> list[tuple[int, int, int]]:
         """(i, j, m) with i < j over all bonds."""
-        out = []
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.m[i][j] >= 3:
-                    out.append((i, j, self.m[i][j]))
-        return out
+        return list(self.bonds)
 
     def name_of(self, i: int) -> str:
         return self.names[i]
@@ -192,11 +199,12 @@ def canonical_form(word, g: CoxeterGraph) -> tuple[int, ...]:
     swaps of adjacent commuting letters.
     """
     w = check_word(word, g)
+    adjacency = g.adjacency
     last_layer = [0] * g.size  # deepest layer seen per generator
     layers = []
     for c in w:
         lay = last_layer[c]
-        for u in g.neighbors(c):
+        for u in adjacency[c]:
             if last_layer[u] > lay:
                 lay = last_layer[u]
         lay += 1

@@ -1,7 +1,8 @@
 """Breadth-first enumeration of reduced FC heaps with validation reports.
 
-Heaps grow one maximal element at a time; layers are deduplicated by
-canonical word, so each FC element appears exactly once per length.
+Heaps grow one maximal element at a time, and only along lexicographic
+normal forms of the trace monoid, so each FC element is generated exactly
+once and a layer needs no deduplication.
 """
 
 from __future__ import annotations
@@ -43,29 +44,46 @@ def passes_filter(h: Heap, mode: str) -> bool:
 
 def iter_fc(g: CoxeterGraph, max_length: int | None,
             layer_cap: int = 10 ** 7):
-    """Yield (length, heap) for every reduced FC heap, lengths ascending.
+    """Yield (length, heap) for every reduced FC heap, lengths ascending and
+    canonical words sorted within a length.
+
+    Every heap's letters are the lexicographically least word of its
+    commutation class (its Anisimov-Knuth normal form).  A heap is extended
+    by s only when every letter after the last position holding s or a
+    neighbor of s is smaller than s, which is exactly when the longer word is
+    again a normal form.  Normal forms are closed under prefixes, so each FC
+    element is generated once, from the heap of its normal form minus the
+    last letter.
 
     max_length None runs until the group is exhausted (finite families).
     """
-    layer = {(): Heap.empty(g)}
+    adjacency = g.adjacency
+    layer = [Heap.empty(g)]
     length = 0
-    yield 0, layer[()]
+    yield 0, layer[0]
     while layer and (max_length is None or length < max_length):
-        nxt: dict[tuple[int, ...], Heap] = {}
-        for h in layer.values():
-            for s in range(g.size):
-                child = extend(h, s)
-                if child is None:
-                    continue
-                key = child.canonical_word
-                if key not in nxt:
-                    if len(nxt) >= layer_cap:
-                        raise MemoryGuardError(
-                            f"layer {length + 1} exceeds {layer_cap} heaps")
-                    nxt[key] = child
+        nxt: list[Heap] = []
+        for h in layer:
+            last = h.last
+            later = -1  # last position of any letter greater than s
+            for s in range(g.size - 1, -1, -1):
+                p = last[s]
+                for u in adjacency[s]:
+                    if last[u] > p:
+                        p = last[u]
+                if later <= p:
+                    child = extend(h, s)
+                    if child is not None:
+                        if len(nxt) >= layer_cap:
+                            raise MemoryGuardError(
+                                f"layer {length + 1} exceeds {layer_cap} heaps")
+                        nxt.append(child)
+                if last[s] > later:
+                    later = last[s]
         length += 1
-        for key in sorted(nxt):
-            yield length, nxt[key]
+        nxt.sort(key=lambda h: h.canonical_word)
+        for h in nxt:
+            yield length, h
         layer = nxt
 
 

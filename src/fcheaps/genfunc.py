@@ -17,6 +17,10 @@ from .walks import WalkFamilySpec, family_poly
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
 
 
+class ClosedFormError(RuntimeError):
+    """A series solution or closed form failed its own consistency check."""
+
+
 def _t() -> TPoly:
     return TPoly.term(1)
 
@@ -31,7 +35,7 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
 
     The substitutions x -> tx and x -> x t^2 raise t degrees with x order,
     so iteration converges; the returned series satisfies its equation on
-    the truncated window (asserted).
+    the truncated window (checked; ClosedFormError otherwise).
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
@@ -44,7 +48,8 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     m = one
     for _ in range(xmax + 2):
         m = m_rhs(m)
-    assert m == m_rhs(m), "M iteration did not converge"
+    if m != m_rhs(m):
+        raise ClosedFormError("M iteration did not converge")
     if series_id == "M":
         return m
     if series_id == "Mstar":
@@ -55,7 +60,8 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
         q = one
         for _ in range(xmax + 2):
             q = q_rhs(q)
-        assert q == q_rhs(q), "Q iteration did not converge"
+        if q != q_rhs(q):
+            raise ClosedFormError("Q iteration did not converge")
         return q
     base = (m * m.subst_x_times_t(1)).shift_x(1).scale_poly(t)
 
@@ -64,7 +70,8 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     qo = Series.zero(xmax, tmax)
     for _ in range(xmax + 2):
         qo = qo_rhs(qo)
-    assert qo == qo_rhs(qo), "Qo iteration did not converge"
+    if qo != qo_rhs(qo):
+        raise ClosedFormError("Qo iteration did not converge")
     return qo
 
 
@@ -126,7 +133,8 @@ def card_involutions(family: str, n: int) -> int:
         if n % 2 == 0:
             return 2 ** n + comb(n + 1, n // 2) - 1
         extra = 3 * comb(n + 1, (n + 1) // 2)
-        assert extra % 2 == 0
+        if extra % 2:
+            raise ClosedFormError(f"D:{n} central term {extra} is odd")
         return 2 ** n + extra // 2 - 1
     raise InvalidGroupError(f"cardinality formula is for the finite families, not {family}")
 

@@ -42,13 +42,14 @@ class Heap:
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
         w = check_word(word, g)
         n = len(w)
+        adjacency = g.adjacency
         last = [-1] * g.size
         below = []
         layer = []
         for p, c in enumerate(w):
             b = 0
             lay = 0
-            for u in (c, *g.neighbors(c)):
+            for u in (c, *adjacency[c]):
                 lp = last[u]
                 if lp >= 0:
                     b |= below[lp] | (1 << lp)
@@ -62,7 +63,7 @@ class Heap:
         for p in range(n - 1, -1, -1):
             c = w[p]
             a = 0
-            for u in (c, *g.neighbors(c)):
+            for u in (c, *adjacency[c]):
                 np_ = nxt[u]
                 if np_ >= 0:
                     a |= above[np_] | (1 << np_)
@@ -139,7 +140,7 @@ def is_reduced_fc(h: Heap) -> bool:
         for i, j in zip(ps, ps[1:]):
             if h.above[i] & h.below[j] == 0:
                 return False
-    for s, t, m in g.edges():
+    for s, t, m in g.bonds:
         chain = sorted(occ[s] + occ[t])
         if len(chain) < m:
             continue
@@ -219,7 +220,7 @@ def _fork_normalize(h: Heap) -> tuple[tuple[int, ...], set[int]]:
 
 
 def _edge_chains_alternate(h: Heap, skip_labels: set[int] = frozenset()) -> bool:
-    for s, t, _m in h.graph.edges():
+    for s, t, _m in h.graph.bonds:
         if s in skip_labels or t in skip_labels:
             continue
         prev = -1
@@ -365,16 +366,17 @@ def extend(h: Heap, s: int) -> Heap | None:
     g = h.graph
     if s in h.descents:
         return None
+    nbrs = g.adjacency[s]
     nu = len(h.letters)
     below_nu = 0
     lay = 0
-    for u in (s, *g.neighbors(s)):
+    for u in (s, *nbrs):
         lp = h.last[u]
         if lp >= 0:
             below_nu |= h.below[lp] | (1 << lp)
             if h.layer[lp] > lay:
                 lay = h.layer[lp]
-    for t in g.neighbors(s):
+    for t in nbrs:
         m = g.m[s][t]
         tail = sorted(h.occurrences(s) + h.occurrences(t))[-(m - 1):]
         if len(tail) < m - 1:
@@ -398,7 +400,6 @@ def extend(h: Heap, s: int) -> Heap | None:
         rest ^= low
     last = list(h.last)
     last[s] = nu
-    descents = (h.descents - {s} - set(g.neighbors(s))) | {s}
     return Heap(g, h.letters + (s,), h.below + (below_nu,),
                 tuple(above) + (0,), h.layer + (lay + 1,),
-                tuple(last), frozenset(descents))
+                tuple(last), h.descents.difference(nbrs) | {s})

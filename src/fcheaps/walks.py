@@ -326,7 +326,7 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
     word = tuple(elements[i][0] for i in order)
     out = Heap.from_word(g, word)
     if count_profile(out) != counts:
-        raise AssertionError("decoded heap lost occurrences")
+        raise EncodingError("decoded heap lost occurrences")
     return out
 
 
@@ -399,5 +399,5 @@ def walk_to_frobenius(w: Walk, mode: str) -> FrobeniusSymbol:
     sym = FrobeniusSymbol(tuple(a for a, _ in corners), tuple(b for _, b in corners))
     n = len(w)
     if sym.top and sym.top[0] + sym.bottom[0] > n:
-        raise AssertionError("corner coordinates exceed the walk length")
+        raise WalkError("corner coordinates exceed the walk length")
     return sym

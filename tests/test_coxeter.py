@@ -151,3 +151,24 @@ class TestRealizePermutation:
         for c in word:
             pts[c], pts[c + 1] = pts[c + 1], pts[c]
         assert perm == tuple(pts)
+
+
+class TestAdjacencyCache:
+    @pytest.mark.parametrize("fam", ["A", "B", "D", "affA", "affC", "affB", "affD"])
+    def test_cached_adjacency_matches_bond_matrix(self, fam):
+        for n in range(1, 9):
+            try:
+                g = build_graph(GroupType(fam, n))
+            except InvalidGroupError:
+                continue
+            for i in range(g.size):
+                assert g.neighbors(i) == tuple(j for j in range(g.size) if g.m[i][j] >= 3)
+            assert g.edges() == [(i, j, g.m[i][j]) for i in range(g.size)
+                                 for j in range(i + 1, g.size) if g.m[i][j] >= 3]
+
+    @pytest.mark.parametrize("fam,n", [("A", 5), ("D", 4), ("affA", 4), ("affD", 3)])
+    def test_cache_leaves_equality_hash_and_repr(self, fam, n):
+        g1 = build_graph(GroupType(fam, n))
+        g2 = build_graph(GroupType(fam, n))
+        assert g1 == g2 and hash(g1) == hash(g2)
+        assert "adjacency" not in repr(g1) and "bonds" not in repr(g1)

@@ -9,6 +9,8 @@ from fcheaps.enumerator import (
     iter_fc, enumerate_fc, length_profile, maj_profile, descent_profiles,
     rsk_insert, rsk_walk, flats_up, cross_validate,
 )
+from fcheaps.coxeter import commutation_class
+from fcheaps.heaps import extend
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -131,3 +133,40 @@ class TestCrossValidate:
     def test_default_windows(self):
         assert AFFINE_DEFAULT_WINDOW == {"affA": 40, "affC": 60,
                                          "affB": 150, "affD": 60}
+
+
+def dedup_bfs(g, max_length):
+    """The enumeration iter_fc replaced: try every letter on every heap and
+    keep one heap per canonical word."""
+    layer = {(): Heap.empty(g)}
+    length = 0
+    yield 0, layer[()]
+    while layer and (max_length is None or length < max_length):
+        nxt = {}
+        for h in layer.values():
+            for s in range(g.size):
+                child = extend(h, s)
+                if child is not None:
+                    nxt.setdefault(child.canonical_word, child)
+        length += 1
+        for key in sorted(nxt):
+            yield length, nxt[key]
+        layer = nxt
+
+
+class TestNormalFormEnumeration:
+    @pytest.mark.parametrize("fam,n,max_length", [
+        ("A", 5, None), ("B", 4, None), ("D", 4, None), ("affA", 4, 12),
+        ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10),
+    ])
+    def test_matches_dedup_bfs(self, fam, n, max_length):
+        g = build_graph(GroupType(fam, n))
+        got = [(length, h.canonical_word) for length, h in iter_fc(g, max_length)]
+        want = [(length, h.canonical_word) for length, h in dedup_bfs(g, max_length)]
+        assert got == want
+
+    @pytest.mark.parametrize("fam,n", [("A", 5), ("B", 4), ("D", 4)])
+    def test_letters_are_lexicographic_normal_form(self, fam, n):
+        g = build_graph(GroupType(fam, n))
+        for _length, h in iter_fc(g, None):
+            assert h.letters == min(commutation_class(h.letters, g))

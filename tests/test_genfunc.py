@@ -8,6 +8,9 @@ from fcheaps.genfunc import (
     affine_periodic_part, reconcile, ReconcileError,
 )
 from fcheaps.enumerator import length_profile, maj_profile
+from fcheaps import genfunc
+from fcheaps.genfunc import ClosedFormError
+from fcheaps.qpoly import Series
 
 
 class TestSolveSeries:
@@ -166,3 +169,22 @@ class TestReconcile:
         periodic = TPoly([0] * 7 + [5], cap=7)
         with pytest.raises(ReconcileError):
             reconcile(oracle, periodic, 3)
+
+
+class TestTypedConsistencyErrors:
+    @pytest.mark.parametrize("sid,settled", [("M", 0), ("Q", 1), ("Qo", 1)])
+    def test_unsettled_iteration_raises(self, monkeypatch, sid, settled):
+        # the first `settled` convergence checks pass, the next one fails
+        checks = []
+
+        def eq(self, other):
+            checks.append(other)
+            return len(checks) <= settled
+        monkeypatch.setattr(Series, "__eq__", eq)
+        with pytest.raises(ClosedFormError, match=f"^{sid} iteration"):
+            solve_series(sid, 3, 6)
+
+    def test_odd_central_term_raises(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "comb", lambda a, b: 1)
+        with pytest.raises(ClosedFormError):
+            card_involutions("D", 3)

@@ -1,0 +1,16 @@
+"""Correctness checks in the library must survive python -O."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fcheaps"
+
+
+def test_library_has_no_assert_statements():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [f"{path.name}:{node.lineno}"
+             for path in files
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -236,3 +236,21 @@ class TestFrobenius:
         for h in (x for row in rows for x in row):
             f = walk_to_frobenius(encode_walk(h, "typeA"), "A")
             assert f.weight == major_index(h)
+
+
+class TestTypedConsistencyErrors:
+    def test_decoder_losing_occurrences_raises(self, monkeypatch):
+        from fcheaps import walks
+        w = encode_walk(Heap.from_word(A4, (1,)), "typeA")
+        monkeypatch.setattr(walks, "count_profile", lambda h: [])
+        with pytest.raises(EncodingError, match="lost occurrences"):
+            decode_walk(w, "typeA", A4)
+
+    def test_corner_beyond_walk_length_raises(self, monkeypatch):
+        from fcheaps import walks
+
+        def shifted(top, bottom):
+            return FrobeniusSymbol(tuple(t + 100 for t in top), bottom)
+        monkeypatch.setattr(walks, "FrobeniusSymbol", shifted)
+        with pytest.raises(WalkError, match="corner coordinates"):
+            walk_to_frobenius(Walk(0, (UP, DOWN)), "A")
