@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input.  Output is
-deterministic and independent of --threads (execution is sequential; the
-flag is accepted for interface stability).
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input or an affine
+window too short for verify to decide.  Output is deterministic and
+independent of --threads (execution is sequential; the flag is accepted for
+interface stability).
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from .cells import cells_report
 from .coxeter import (FAMILIES, GroupType, InvalidGroupError, build_graph,
                       normalize_family)
 from .enumerator import cross_validate, enumerate_fc, iter_fc
-from .genfunc import (SERIES_IDS, card_involutions, length_genfunc,
-                      maj_genfunc, maj_genfunc_by_descents, solve_series)
+from .genfunc import (SERIES_IDS, InconclusiveWindowError, card_involutions,
+                      length_genfunc, maj_genfunc, maj_genfunc_by_descents,
+                      solve_series)
 from .qpoly import TPoly
 from .walks import END_CHOICES, START_CHOICES, WEIGHT_CHOICES, WalkFamilySpec, family_poly
 
@@ -278,7 +280,10 @@ def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str, threads
     t = _group_type(family, rank)
     if max_length is not None and max_length < 4:
         raise click.UsageError("--max-length must be >= 4")
-    report = cross_validate(t.family, t.n, max_length)
+    try:
+        report = cross_validate(t.family, t.n, max_length)
+    except InconclusiveWindowError as e:
+        raise click.UsageError(str(e))
     if fmt == "json":
         payload = {
             "type": t.family, "rank": t.n, "ok": report.ok,

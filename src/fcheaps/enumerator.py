@@ -11,9 +11,9 @@ import bisect
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
-from .genfunc import (affine_periodic_part, card_involutions, length_genfunc,
-                      maj_genfunc, maj_genfunc_by_descents, reconcile,
-                      ReconcileError)
+from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
+                      card_involutions, length_genfunc, maj_genfunc,
+                      maj_genfunc_by_descents, reconcile, ReconcileError)
 from .heaps import (Heap, classify_involution, extend, is_alternating,
                     is_self_dual, major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
@@ -220,7 +220,12 @@ def _first_divergence(a: TPoly, b: TPoly, upto: int) -> str:
 
 def cross_validate(family: str, n: int, max_length: int | None = None,
                    layer_cap: int = 10 ** 7) -> ValidationReport:
-    """Compare enumeration against every closed form available for the family."""
+    """Compare enumeration against every closed form available for the family.
+
+    An affine window shorter than two declared periods raises
+    InconclusiveWindowError before enumerating: reconciliation needs two
+    periods of zero remainder below the cap, so such a window cannot decide.
+    """
     t = GroupType(family, n)
     g = build_graph(t)
     report = ValidationReport(group=t)
@@ -264,9 +269,13 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
                 f"peak classes add {full_delta.to_text('q')}")
         return report
     lmax = max_length if max_length is not None else AFFINE_DEFAULT_WINDOW[family]
+    declared = affine_period(family, n)
+    if lmax < 2 * declared:
+        raise InconclusiveWindowError(
+            f"inconclusive: window {lmax} < 2 × declared period {declared}")
     counts, _ = enumerate_fc(g, lmax, "involutions", layer_cap)
     oracle = TPoly(counts, lmax)
-    periodic, declared = affine_periodic_part(family, n, lmax)
+    periodic, _ = affine_periodic_part(family, n, lmax)
     try:
         remainder, period = reconcile(oracle, periodic, declared)
     except (ReconcileError, PeriodError) as e:

@@ -8,10 +8,12 @@ matches against enumerated counts.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb, lcm
 
 from .coxeter import GroupType, InvalidGroupError
-from .qpoly import PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial
+from .qpoly import (PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial,
+                    qbinomial_rows, solve_triangular)
 from .walks import WalkFamilySpec, family_poly
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
@@ -26,51 +28,44 @@ def _t() -> TPoly:
 
 
 def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
-    """Solve the walk functional equations by fixed-point iteration.
+    """Solve the walk functional equations coefficient by coefficient.
 
     M(x)     = 1 + t x^2 M(x) M(tx)
     Q(x)     = M(x) (1 + x t Q(tx))
     Qo(x)    = x t M(x) M(tx) (1 + x t^2 Qo(x t^2))
     Mstar(x) = M(x) / (1 - x M(x))
 
-    The substitutions x -> tx and x -> x t^2 raise t degrees with x order,
-    so iteration converges; the returned series satisfies its equation on
-    the truncated window (checked; ClosedFormError otherwise).
+    Every right-hand side carries a factor x or x^2 in front of the unknown,
+    so its x^k coefficient needs only lower ones:
+
+    M_k  = t sum_{i+j=k-2} M_i t^j M_j
+    Q_k  = M_k + t sum_{i+j=k-1} M_i t^j Q_j
+    Qo_k = B_k + t^2 sum_{i+j=k-1} B_i t^(2j) Qo_j,   B = x t M(x) M(tx)
+
+    and one triangular pass builds each series.  Each solution is then
+    checked, independently of the recursion, to satisfy its functional
+    equation on the truncated window with whole-series arithmetic
+    (ClosedFormError otherwise).
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
     one = Series.one(xmax, tmax)
     t = _t()
-
-    def m_rhs(s: Series) -> Series:
-        return one + (s * s.subst_x_times_t(1)).shift_x(2).scale_poly(t)
-
-    m = one
-    for _ in range(xmax + 2):
-        m = m_rhs(m)
-    if m != m_rhs(m):
+    m = Series(xmax, tmax, solve_triangular(one.coeffs, None, 1, 2, tmax))
+    if m != one + (m * m.subst_x_times_t(1)).shift_x(2).scale_poly(t):
         raise ClosedFormError("M iteration did not converge")
     if series_id == "M":
         return m
     if series_id == "Mstar":
         return m * m.shift_x(1).geom()
     if series_id == "Q":
-        def q_rhs(s: Series) -> Series:
-            return m * (one + s.subst_x_times_t(1).shift_x(1).scale_poly(t))
-        q = one
-        for _ in range(xmax + 2):
-            q = q_rhs(q)
-        if q != q_rhs(q):
+        q = Series(xmax, tmax, solve_triangular(m.coeffs, m.coeffs, 1, 1, tmax))
+        if q != m * (one + q.subst_x_times_t(1).shift_x(1).scale_poly(t)):
             raise ClosedFormError("Q iteration did not converge")
         return q
     base = (m * m.subst_x_times_t(1)).shift_x(1).scale_poly(t)
-
-    def qo_rhs(s: Series) -> Series:
-        return base * (one + s.subst_x_times_t(2).shift_x(1).scale_poly(t * t))
-    qo = Series.zero(xmax, tmax)
-    for _ in range(xmax + 2):
-        qo = qo_rhs(qo)
-    if qo != qo_rhs(qo):
+    qo = Series(xmax, tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, tmax))
+    if qo != base * (one + qo.subst_x_times_t(2).shift_x(1).scale_poly(t * t)):
         raise ClosedFormError("Qo iteration did not converge")
     return qo
 
@@ -100,26 +95,34 @@ def length_bound(family: str, n: int) -> int:
     raise InvalidGroupError(f"no finite length bound for family {family}")
 
 
+def _x_coeff(a: Series, b: Series, k: int) -> TPoly:
+    """[x^k] of a * b, without forming the rest of the product."""
+    total = TPoly((), a.tmax)
+    for i in range(k + 1):
+        if a[i] and b[k - i]:
+            total = total + a[i] * b[k - i]
+    return total
+
+
 def length_genfunc(family: str, n: int, tmax: int | None = None) -> TPoly:
     """Length polynomial of the involutions, capped at a safe degree."""
-    GroupType(family, n)
+    t = GroupType(family, n)
     if tmax is None:
         tmax = length_bound(family, n)
+    if t.is_affine:
+        raise InvalidGroupError(f"length polynomial is for the finite families, not {family}")
     xmax = n
     m = solve_series("M", xmax, tmax)
-    g = m.shift_x(1).geom()
+    # every family's polynomial is [x^n] of (numerator) / (1 - x M)
     if family == "A":
-        return (m * g)[n]
-    if family == "B":
-        q = solve_series("Q", xmax, tmax)
-        peak = _even_shift_tail(xmax, tmax, 2) * m * m.subst_x_times_t(1) * g
-        return (q * g + peak)[n]
-    if family == "D":
-        qo = solve_series("Qo", xmax, tmax)
-        peak = _even_shift_tail(xmax, tmax, 1) * m * m.subst_x_times_t(1) * g
-        total = (qo * g).scale_poly(TPoly([2])) + m * g + peak
-        return total[n]
-    raise InvalidGroupError(f"length polynomial is for the finite families, not {family}")
+        num = m
+    elif family == "B":
+        peak = _even_shift_tail(xmax, tmax, 2) * m * m.subst_x_times_t(1)
+        num = solve_series("Q", xmax, tmax) + peak
+    else:
+        peak = _even_shift_tail(xmax, tmax, 1) * m * m.subst_x_times_t(1)
+        num = solve_series("Qo", xmax, tmax).scale_poly(TPoly([2])) + m + peak
+    return _x_coeff(num, m.shift_x(1).geom(), n)
 
 
 def card_involutions(family: str, n: int) -> int:
@@ -139,40 +142,38 @@ def card_involutions(family: str, n: int) -> int:
     raise InvalidGroupError(f"cardinality formula is for the finite families, not {family}")
 
 
-def _b_layer_sum(h: int) -> TPoly:
-    """Sum over i of the q-binomials [h-1; i] for i = 0..h-1."""
-    total = TPoly.zero()
-    for i in range(h):
-        total = total + qbinomial(h - 1, i)
-    return total
-
-
 def maj_genfunc(family: str, n: int) -> TPoly:
     """Major index polynomial of the involutions (finite families)."""
     GroupType(family, n)
     if family == "A":
         return qbinomial(n, n // 2)
+    rows = qbinomial_rows(n + 1)
+
+    def layer(h: int) -> TPoly:
+        """Sum over i of the q-binomials [h-1; i] for i = 0..h-1."""
+        return sum(rows[h - 1], TPoly.zero())
+
     if family == "B":
-        total = qbinomial(n, n // 2)
+        total = rows[n][n // 2]
         for h in range(1, n + 1):
-            total = total + _b_layer_sum(h).shift(h)
+            total = total + layer(h).shift(h)
         return total.assert_nonnegative()
     if family == "D":
         p = TPoly.zero()
         for h in range(1, n):
-            p = p + _b_layer_sum(h).shift(h)
+            p = p + layer(h).shift(h)
         bridge = TPoly([0] * n + [1, 1])    # q^n (1 + q)
         if n % 2 == 0:
-            p = p + (bridge * _b_layer_sum(n)).halve()
+            p = p + (bridge * layer(n)).halve()
         else:
             k = (n - 1) // 2
             for h in range(1, k + 1):
-                p = p + qbinomial(n - h - 1, k).shift(n - h)
+                p = p + rows[n - h - 1][k].shift(n - h)
             # the central column pairs with itself, keeping the half integral
-            p = p + (bridge * (_b_layer_sum(n) + qbinomial(n - 1, k))).halve()
-        mid = qbinomial(n - 1, (n - 1) // 2)
+            p = p + (bridge * (layer(n) + rows[n - 1][k])).halve()
+        mid = rows[n - 1][(n - 1) // 2]
         total = p + TPoly.term(2 * n + 1) * mid - TPoly.term(n) * mid \
-            + qbinomial(n + 1, (n + 1) // 2)
+            + rows[n + 1][(n + 1) // 2]
         return total.assert_nonnegative()
     raise InvalidGroupError(f"major index is for the finite families, not {family}")
 
@@ -182,19 +183,23 @@ def maj_genfunc_by_descents(n: int, k: int) -> TPoly:
 
     Covers the second finite family (rank parameter n); k = 0 gives the
     identity's contribution.  The sum is empty when n < 2k - 1.
+
+    With a_i = q^i [i; k-1], the polynomial is
+    q^((k-1)^2 + 1) sum_{i+j <= n-1} a_i a_j, summed as
+    sum_i a_i (a_0 + ... + a_{n-1-i}) over prefix sums of a.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     if k == 0:
         return TPoly.one()
+    rows = qbinomial_rows(n - 1)
+    a = [rows[i][k - 1].shift(i) if k - 1 <= i else TPoly.zero() for i in range(n)]
+    prefix = list(accumulate(a))
     total = TPoly.zero()
-    corner = (k - 1) * (k - 1)
-    for h in range(2 * k - 1, n + 1):
-        inner = TPoly.zero()
-        for i in range(k - 1, h - k + 1):
-            inner = inner + qbinomial(i, k - 1) * qbinomial(h - 1 - i, k - 1)
-        total = total + inner.shift(corner + h)
-    return total
+    for i in range(n):
+        if a[i]:
+            total = total + a[i] * prefix[n - 1 - i]
+    return total.shift((k - 1) * (k - 1) + 1)
 
 
 def ohat_poly(n: int, tmax: int) -> TPoly:
@@ -218,40 +223,52 @@ def _affa_poly_term(n: int, tmax: int) -> TPoly:
     m = solve_series("M", xmax, tmax)
     w = m.shift_x(1).x_derivative()
     inner = Series.one(xmax, tmax) + w.subst_x_times_t(1).shift_x(2).scale_poly(_t())
-    total = m * inner * m.shift_x(1).geom()
-    return total[n]
+    return _x_coeff(m * inner, m.shift_x(1).geom(), n)
+
+
+def affine_period(family: str, n: int) -> int:
+    """Declared period of an affine family's involution counts."""
+    t = GroupType(family, n)
+    if not t.is_affine:
+        raise InvalidGroupError(f"{family} is not an affine family")
+    if family == "affA":
+        return n if n % 2 == 0 else 1
+    if family == "affC":
+        return lcm(n + 1, 2)
+    if family == "affB":
+        return (2 * n + 1) * (2 * n + 2)
+    return 2 * n + 2
 
 
 def affine_periodic_part(family: str, n: int, lmax: int) -> tuple[TPoly, int]:
     """Closed eventually periodic polynomial (capped at lmax) and the declared
     period for an affine family's involution counts."""
-    t = GroupType(family, n)
-    if not t.is_affine:
-        raise InvalidGroupError(f"{family} is not an affine family")
+    period = affine_period(family, n)
     if family == "affA":
         part = periodicize(ohat_poly(n, lmax), n, n, lmax) + _affa_poly_term(n, lmax)
-        return part, (n if n % 2 == 0 else 1)
-    if family == "affC":
+    elif family == "affC":
         part = periodicize(fhat_poly(n, lmax), n + 1, n + 1, lmax) \
             + periodicize(TPoly([2]), 2 * n + 3, 2, lmax)
-        return part, lcm(n + 1, 2)
-    if family == "affB":
+    elif family == "affB":
         fo = fhat_poly(n, lmax, end="odd").scale(2)
         fe = fhat_poly(n, lmax, end="even").scale(2)
         part = periodicize(fo, 2 * n + 2, 2 * n + 2, lmax) \
             + periodicize(fe, n + 1, 2 * n + 2, lmax) \
             + periodicize(TPoly.one(), 2 * n + 4, 1, lmax) \
             + periodicize(TPoly.one(), 4 * n + 2, 2 * n + 1, lmax)
-        return part, (2 * n + 1) * (2 * n + 2)
-    if family == "affD":
+    else:
         foo = fhat_poly(n, lmax, start="odd", end="odd").scale(4)
         fee = fhat_poly(n, lmax, start="even", end="even").scale(4)
         part = periodicize(foo, 2 * n + 2, 2 * n + 2, lmax) \
             + periodicize(fee, n + 1, 2 * n + 2, lmax) \
             + periodicize(TPoly([2]), 2 * n + 6, 2, lmax) \
             + periodicize(TPoly([2]), 4 * n + 4, 2 * n + 2, lmax)
-        return part, 2 * n + 2
-    raise InvalidGroupError(family)
+    return part, period
+
+
+class InconclusiveWindowError(ValueError):
+    """An affine window too short to hold two declared periods: reconciliation
+    could not tell a match from a mismatch there."""
 
 
 class ReconcileError(ValueError):

@@ -324,35 +324,71 @@ class Series:
         return Series(self.xmax, self.tmax, out)
 
     def geom(self) -> "Series":
-        """1 / (1 - self); requires zero constant term in x."""
+        """1 / (1 - self); requires zero constant term in x.
+
+        G = 1 + self * G with a_0 = 0, so G_0 = 1 and
+        G_k = sum_{i=1..k} a_i G_{k-i}: one triangular pass.
+        """
         if not self.coeffs[0].is_zero():
             raise ValueError("geometric inverse needs zero constant term")
-        out = Series.one(self.xmax, self.tmax)
-        for _ in range(self.xmax):
-            out = Series.one(self.xmax, self.tmax) + self * out
-        return out
+        one = Series.one(self.xmax, self.tmax)
+        return Series(self.xmax, self.tmax,
+                      solve_triangular(one.coeffs, self.coeffs[1:], 0, 1, self.tmax))
 
     def __repr__(self) -> str:
         rows = ", ".join(f"x^{k}: {c.to_text()}" for k, c in enumerate(self.coeffs) if not c.is_zero())
         return f"Series(xmax={self.xmax}, tmax={self.tmax}, {rows or '0'})"
 
 
-def qbinomial(n: int, k: int) -> TPoly:
-    """Gaussian binomial coefficient as an exact polynomial.
+def solve_triangular(seed: Sequence[TPoly], known: Sequence[TPoly] | None, r: int, d: int,
+                     tmax: int) -> list[TPoly]:
+    """x^k coefficients of U = seed + x^d t^r K(x) U(x t^r), d >= 1, for every k
+    that seed covers; K is ``known``, or U itself when None.
 
-    Built from the division-free recurrence [n;k] = [n-1;k-1] + q^k [n-1;k].
+    U_k = seed_k + sum_{i+j=k-d} K_i t^(r(j+1)) U_j needs only lower
+    coefficients of U, so one pass over k builds them all.
+    """
+    u: list[TPoly] = []
+    kcoeffs = u if known is None else known
+    twisted: list[TPoly] = []    # twisted[j] = t^(r(j+1)) U_j
+    for k, c in enumerate(seed):
+        for j in range(k - d + 1):
+            if kcoeffs[k - d - j] and twisted[j]:
+                c = c + kcoeffs[k - d - j] * twisted[j]
+        u.append(c)
+        twisted.append(c.shift(r * (k + 1)).truncate(tmax))
+    return u
+
+
+def qbinomial_rows(nmax: int) -> list[list[TPoly]]:
+    """The q-Pascal triangle: rows[n][k] is the Gaussian binomial [n; k].
+
+    Built from the division-free recurrence [n;k] = [n-1;k-1] + q^k [n-1;k],
+    one addition per entry.
+
+    >>> [p.to_text("q") for p in qbinomial_rows(3)[3]]
+    ['1', '1 + q + q^2', '1 + q + q^2', '1']
+    """
+    rows = [[TPoly.one()]]
+    for n in range(1, nmax + 1):
+        prev = rows[-1]
+        row = [TPoly.one()]
+        for k in range(1, n):
+            row.append(prev[k - 1] + prev[k].shift(k))
+        row.append(TPoly.one())
+        rows.append(row)
+    return rows
+
+
+def qbinomial(n: int, k: int) -> TPoly:
+    """Gaussian binomial coefficient as an exact polynomial; zero outside 0 <= k <= n.
 
     >>> qbinomial(4, 2).to_text("q")
     '1 + q + 2*q^2 + q^3 + q^4'
     """
     if k < 0 or k > n:
         return TPoly.zero()
-    # row[j] holds [i; j] while i sweeps upward
-    row = [TPoly.one()] + [TPoly.zero()] * k
-    for i in range(1, n + 1):
-        for j in range(min(i, k), 0, -1):
-            row[j] = row[j - 1] + row[j].shift(j)
-    return row[k]
+    return qbinomial_rows(n)[n][k]
 
 
 @dataclass(frozen=True)

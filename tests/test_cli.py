@@ -216,6 +216,37 @@ class TestVerify:
         assert a.output == b.output and a.exit_code == b.exit_code == 0
 
 
+class TestInconclusiveWindow:
+    """A window shorter than two declared periods is inconclusive (exit 2),
+    not a mismatch (exit 1)."""
+
+    @pytest.mark.parametrize("argv,window,period", [
+        (("--type", "affC", "--rank", "2", "--max-length", "8"), 8, 6),
+        (("--type", "affB", "--rank", "2", "--max-length", "20"), 20, 30),
+        (("--type", "affB", "--rank", "4"), 150, 90),
+    ])
+    def test_exits_two(self, argv, window, period):
+        r = run("verify", *argv)
+        assert r.exit_code == 2
+        assert f"inconclusive: window {window} < 2 × declared period {period}" in r.output
+        assert "MISMATCH" not in r.output
+
+    def test_json_format_exits_two(self):
+        r = run("verify", "--type", "affC", "--rank", "2", "--max-length", "8",
+                "--format", "json")
+        assert r.exit_code == 2
+        assert "inconclusive" in r.output
+
+    def test_gate_is_two_declared_periods(self):
+        # affA:4 declares period 4: a window of 7 is refused, one of 10 decides
+        r = run("verify", "--type", "affA", "--rank", "4", "--max-length", "7")
+        assert r.exit_code == 2
+        assert "inconclusive: window 7 < 2 × declared period 4" in r.output
+        r = run("verify", "--type", "affA", "--rank", "4", "--max-length", "10")
+        assert r.exit_code == 0
+        assert "all match" in r.output
+
+
 class TestCells:
     def test_text_report(self):
         r = run("cells", "--rank", "3", "--max-length", "6")

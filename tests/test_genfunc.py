@@ -9,7 +9,9 @@ from fcheaps.genfunc import (
 )
 from fcheaps.enumerator import length_profile, maj_profile
 from fcheaps import genfunc
-from fcheaps.genfunc import ClosedFormError
+from fcheaps.genfunc import ClosedFormError, InconclusiveWindowError, affine_period
+from fcheaps.coxeter import InvalidGroupError
+from fcheaps.enumerator import cross_validate
 from fcheaps.qpoly import Series
 
 
@@ -143,6 +145,25 @@ class TestAffinePeriodicPart:
     def test_finite_family_rejected(self):
         with pytest.raises(Exception):
             affine_periodic_part("B", 3, 30)
+
+
+class TestAffinePeriod:
+    @pytest.mark.parametrize("fam", ["affA", "affC", "affB", "affD"])
+    def test_matches_periodic_part(self, fam):
+        for n in range(2, 6):
+            if (fam, n) == ("affA", 2):
+                continue
+            assert affine_period(fam, n) == affine_periodic_part(fam, n, 12)[1]
+
+    def test_finite_family_rejected(self):
+        with pytest.raises(InvalidGroupError):
+            affine_period("D", 4)
+
+    @pytest.mark.parametrize("fam,n,window", [("affC", 2, 8), ("affB", 2, 20),
+                                              ("affB", 4, None)])
+    def test_short_window_is_inconclusive(self, fam, n, window):
+        with pytest.raises(InconclusiveWindowError, match="^inconclusive: window"):
+            cross_validate(fam, n, window)
 
 
 class TestReconcile:
