@@ -183,9 +183,10 @@ def build_graph(t: GroupType) -> CoxeterGraph:
 
 def check_word(word, g: CoxeterGraph) -> tuple[int, ...]:
     w = tuple(word)
+    size = g.size
     for c in w:
-        if not (0 <= c < g.size):
-            raise ValueError(f"letter {c} outside generator range 0..{g.size - 1}")
+        if not (0 <= c < size):
+            raise ValueError(f"letter {c} outside generator range 0..{size - 1}")
     return w
 
 

@@ -122,6 +122,13 @@ def length_profile(g: CoxeterGraph, max_length: int | None, mode: str = "involut
     return TPoly(counts, max_length)
 
 
+def _bump(counts: list[int], k: int) -> None:
+    """Add one at index k, growing the list with zeros as needed."""
+    while len(counts) <= k:
+        counts.append(0)
+    counts[k] += 1
+
+
 def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
     """Major index polynomial over the filtered heaps; finite families only."""
     if g.group.is_affine:
@@ -129,10 +136,7 @@ def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
     total = [0]
     for _length, h in iter_fc(g, None):
         if passes_filter(h, mode):
-            m = major_index(h)
-            while len(total) <= m:
-                total.append(0)
-            total[m] += 1
+            _bump(total, major_index(h))
     return TPoly(total)
 
 
@@ -143,12 +147,7 @@ def descent_profiles(g: CoxeterGraph, mode: str = "alternating") -> dict[int, TP
     acc: dict[int, list[int]] = {}
     for _length, h in iter_fc(g, None):
         if passes_filter(h, mode):
-            k = len(h.descents)
-            m = major_index(h)
-            cs = acc.setdefault(k, [0])
-            while len(cs) <= m:
-                cs.append(0)
-            cs[m] += 1
+            _bump(acc.setdefault(len(h.descents), [0]), major_index(h))
     return {k: TPoly(cs) for k, cs in sorted(acc.items())}
 
 
@@ -222,6 +221,9 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
                    layer_cap: int = 10 ** 7) -> ValidationReport:
     """Compare enumeration against every closed form available for the family.
 
+    A finite group is enumerated in one pass: each heap is tested for
+    self-duality once, and every involution adds to the length counts, the
+    major index counts and, for B, the alternating-class major index counts.
     An affine window shorter than two declared periods raises
     InconclusiveWindowError before enumerating: reconciliation needs two
     periods of zero remainder below the cap, so such a window cannot decide.
@@ -230,14 +232,22 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
     g = build_graph(t)
     report = ValidationReport(group=t)
     if not t.is_affine:
-        counts, _ = enumerate_fc(g, None, "involutions", layer_cap)
+        counts, majs, alt_majs = [0], [0], [0]
+        for length, h in iter_fc(g, None, layer_cap):
+            if not is_self_dual(h):
+                continue
+            m = major_index(h)
+            _bump(counts, length)
+            _bump(majs, m)
+            if family == "B" and classify_involution(h).kind == "alternating":
+                _bump(alt_majs, m)
         oracle_len = TPoly(counts)
         total = sum(counts)
         formula_card = card_involutions(family, n)
         report.card = total
         report._record("card", total == formula_card,
                        f"enumerated {total}, formula {formula_card}")
-        oracle_maj = maj_profile(g)
+        oracle_maj = TPoly(majs)
         formula_maj = maj_genfunc(family, n)
         report.maj = oracle_maj
         report._record("maj", oracle_maj == formula_maj,
@@ -251,7 +261,7 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
         report._record("length", good,
                        _first_divergence(oracle_len, formula_len, formula_len.cap or 0))
         if family == "B":
-            alt = maj_profile(g, "alternating")
+            alt = TPoly(alt_majs)
             by_desc = TPoly.zero()
             k = 0
             while True:

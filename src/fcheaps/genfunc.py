@@ -49,23 +49,39 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    one = Series.one(xmax, tmax)
-    t = _t()
-    m = Series(xmax, tmax, solve_triangular(one.coeffs, None, 1, 2, tmax))
-    if m != one + (m * m.subst_x_times_t(1)).shift_x(2).scale_poly(t):
-        raise ClosedFormError("M iteration did not converge")
+    m = _solve_m(xmax, tmax)
     if series_id == "M":
         return m
     if series_id == "Mstar":
         return m * m.shift_x(1).geom()
     if series_id == "Q":
-        q = Series(xmax, tmax, solve_triangular(m.coeffs, m.coeffs, 1, 1, tmax))
-        if q != m * (one + q.subst_x_times_t(1).shift_x(1).scale_poly(t)):
-            raise ClosedFormError("Q iteration did not converge")
-        return q
+        return _solve_q(m)
+    return _solve_qo(m)
+
+
+def _solve_m(xmax: int, tmax: int) -> Series:
+    one = Series.one(xmax, tmax)
+    m = Series(xmax, tmax, solve_triangular(one.coeffs, None, 1, 2, tmax))
+    if m != one + (m * m.subst_x_times_t(1)).shift_x(2).scale_poly(_t()):
+        raise ClosedFormError("M iteration did not converge")
+    return m
+
+
+def _solve_q(m: Series) -> Series:
+    """Q from an already solved and checked M on the same window."""
+    q = Series(m.xmax, m.tmax, solve_triangular(m.coeffs, m.coeffs, 1, 1, m.tmax))
+    if q != m * (Series.one(m.xmax, m.tmax) + q.subst_x_times_t(1).shift_x(1).scale_poly(_t())):
+        raise ClosedFormError("Q iteration did not converge")
+    return q
+
+
+def _solve_qo(m: Series) -> Series:
+    """Qo from an already solved and checked M on the same window."""
+    t = _t()
     base = (m * m.subst_x_times_t(1)).shift_x(1).scale_poly(t)
-    qo = Series(xmax, tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, tmax))
-    if qo != base * (one + qo.subst_x_times_t(2).shift_x(1).scale_poly(t * t)):
+    qo = Series(m.xmax, m.tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, m.tmax))
+    if qo != base * (Series.one(m.xmax, m.tmax)
+                     + qo.subst_x_times_t(2).shift_x(1).scale_poly(t * t)):
         raise ClosedFormError("Qo iteration did not converge")
     return qo
 
@@ -118,10 +134,10 @@ def length_genfunc(family: str, n: int, tmax: int | None = None) -> TPoly:
         num = m
     elif family == "B":
         peak = _even_shift_tail(xmax, tmax, 2) * m * m.subst_x_times_t(1)
-        num = solve_series("Q", xmax, tmax) + peak
+        num = _solve_q(m) + peak
     else:
         peak = _even_shift_tail(xmax, tmax, 1) * m * m.subst_x_times_t(1)
-        num = solve_series("Qo", xmax, tmax).scale_poly(TPoly([2])) + m + peak
+        num = _solve_qo(m).scale_poly(TPoly([2])) + m + peak
     return _x_coeff(num, m.shift_x(1).geom(), n)
 
 

@@ -21,20 +21,24 @@ class Heap:
     """Labeled poset of a word's positions.
 
     below[p] / above[p] are bitmasks over positions; layer[p] is one plus the
-    longest chain strictly below p.  All fields are immutable tuples, so
+    longest chain strictly below p.  prev[p] is the previous position holding
+    the same letter as p (-1 if none), so with last it threads each letter's
+    occurrences from the top down and a bond's chain can be read backward
+    without scanning the word.  All fields are immutable tuples, so
     extensions share parent data.
     """
 
-    __slots__ = ("graph", "letters", "below", "above", "layer", "last",
+    __slots__ = ("graph", "letters", "below", "above", "layer", "last", "prev",
                  "descents", "_canon")
 
-    def __init__(self, graph, letters, below, above, layer, last, descents):
+    def __init__(self, graph, letters, below, above, layer, last, prev, descents):
         self.graph = graph
         self.letters = letters
         self.below = below
         self.above = above
         self.layer = layer
         self.last = last            # last occurrence position per generator, -1 if absent
+        self.prev = prev            # previous occurrence of the same letter, -1 if none
         self.descents = descents    # labels of maximal elements, frozenset
         self._canon = None
 
@@ -46,7 +50,9 @@ class Heap:
         last = [-1] * g.size
         below = []
         layer = []
+        prev = []
         for p, c in enumerate(w):
+            prev.append(last[c])
             b = 0
             lay = 0
             for u in (c, *adjacency[c]):
@@ -71,7 +77,7 @@ class Heap:
             nxt[c] = p
         descents = frozenset(w[p] for p in range(n) if above[p] == 0)
         return cls(g, w, tuple(below), tuple(above), tuple(layer),
-                   tuple(last), descents)
+                   tuple(last), tuple(prev), descents)
 
     @classmethod
     def empty(cls, g: CoxeterGraph) -> "Heap":
@@ -83,9 +89,8 @@ class Heap:
     @property
     def canonical_word(self) -> tuple[int, ...]:
         if self._canon is None:
-            order = sorted(range(len(self.letters)),
-                           key=lambda p: (self.layer[p], self.letters[p]))
-            self._canon = tuple(self.letters[p] for p in order)
+            # (layer, letter) pairs are distinct: equal letters are comparable
+            self._canon = tuple(c for _lay, c in sorted(zip(self.layer, self.letters)))
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -100,9 +105,6 @@ class Heap:
     def __repr__(self) -> str:
         word = " ".join(self.graph.names[c] for c in self.canonical_word) or "e"
         return f"Heap({self.graph.group}, {word})"
-
-    def occurrences(self, label: int) -> list[int]:
-        return [p for p, c in enumerate(self.letters) if c == label]
 
     def chain(self, labels) -> list[int]:
         """Positions carrying any of the labels, in increasing position order.
@@ -163,9 +165,31 @@ def dual(h: Heap) -> Heap:
 
 
 def is_self_dual(h: Heap) -> bool:
-    """Order-reversal invariance; for FC heaps this marks the involutions."""
-    rev = tuple(reversed(h.letters))
-    return canonical_form(rev, h.graph) == h.canonical_word
+    """Order-reversal invariance; for FC heaps this marks the involutions.
+
+    One backward pass gives each position its co-layer, one plus the longest
+    chain strictly above it.  The heap is self-dual iff the (letter, layer)
+    pairs and the (letter, co-layer) pairs form the same set.  This is exact:
+    the Cartier-Foata layers of a heap determine it (the canonical word lists
+    each layer's letters in turn), and the co-layers are the layers of the
+    heap of the reversed word, i.e. of the dual.  Equal letters are
+    comparable, so each set has one pair per position, and the pass can stop
+    at the first co-layer pair missing from the layer pairs.
+    """
+    letters = h.letters
+    adjacency = h.graph.adjacency
+    pairs = set(zip(letters, h.layer))
+    depth = [0] * h.graph.size  # deepest co-layer seen per generator
+    for c in reversed(letters):
+        lay = depth[c]
+        for u in adjacency[c]:
+            if depth[u] > lay:
+                lay = depth[u]
+        lay += 1
+        if (c, lay) not in pairs:
+            return False
+        depth[c] = lay
+    return True
 
 
 def right_descents(h: Heap) -> frozenset[int]:
@@ -367,30 +391,29 @@ def extend(h: Heap, s: int) -> Heap | None:
     if s in h.descents:
         return None
     nbrs = g.adjacency[s]
+    last, prev = h.last, h.prev
     nu = len(h.letters)
     below_nu = 0
     lay = 0
     for u in (s, *nbrs):
-        lp = h.last[u]
+        lp = last[u]
         if lp >= 0:
             below_nu |= h.below[lp] | (1 << lp)
             if h.layer[lp] > lay:
                 lay = h.layer[lp]
     for t in nbrs:
-        m = g.m[s][t]
-        tail = sorted(h.occurrences(s) + h.occurrences(t))[-(m - 1):]
-        if len(tail) < m - 1:
-            continue
-        labels = [h.letters[p] for p in tail]
-        if labels[-1] != t:
-            continue
-        if any(labels[i] == labels[i + 1] for i in range(len(labels) - 1)):
-            continue
+        # walk the s/t chain down from its top through last and prev: its
+        # last m - 1 elements must alternate and end in t to close a window
+        a, b = last[t], last[s]
         interior = 0
-        for p in tail[1:]:
-            interior |= 1 << p
-        if (h.above[tail[0]] & below_nu) & ~interior == 0:
-            return None
+        for _ in range(g.m[s][t] - 2):
+            if a <= b:
+                break
+            interior |= 1 << a
+            a, b = b, prev[a]
+        else:
+            if a >= 0 and (h.above[a] & below_nu) & ~interior == 0:
+                return None
     above = list(h.above)
     bit_nu = 1 << nu
     rest = below_nu
@@ -398,8 +421,8 @@ def extend(h: Heap, s: int) -> Heap | None:
         low = rest & -rest
         above[low.bit_length() - 1] |= bit_nu
         rest ^= low
-    last = list(h.last)
-    last[s] = nu
+    new_last = list(last)
+    new_last[s] = nu
     return Heap(g, h.letters + (s,), h.below + (below_nu,),
                 tuple(above) + (0,), h.layer + (lay + 1,),
-                tuple(last), h.descents.difference(nbrs) | {s})
+                tuple(new_last), prev + (last[s],), h.descents.difference(nbrs) | {s})

@@ -7,9 +7,10 @@ from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
     FILTERS, AFFINE_DEFAULT_WINDOW, MemoryGuardError, passes_filter,
     iter_fc, enumerate_fc, length_profile, maj_profile, descent_profiles,
-    rsk_insert, rsk_walk, flats_up, cross_validate,
+    rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.coxeter import commutation_class
+from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
 
 A4 = build_graph(GroupType("A", 4))
@@ -170,3 +171,49 @@ class TestNormalFormEnumeration:
         g = build_graph(GroupType(fam, n))
         for _length, h in iter_fc(g, None):
             assert h.letters == min(commutation_class(h.letters, g))
+
+
+def by_descents_sum(n):
+    """The descent formula summed over k, as cross_validate forms it."""
+    total = TPoly.zero()
+    k = 0
+    while True:
+        piece = maj_genfunc_by_descents(n, k)
+        if k > 0 and piece.is_zero():
+            return total
+        total = total + piece
+        k += 1
+
+
+class TestOnePassCrossValidate:
+    """The finite branch fuses three enumerations into one pass; the separate
+    profiles are the oracle."""
+
+    @pytest.mark.parametrize("fam,n", [(fam, n) for fam in ("A", "B", "D")
+                                       for n in range(2, 7)])
+    def test_matches_separate_profiles(self, fam, n):
+        g = build_graph(GroupType(fam, n))
+        counts, _ = enumerate_fc(g, None, "involutions")
+        r = cross_validate(fam, n)
+        assert r.length == TPoly(counts)
+        assert r.card == sum(counts)
+        assert r.maj == maj_profile(g)
+        if fam == "B":
+            alt = maj_profile(g, "alternating")
+            assert ("maj-by-descents" in r.checks) == (by_descents_sum(n) == alt)
+            assert r.notes == ["descent formula covers the alternating class; "
+                               f"peak classes add {(maj_profile(g) - alt).to_text('q')}"]
+        else:
+            assert "maj-by-descents" not in r.checks and r.notes == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_alternating_counts_reach_the_failure_detail(self, monkeypatch, n):
+        # with the formula reduced to its k = 0 term the check must fail, and
+        # its detail is computed from the fused alternating counts
+        monkeypatch.setattr("fcheaps.enumerator.maj_genfunc_by_descents",
+                            lambda n, k: TPoly.one() if k == 0 else TPoly.zero())
+        g = build_graph(GroupType("B", n))
+        alt = maj_profile(g, "alternating")
+        r = cross_validate("B", n)
+        detail = _first_divergence(TPoly.one(), alt, max(alt.degree(), 0))
+        assert r.failures == [f"maj-by-descents: {detail}"]
