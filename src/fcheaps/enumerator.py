@@ -1,8 +1,9 @@
-"""Breadth-first enumeration of reduced FC heaps with validation reports.
+"""Depth-first enumeration of reduced FC heaps with validation reports.
 
 Heaps grow one maximal element at a time, and only along lexicographic
 normal forms of the trace monoid, so each FC element is generated exactly
-once and a layer needs no deduplication.
+once and needs no deduplication.  Counting walks the normal-form tree in no
+set order; only the paths that emit or collect heaps sort them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ AFFINE_DEFAULT_WINDOW = {"affA": 40, "affC": 60, "affB": 150, "affD": 60}
 
 
 class MemoryGuardError(RuntimeError):
-    """A BFS layer outgrew the configured cap."""
+    """The heaps of one length outgrew the configured cap."""
 
 
 def passes_filter(h: Heap, mode: str) -> bool:
@@ -42,49 +43,66 @@ def passes_filter(h: Heap, mode: str) -> bool:
     raise ValueError(f"unknown filter {mode!r}; expected one of {FILTERS}")
 
 
-def iter_fc(g: CoxeterGraph, max_length: int | None,
-            layer_cap: int = 10 ** 7):
-    """Yield (length, heap) for every reduced FC heap, lengths ascending and
-    canonical words sorted within a length.
+def walk_fc(g: CoxeterGraph, max_length: int | None):
+    """Yield every reduced FC heap of length at most max_length once, in no
+    set order.
 
     Every heap's letters are the lexicographically least word of its
     commutation class (its Anisimov-Knuth normal form).  A heap is extended
     by s only when every letter after the last position holding s or a
     neighbor of s is smaller than s, which is exactly when the longer word is
-    again a normal form.  Normal forms are closed under prefixes, so each FC
-    element is generated once, from the heap of its normal form minus the
-    last letter.
+    again a normal form.  Normal forms are closed under prefixes, so the
+    normal forms make a tree and each FC element is generated once, from the
+    heap of its normal form minus the last letter.  The walk is depth-first
+    over that tree; its stack holds at most one heap per generator and depth.
 
     max_length None runs until the group is exhausted (finite families).
     """
     adjacency = g.adjacency
-    layer = [Heap.empty(g)]
-    length = 0
-    yield 0, layer[0]
-    while layer and (max_length is None or length < max_length):
-        nxt: list[Heap] = []
-        for h in layer:
-            last = h.last
-            later = -1  # last position of any letter greater than s
-            for s in range(g.size - 1, -1, -1):
-                p = last[s]
-                for u in adjacency[s]:
-                    if last[u] > p:
-                        p = last[u]
-                if later <= p:
-                    child = extend(h, s)
-                    if child is not None:
-                        if len(nxt) >= layer_cap:
-                            raise MemoryGuardError(
-                                f"layer {length + 1} exceeds {layer_cap} heaps")
-                        nxt.append(child)
-                if last[s] > later:
-                    later = last[s]
-        length += 1
-        nxt.sort(key=lambda h: h.canonical_word)
-        for h in nxt:
+    top = g.size - 1
+    stack = [Heap.empty(g)]
+    while stack:
+        h = stack.pop()
+        yield h
+        if max_length is not None and len(h.letters) >= max_length:
+            continue
+        last, descents = h.last, h.descents
+        later = -1  # last position of any letter greater than s
+        for s in range(top, -1, -1):
+            p = last[s]
+            for u in adjacency[s]:
+                if last[u] > p:
+                    p = last[u]
+            if later <= p and s not in descents:  # a descent cannot lengthen h
+                child = extend(h, s)
+                if child is not None:
+                    stack.append(child)
+            if last[s] > later:
+                later = last[s]
+
+
+def iter_fc(g: CoxeterGraph, max_length: int | None,
+            layer_cap: int = 10 ** 7):
+    """Yield (length, heap) for every reduced FC heap, lengths ascending and
+    canonical words sorted within a length.
+
+    The heaps of walk_fc, bucketed by length, so every heap up to max_length
+    is held before the first is yielded; MemoryGuardError, raised during the
+    walk, when a length holds more than layer_cap heaps.
+    """
+    buckets: list[list[Heap]] = []
+    for h in walk_fc(g, max_length):
+        length = len(h.letters)
+        while len(buckets) <= length:
+            buckets.append([])
+        bucket = buckets[length]
+        if len(bucket) >= layer_cap:
+            raise MemoryGuardError(f"length {length} exceeds {layer_cap} heaps")
+        bucket.append(h)
+    for length, bucket in enumerate(buckets):
+        bucket.sort(key=lambda h: h.canonical_word)
+        for h in bucket:
             yield length, h
-        layer = nxt
 
 
 def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all",
@@ -92,13 +110,17 @@ def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all",
     """Counts per length of FC heaps passing the filter.
 
     Returns (counts, heaps) where counts[k] counts length-k heaps that pass
-    and heaps collects them per length when requested (None otherwise).
+    and heaps collects them per length, canonical words sorted, when
+    requested (None otherwise).  layer_cap bounds the heaps collected per
+    length; counting holds no more than the walk's stack.
     """
     if mode not in FILTERS:
         raise ValueError(f"unknown filter {mode!r}; expected one of {FILTERS}")
     counts: list[int] = []
     collected: list[list[Heap]] | None = [] if collect else None
-    for length, h in iter_fc(g, max_length, layer_cap):
+    heaps = (iter_fc(g, max_length, layer_cap) if collect
+             else ((len(h.letters), h) for h in walk_fc(g, max_length)))
+    for length, h in heaps:
         while len(counts) <= length:
             counts.append(0)
             if collected is not None:
@@ -115,10 +137,10 @@ def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all",
     return counts, collected
 
 
-def length_profile(g: CoxeterGraph, max_length: int | None, mode: str = "involutions",
-                   layer_cap: int = 10 ** 7) -> TPoly:
+def length_profile(g: CoxeterGraph, max_length: int | None,
+                   mode: str = "involutions") -> TPoly:
     """Counts-by-length as a polynomial; capped at max_length when given."""
-    counts, _ = enumerate_fc(g, max_length, mode, layer_cap)
+    counts, _ = enumerate_fc(g, max_length, mode)
     return TPoly(counts, max_length)
 
 
@@ -134,7 +156,7 @@ def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
     if g.group.is_affine:
         raise ValueError("major index profiles need a finite family")
     total = [0]
-    for _length, h in iter_fc(g, None):
+    for h in walk_fc(g, None):
         if passes_filter(h, mode):
             _bump(total, major_index(h))
     return TPoly(total)
@@ -145,7 +167,7 @@ def descent_profiles(g: CoxeterGraph, mode: str = "alternating") -> dict[int, TP
     if g.group.is_affine:
         raise ValueError("descent profiles need a finite family")
     acc: dict[int, list[int]] = {}
-    for _length, h in iter_fc(g, None):
+    for h in walk_fc(g, None):
         if passes_filter(h, mode):
             _bump(acc.setdefault(len(h.descents), [0]), major_index(h))
     return {k: TPoly(cs) for k, cs in sorted(acc.items())}
@@ -217,8 +239,7 @@ def _first_divergence(a: TPoly, b: TPoly, upto: int) -> str:
     return "no divergence in window"
 
 
-def cross_validate(family: str, n: int, max_length: int | None = None,
-                   layer_cap: int = 10 ** 7) -> ValidationReport:
+def cross_validate(family: str, n: int, max_length: int | None = None) -> ValidationReport:
     """Compare enumeration against every closed form available for the family.
 
     A finite group is enumerated in one pass: each heap is tested for
@@ -233,11 +254,11 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
     report = ValidationReport(group=t)
     if not t.is_affine:
         counts, majs, alt_majs = [0], [0], [0]
-        for length, h in iter_fc(g, None, layer_cap):
+        for h in walk_fc(g, None):
             if not is_self_dual(h):
                 continue
             m = major_index(h)
-            _bump(counts, length)
+            _bump(counts, len(h.letters))
             _bump(majs, m)
             if family == "B" and classify_involution(h).kind == "alternating":
                 _bump(alt_majs, m)
@@ -283,7 +304,7 @@ def cross_validate(family: str, n: int, max_length: int | None = None,
     if lmax < 2 * declared:
         raise InconclusiveWindowError(
             f"inconclusive: window {lmax} < 2 × declared period {declared}")
-    counts, _ = enumerate_fc(g, lmax, "involutions", layer_cap)
+    counts, _ = enumerate_fc(g, lmax, "involutions")
     oracle = TPoly(counts, lmax)
     periodic, _ = affine_periodic_part(family, n, lmax)
     try:

@@ -1,9 +1,9 @@
 """Heaps of words on a Coxeter graph and the full commutativity criterion.
 
 A heap is the word's positions partially ordered by: p precedes q when p < q
-and their letters are equal or bonded.  We store, per position, bitmasks of
-the positions strictly below and strictly above it, plus a layer number used
-for the canonical linear extension.
+and their letters are equal or bonded.  We store, per position, a bitmask of
+the positions strictly below it (the positions above are derived on demand),
+plus a layer number used for the canonical linear extension.
 """
 
 from __future__ import annotations
@@ -20,32 +20,34 @@ class ClassificationError(ValueError):
 class Heap:
     """Labeled poset of a word's positions.
 
-    below[p] / above[p] are bitmasks over positions; layer[p] is one plus the
-    longest chain strictly below p.  prev[p] is the previous position holding
-    the same letter as p (-1 if none), so with last it threads each letter's
+    below[p] is a bitmask over positions; layer[p] is one plus the longest
+    chain strictly below p.  prev[p] is the previous position holding the
+    same letter as p (-1 if none), so with last it threads each letter's
     occurrences from the top down and a bond's chain can be read backward
-    without scanning the word.  All fields are immutable tuples, so
-    extensions share parent data.
+    without scanning the word.  descents and minima are the labels of the
+    maximal and of the minimal elements.  All fields are immutable, so
+    extensions share parent data.  above[p], the bitmask of positions
+    strictly above p, is derived from below on first use and cached.
     """
 
-    __slots__ = ("graph", "letters", "below", "above", "layer", "last", "prev",
-                 "descents", "_canon")
+    __slots__ = ("graph", "letters", "below", "layer", "last", "prev",
+                 "descents", "minima", "_above", "_canon")
 
-    def __init__(self, graph, letters, below, above, layer, last, prev, descents):
+    def __init__(self, graph, letters, below, layer, last, prev, descents, minima):
         self.graph = graph
         self.letters = letters
         self.below = below
-        self.above = above
         self.layer = layer
         self.last = last            # last occurrence position per generator, -1 if absent
         self.prev = prev            # previous occurrence of the same letter, -1 if none
         self.descents = descents    # labels of maximal elements, frozenset
+        self.minima = minima        # labels of minimal elements, frozenset
+        self._above = None
         self._canon = None
 
     @classmethod
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
         w = check_word(word, g)
-        n = len(w)
         adjacency = g.adjacency
         last = [-1] * g.size
         below = []
@@ -64,20 +66,12 @@ class Heap:
             below.append(b)
             layer.append(lay + 1)
             last[c] = p
-        above = [0] * n
-        nxt = [-1] * g.size
-        for p in range(n - 1, -1, -1):
-            c = w[p]
-            a = 0
-            for u in (c, *adjacency[c]):
-                np_ = nxt[u]
-                if np_ >= 0:
-                    a |= above[np_] | (1 << np_)
-            above[p] = a
-            nxt[c] = p
-        descents = frozenset(w[p] for p in range(n) if above[p] == 0)
-        return cls(g, w, tuple(below), tuple(above), tuple(layer),
-                   tuple(last), tuple(prev), descents)
+        # the last c is maximal iff no equal or bonded letter comes after it
+        descents = frozenset(c for c, p in enumerate(last)
+                             if p >= 0 and all(last[u] < p for u in adjacency[c]))
+        minima = frozenset(c for c, b in zip(w, below) if b == 0)
+        return cls(g, w, tuple(below), tuple(layer), tuple(last), tuple(prev),
+                   descents, minima)
 
     @classmethod
     def empty(cls, g: CoxeterGraph) -> "Heap":
@@ -85,6 +79,19 @@ class Heap:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @property
+    def above(self) -> tuple[int, ...]:
+        if self._above is None:
+            above = [0] * len(self.letters)
+            for q, rest in enumerate(self.below):
+                bit_q = 1 << q
+                while rest:
+                    low = rest & -rest
+                    above[low.bit_length() - 1] |= bit_q
+                    rest ^= low
+            self._above = tuple(above)
+        return self._above
 
     @property
     def canonical_word(self) -> tuple[int, ...]:
@@ -174,8 +181,12 @@ def is_self_dual(h: Heap) -> bool:
     each layer's letters in turn), and the co-layers are the layers of the
     heap of the reversed word, i.e. of the dual.  Equal letters are
     comparable, so each set has one pair per position, and the pass can stop
-    at the first co-layer pair missing from the layer pairs.
+    at the first co-layer pair missing from the layer pairs.  Before that,
+    the dual's maxima are the heap's minima, so a self-dual heap has the same
+    labels on its maximal and its minimal elements; most heaps fail there.
     """
+    if h.descents != h.minima:
+        return False
     letters = h.letters
     adjacency = h.graph.adjacency
     pairs = set(zip(letters, h.layer))
@@ -199,7 +210,7 @@ def right_descents(h: Heap) -> frozenset[int]:
 
 def left_descents(h: Heap) -> frozenset[int]:
     """Labels of the minimal elements."""
-    return frozenset(h.letters[p] for p in range(len(h.letters)) if h.below[p] == 0)
+    return h.minima
 
 
 def major_index(h: Heap) -> int:
@@ -412,17 +423,21 @@ def extend(h: Heap, s: int) -> Heap | None:
             interior |= 1 << a
             a, b = b, prev[a]
         else:
-            if a >= 0 and (h.above[a] & below_nu) & ~interior == 0:
+            if a < 0:
+                continue
+            # the window closes unless some element outside it lies strictly
+            # between a and the new element: a position after a, below the
+            # new element, with a below it
+            rest = (below_nu & ~interior) >> (a + 1)
+            while rest:
+                low = rest & -rest
+                if (h.below[a + low.bit_length()] >> a) & 1:
+                    break
+                rest ^= low
+            else:
                 return None
-    above = list(h.above)
-    bit_nu = 1 << nu
-    rest = below_nu
-    while rest:
-        low = rest & -rest
-        above[low.bit_length() - 1] |= bit_nu
-        rest ^= low
     new_last = list(last)
     new_last[s] = nu
-    return Heap(g, h.letters + (s,), h.below + (below_nu,),
-                tuple(above) + (0,), h.layer + (lay + 1,),
-                tuple(new_last), prev + (last[s],), h.descents.difference(nbrs) | {s})
+    return Heap(g, h.letters + (s,), h.below + (below_nu,), h.layer + (lay + 1,),
+                tuple(new_last), prev + (last[s],), h.descents.difference(nbrs) | {s},
+                h.minima if below_nu else h.minima | {s})

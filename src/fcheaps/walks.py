@@ -161,26 +161,26 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
 
     Any counted point above height tmax forces the weight past the cap, so
     such states are pruned; with the exclude-start weight the (uncounted)
-    start may still sit at tmax + 1.
+    start may still sit at tmax + 1.  The walk polynomial is linear in its
+    start, so one pass seeded with every admissible start height sums them
+    all; only an end tied to the start needs one pass per start.
     """
     lowest = 1 if spec.strictly_positive else 0
     max_start = tmax + (1 if spec.weight == "exclude-start" else 0)
+    starts = [h0 for h0 in range(lowest, max_start + 1) if _height_ok(h0, spec.start)]
+    if spec.end != "eq-start":
+        return _family_poly_from(starts, spec.end, spec, tmax)
     total = TPoly.zero(tmax)
-    for h0 in range(lowest, max_start + 1):
-        if not _height_ok(h0, spec.start):
-            continue
-        end_exact = h0 if spec.end == "eq-start" else spec.end
-        total = total + _family_poly_from(h0, end_exact, spec, tmax)
+    for h0 in starts:
+        total = total + _family_poly_from([h0], h0, spec, tmax)
     return total
 
 
-def _family_poly_from(h0: int, end, spec: WalkFamilySpec, tmax: int) -> TPoly:
+def _family_poly_from(starts: list[int], end, spec: WalkFamilySpec, tmax: int) -> TPoly:
     lowest = 1 if spec.strictly_positive else 0
     # state: (height, touched) -> weight polynomial accumulated so far
-    start_w = TPoly.one(tmax) if spec.weight == "exclude-start" else TPoly.term(h0, cap=tmax)
-    if spec.weight == "all" and h0 > tmax:
-        return TPoly.zero(tmax)
-    states = {(h0, h0 == 0): start_w}
+    states = {(h0, h0 == 0): TPoly.one(tmax) if spec.weight == "exclude-start"
+              else TPoly.term(h0, cap=tmax) for h0 in starts}
     for _ in range(spec.n):
         nxt: dict[tuple[int, bool], TPoly] = {}
         for (h, touched), acc in states.items():

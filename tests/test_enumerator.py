@@ -1,12 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph
 from fcheaps.heaps import Heap, is_reduced_fc, is_self_dual
 from fcheaps.qpoly import TPoly
 from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
     FILTERS, AFFINE_DEFAULT_WINDOW, MemoryGuardError, passes_filter,
-    iter_fc, enumerate_fc, length_profile, maj_profile, descent_profiles,
+    iter_fc, walk_fc, enumerate_fc, length_profile, maj_profile, descent_profiles,
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.coxeter import commutation_class
@@ -217,3 +218,102 @@ class TestOnePassCrossValidate:
         r = cross_validate("B", n)
         detail = _first_divergence(TPoly.one(), alt, max(alt.degree(), 0))
         assert r.failures == [f"maj-by-descents: {detail}"]
+
+
+DFS_GROUPS = [("A", 5, None), ("B", 4, None), ("D", 4, None), ("affA", 4, 12),
+              ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10)]
+
+
+def walk_keys(g, max_length):
+    return [(len(h), h.canonical_word) for h in walk_fc(g, max_length)]
+
+
+def word_bfs(g, max_length):
+    """(length, canonical word) of every reduced FC heap, sorted, found from
+    words alone: a word one letter longer is kept when its rebuilt heap passes
+    is_reduced_fc.  Shares no code with extend or the normal-form rule."""
+    layer = [()]
+    out = [(0, ())]
+    for length in range(1, max_length + 1):
+        nxt = set()
+        for word in layer:
+            for s in range(g.size):
+                h = Heap.from_word(g, word + (s,))
+                if is_reduced_fc(h):
+                    nxt.add(h.canonical_word)
+        layer = sorted(nxt)
+        out += [(length, w) for w in layer]
+    return out
+
+
+class TestDepthFirstWalk:
+    """walk_fc yields in no set order; breadth-first enumerations are the
+    oracle for which heaps it yields, and that it yields each once."""
+
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS)
+    def test_same_heaps_as_dedup_bfs_each_once(self, fam, n, max_length):
+        g = build_graph(GroupType(fam, n))
+        got = walk_keys(g, max_length)
+        want = [(length, h.canonical_word) for length, h in dedup_bfs(g, max_length)]
+        assert len(set(got)) == len(got)
+        assert sorted(got) == want
+
+    @pytest.mark.parametrize("fam,n,max_length", [
+        (fam, n, 16 if max_length is None else max_length)
+        for fam, n, max_length in DFS_GROUPS])
+    def test_same_heaps_as_word_bfs(self, fam, n, max_length):
+        # 16 exceeds the longest FC element of A:5, B:4 and D:4
+        g = build_graph(GroupType(fam, n))
+        assert sorted(walk_keys(g, max_length)) == word_bfs(g, max_length)
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_dfs_equals_bfs(self, fam, extra_rank, max_length):
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank))
+        got = walk_keys(g, max_length)
+        assert len(set(got)) == len(got)
+        assert sorted(got) == word_bfs(g, max_length)
+
+    def test_pending_heaps_stay_within_depth_times_rank(self, monkeypatch):
+        # a heap is pending from its creation by extend until walk_fc yields
+        # it; the depth-first stack bounds that, where a length layer does not
+        g = build_graph(GroupType("A", 9))
+        created = [1]  # the empty heap
+
+        def counting_extend(h, s):
+            child = extend(h, s)
+            created[0] += child is not None
+            return child
+
+        monkeypatch.setattr("fcheaps.enumerator.extend", counting_extend)
+        yielded = peak = depth = 0
+        for h in walk_fc(g, None):
+            yielded += 1
+            peak = max(peak, created[0] - yielded)
+            depth = max(depth, len(h))
+        bound = g.size * (depth + 1)
+        assert peak <= bound
+        counts, _ = enumerate_fc(g, None, "all")
+        assert max(counts) > bound
+
+    def test_counting_never_sorts_or_reads_canonical_words(self, monkeypatch):
+        def refuse(*_a, **_k):
+            raise AssertionError("ordered traversal on a counting path")
+
+        monkeypatch.setattr("fcheaps.enumerator.iter_fc", refuse)
+        monkeypatch.setattr(Heap, "canonical_word", property(refuse))
+        assert length_profile(A4, None).coeffs == (1, 3, 1, 0, 1)
+        assert sum(enumerate_fc(A5, None, "all")[0]) == 42  # Catalan(5)
+        assert maj_profile(A4).coeffs == (1, 1, 2, 1, 1)
+        assert cross_validate("A", 5).ok
+        assert cross_validate("affC", 2, max_length=40).ok
+
+    def test_layer_cap_counts_one_length(self):
+        g = build_graph(GroupType("A", 6))
+        counts, _ = enumerate_fc(g, None, "all")
+        widest = max(counts)
+        assert sum(1 for _ in iter_fc(g, None, layer_cap=widest)) == sum(counts)
+        with pytest.raises(MemoryGuardError, match=f"exceeds {widest - 1} heaps"):
+            next(iter_fc(g, None, layer_cap=widest - 1))
+        with pytest.raises(MemoryGuardError):
+            enumerate_fc(g, None, "all", layer_cap=widest - 1, collect=True)

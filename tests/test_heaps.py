@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -231,3 +233,57 @@ class TestCanonicalWordIsHeapInvariant:
     def test_matches_module_canonical_form(self, word):
         h = Heap.from_word(A5, word)
         assert h.canonical_word == canonical_form(tuple(word), A5)
+
+
+DERIVED_GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12),
+                  ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10)]
+
+
+def backward_pass_above(g, letters):
+    """The above masks from_word built in a backward pass before above was
+    derived from below on demand."""
+    above = [0] * len(letters)
+    nxt = [-1] * g.size
+    for p in range(len(letters) - 1, -1, -1):
+        c = letters[p]
+        a = 0
+        for u in (c, *g.adjacency[c]):
+            if nxt[u] >= 0:
+                a |= above[nxt[u]] | (1 << nxt[u])
+        above[p] = a
+        nxt[c] = p
+    return tuple(above)
+
+
+def check_derived_fields(h):
+    above = backward_pass_above(h.graph, h.letters)
+    assert h.above == above, h.letters
+    assert h.descents == frozenset(c for c, a in zip(h.letters, above) if a == 0)
+    assert h.minima == frozenset(c for c, b in zip(h.letters, h.below) if b == 0)
+    assert left_descents(h) == h.minima
+
+
+@pytest.mark.parametrize("fam,n,max_length", DERIVED_GROUPS)
+class TestDerivedFields:
+    """descents and minima carried by extend and from_word, and the lazily
+    derived above, against scans of the heap."""
+
+    def test_every_enumerated_heap(self, fam, n, max_length):
+        from fcheaps.enumerator import walk_fc
+        g = build_graph(GroupType(fam, n))
+        for h in walk_fc(g, max_length):
+            check_derived_fields(h)
+
+    def test_seeded_arbitrary_words(self, fam, n, max_length):
+        # not necessarily reduced or FC
+        g = build_graph(GroupType(fam, n))
+        rng = random.Random(f"derived {fam}:{n}")
+        for _ in range(300):
+            word = tuple(rng.randrange(g.size) for _ in range(rng.randint(0, 16)))
+            check_derived_fields(Heap.from_word(g, word))
+
+
+def test_above_is_derived_once():
+    h = heap(A5, 0, 1, 2, 1)
+    assert h.above is h.above
+    assert h.above == ((1 << 1) | (1 << 2) | (1 << 3), (1 << 2) | (1 << 3), 1 << 3, 0)

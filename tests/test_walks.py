@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,8 +9,9 @@ from fcheaps.heaps import Heap, major_index
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
     family_poly, count_profile, encode_walk, decode_walk,
-    FrobeniusSymbol, walk_to_frobenius, SCHEMES,
+    FrobeniusSymbol, walk_to_frobenius, SCHEMES, _height_ok,
 )
+from fcheaps.qpoly import TPoly
 
 A4 = build_graph(GroupType("A", 4))
 B2 = build_graph(GroupType("B", 2))
@@ -254,3 +258,65 @@ class TestTypedConsistencyErrors:
         monkeypatch.setattr(walks, "FrobeniusSymbol", shifted)
         with pytest.raises(WalkError, match="corner coordinates"):
             walk_to_frobenius(Walk(0, (UP, DOWN)), "A")
+
+
+def per_start_family_poly(spec, tmax):
+    """family_poly as one DP per admissible start height, summed: the code the
+    single seeded DP replaced for ends not tied to the start."""
+    lowest = 1 if spec.strictly_positive else 0
+    max_start = tmax + (1 if spec.weight == "exclude-start" else 0)
+    total = TPoly.zero(tmax)
+    for h0 in range(lowest, max_start + 1):
+        if not _height_ok(h0, spec.start):
+            continue
+        end = h0 if spec.end == "eq-start" else spec.end
+        start_w = TPoly.one(tmax) if spec.weight == "exclude-start" else TPoly.term(h0, cap=tmax)
+        states = {(h0, h0 == 0): start_w}
+        for _ in range(spec.n):
+            nxt = {}
+            for (h, touched), acc in states.items():
+                moves = [h + UP, h + DOWN] + ([0] if spec.allow_horiz and h == 0 else [])
+                for h2 in moves:
+                    if lowest <= h2 <= tmax:
+                        key = (h2, touched or h2 == 0)
+                        nxt[key] = nxt.get(key, TPoly.zero(tmax)) + acc.shift(h2).truncate(tmax)
+            states = nxt
+        for (h, touched), acc in states.items():
+            if (h == end if isinstance(end, int) else _height_ok(h, end)) \
+                    and (touched or not spec.require_touch):
+                total = total + acc
+    return total
+
+
+def _golden_walk_specs():
+    """Every walk family affine_periodic_part reads at the golden windows."""
+    with open(Path(__file__).parent / "golden" / "affine_reconcile.json") as f:
+        golden = json.load(f)
+    ends = {"affC": [("any", "any")], "affB": [("any", "odd"), ("any", "even")],
+            "affD": [("odd", "odd"), ("even", "even")]}
+    for e in golden:
+        n, lmax = e["rank"], e["lmax"]
+        if e["type"] == "affA":
+            yield WalkFamilySpec(n=n, allow_horiz=False, start="any", end="eq-start",
+                                 require_touch=True, weight="exclude-start"), lmax
+        for start, end in ends.get(e["type"], []):
+            yield WalkFamilySpec(n=n, allow_horiz=False, start=start, end=end,
+                                 require_touch=True, weight="all"), lmax
+
+
+class TestSeededFamilyPoly:
+    @pytest.mark.parametrize("spec,tmax", list(_golden_walk_specs()))
+    def test_golden_specs_equal_per_start_sum(self, spec, tmax):
+        assert family_poly(spec, tmax) == per_start_family_poly(spec, tmax)
+
+    @pytest.mark.parametrize("start", ["any", "even", "odd", "le1", 0, 2])
+    @pytest.mark.parametrize("end", ["any", "odd", 1, "eq-start"])
+    @pytest.mark.parametrize("horiz,touch,positive,weight", [
+        (True, False, False, "all"), (False, True, False, "exclude-start"),
+        (False, False, True, "all"), (False, False, True, "exclude-start")])
+    def test_small_specs_equal_per_start_sum(self, start, end, horiz, touch,
+                                             positive, weight):
+        spec = WalkFamilySpec(n=5, allow_horiz=horiz, start=start, end=end,
+                              require_touch=touch, strictly_positive=positive,
+                              weight=weight)
+        assert family_poly(spec, 9) == per_start_family_poly(spec, 9)
