@@ -29,26 +29,34 @@ def _require_cycle(g: CoxeterGraph) -> int:
 
 def remove_top(h: Heap, s: int) -> Heap:
     """Heap with the maximal element of the s-chain removed."""
-    w = list(h.canonical_word)
-    if s not in w:
+    top = h.last[s]
+    if top < 0:
         raise CellError(f"no occurrence of generator {s} to remove")
-    idx = max(i for i, c in enumerate(w) if c == s)
-    del w[idx]
-    return Heap.from_word(h.graph, w)
+    return Heap.from_word(h.graph, h.letters[:top] + h.letters[top + 1:])
 
 
 def reduction_moves(h: Heap) -> list[int]:
     """Generators whose top element can be peeled.
 
     s qualifies when it is a right descent and removing its top element
-    leaves a cyclic neighbor of s as a right descent.
+    leaves a cyclic neighbor of s as a right descent.  Removing the top s
+    only moves last[s] back to prev[last[s]], and a label u is a right
+    descent iff last[u] >= 0 exceeds last[w] for every w bonded to u, so no
+    heap is built.
     """
     n = _require_cycle(h.graph)
+    adjacency = h.graph.adjacency
+    last = list(h.last)
     out = []
     for s in sorted(h.descents):
-        rest = remove_top(h, s)
-        if ((s - 1) % n) in rest.descents or ((s + 1) % n) in rest.descents:
-            out.append(s)
+        top = last[s]
+        last[s] = h.prev[top]
+        for u in ((s - 1) % n, (s + 1) % n):
+            lu = last[u]
+            if lu >= 0 and all(last[w] < lu for w in adjacency[u]):
+                out.append(s)
+                break
+        last[s] = top
     return out
 
 

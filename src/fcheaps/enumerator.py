@@ -162,17 +162,6 @@ def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
     return TPoly(total)
 
 
-def descent_profiles(g: CoxeterGraph, mode: str = "alternating") -> dict[int, TPoly]:
-    """Major index polynomial per descent count over the filtered heaps."""
-    if g.group.is_affine:
-        raise ValueError("descent profiles need a finite family")
-    acc: dict[int, list[int]] = {}
-    for h in walk_fc(g, None):
-        if passes_filter(h, mode):
-            _bump(acc.setdefault(len(h.descents), [0]), major_index(h))
-    return {k: TPoly(cs) for k, cs in sorted(acc.items())}
-
-
 def rsk_insert(perm) -> list[list[int]]:
     """Row insertion tableau of a permutation in one-line form."""
     rows: list[list[int]] = []

@@ -9,6 +9,7 @@ plus a layer number used for the canonical linear extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .coxeter import CoxeterGraph, canonical_form, check_word
 
@@ -49,29 +50,35 @@ class Heap:
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
         w = check_word(word, g)
         adjacency = g.adjacency
-        last = [-1] * g.size
+        size = g.size
+        last = [-1] * size
+        # top[c]: no bonded letter after the last c so far, i.e. c is a descent
+        top = [False] * size
         below = []
         layer = []
         prev = []
         for p, c in enumerate(w):
-            prev.append(last[c])
-            b = 0
-            lay = 0
-            for u in (c, *adjacency[c]):
+            q = last[c]
+            prev.append(q)
+            if q >= 0:
+                b = below[q] | (1 << q)
+                lay = layer[q]
+            else:
+                b = lay = 0
+            for u in adjacency[c]:
+                top[u] = False
                 lp = last[u]
                 if lp >= 0:
                     b |= below[lp] | (1 << lp)
                     if layer[lp] > lay:
                         lay = layer[lp]
+            top[c] = True
             below.append(b)
             layer.append(lay + 1)
             last[c] = p
-        # the last c is maximal iff no equal or bonded letter comes after it
-        descents = frozenset(c for c, p in enumerate(last)
-                             if p >= 0 and all(last[u] < p for u in adjacency[c]))
         minima = frozenset(c for c, b in zip(w, below) if b == 0)
         return cls(g, w, tuple(below), tuple(layer), tuple(last), tuple(prev),
-                   descents, minima)
+                   frozenset(compress(range(size), top)), minima)
 
     @classmethod
     def empty(cls, g: CoxeterGraph) -> "Heap":
@@ -221,49 +228,55 @@ def major_index(h: Heap) -> int:
     return sum(g.maj_weight[s] for s in h.descents)
 
 
-class _NotMergeable(Exception):
-    pass
-
-
-def _fork_normalize(h: Heap) -> tuple[tuple[int, ...], set[int]]:
-    """Merge each fork pair into its first branch at the word level.
+def _fork_merged_alternating(h: Heap, strict: bool = False) -> bool:
+    """Merge each fork pair into its first branch, then test alternation.
 
     An incomparable branch pair collapses to one letter; otherwise the fork
-    elements must form a chain and are relabeled to the first branch.
-    Returns the normalized word and the set of retired branch labels.
-    Raises _NotMergeable when some fork's elements are not a chain.
+    elements must form a chain and are relabeled to the first branch (with
+    strict, the chain's labels must also alternate between the branches).
+    The merged word must alternate along every bond that avoids the retired
+    branch labels.  Without forks this is the plain edgewise test.
     """
     g = h.graph
-    word = list(h.canonical_word)
-    drop_positions: set[int] = set()
+    if not g.forks:
+        return _edge_chains_alternate(g, h.letters)
+    word = h.canonical_word
+    drop: set[int] = set()
     relabel: dict[int, int] = {}
     for a, b, _joint in g.forks:
         fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
-        if len(fpos) == 2 and {h.letters[fpos[0]], h.letters[fpos[1]]} == {a, b} \
-                and not (h.below[fpos[1]] >> fpos[0]) & 1:
+        labels = [h.letters[p] for p in fpos]
+        if len(fpos) == 2 and set(labels) == {a, b} and not (h.below[fpos[1]] >> fpos[0]) & 1:
             # commuting pair in the same gap: collapse to a single letter
-            canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
-            drop_positions.add(canon_idx[1])
+            drop.add([i for i, c in enumerate(word) if c in (a, b)][1])
             relabel[b] = a
             continue
         for p, q in zip(fpos, fpos[1:]):
             if not (h.below[q] >> p) & 1:
-                raise _NotMergeable
+                return False
+        if strict and any(x == y for x, y in zip(labels, labels[1:])):
+            return False
         relabel[b] = a
-    out = tuple(relabel.get(c, c) for i, c in enumerate(word) if i not in drop_positions)
-    return out, {b for a, b, _ in g.forks}
+    merged = [relabel.get(c, c) for i, c in enumerate(word) if i not in drop]
+    return _edge_chains_alternate(g, merged, {b for _a, b, _ in g.forks})
 
 
-def _edge_chains_alternate(h: Heap, skip_labels: set[int] = frozenset()) -> bool:
-    for s, t, _m in h.graph.bonds:
-        if s in skip_labels or t in skip_labels:
-            continue
-        prev = -1
-        for p, c in enumerate(h.letters):
-            if c == s or c == t:
-                if c == prev:
+def _edge_chains_alternate(g: CoxeterGraph, letters, skip_labels=frozenset()) -> bool:
+    """Whether the occurrences of every bonded pair alternate in the word.
+
+    Bonds touching a skipped label are ignored.  One pass: the copies of c
+    at positions q < p with no c between them need, for each bonded u, a
+    copy of u after q; last[u] is the latest u so far.
+    """
+    adjacency = g.adjacency
+    last = [-1] * g.size
+    for p, c in enumerate(letters):
+        q = last[c]
+        if q >= 0 and c not in skip_labels:
+            for u in adjacency[c]:
+                if last[u] < q and u not in skip_labels:
                     return False
-                prev = c
+        last[c] = p
     return True
 
 
@@ -274,40 +287,7 @@ def is_alternating(h: Heap) -> bool:
     partner of the joint: an incomparable branch pair counts as one element,
     and all branch elements must form a chain for the merge to make sense.
     """
-    try:
-        word, skips = _fork_normalize(h)
-    except _NotMergeable:
-        return False
-    if skips:
-        h = Heap.from_word(h.graph, word)
-    return _edge_chains_alternate(h, skips)
-
-
-def _strict_fork_alternating(h: Heap) -> bool:
-    """Fork image test: each fork is either a collapsed commuting pair or a
-    chain whose labels strictly alternate between the two branches; the
-    merged word must then alternate along every remaining bond."""
-    g = h.graph
-    word = list(h.canonical_word)
-    drop: set[int] = set()
-    relabel: dict[int, int] = {}
-    for a, b, _joint in g.forks:
-        fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
-        labels = [h.letters[p] for p in fpos]
-        if len(fpos) == 2 and set(labels) == {a, b} and not (h.below[fpos[1]] >> fpos[0]) & 1:
-            canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
-            drop.add(canon_idx[1])
-            relabel[b] = a
-            continue
-        for p, q in zip(fpos, fpos[1:]):
-            if not (h.below[q] >> p) & 1:
-                return False
-        if any(x == y for x, y in zip(labels, labels[1:])):
-            return False
-        relabel[b] = a
-    merged = tuple(relabel.get(c, c) for i, c in enumerate(word) if i not in drop)
-    hn = Heap.from_word(g, merged) if relabel else h
-    return _edge_chains_alternate(hn, {b for _a, b, _ in g.forks})
+    return _fork_merged_alternating(h)
 
 
 def _low_part_alternating(h: Heap, j: int) -> bool:
@@ -322,7 +302,7 @@ def _low_part_alternating(h: Heap, j: int) -> bool:
     for pick in tops:
         trimmed = sub_low[:pick] + sub_low[pick + 1:]
         cand = Heap.from_word(g, trimmed)
-        if not (is_self_dual(cand) and _edge_chains_alternate(cand)):
+        if not (is_self_dual(cand) and _edge_chains_alternate(g, cand.letters)):
             continue
         if any(_path_peak_at(cand, j2, j - 1) for j2 in range(1, j)):
             continue
@@ -385,7 +365,7 @@ def classify_involution(h: Heap) -> Classification:
         raise ClassificationError(f"multiple right-peak indices {peaks}")
     if peaks:
         return Classification("right_peak", peaks[0])
-    if _strict_fork_alternating(h):
+    if _fork_merged_alternating(h, strict=True):
         return Classification("alternating")
     raise ClassificationError(
         f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")

@@ -8,6 +8,7 @@ a second variable x, truncated at a fixed x order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,54 +89,58 @@ class TPoly:
         return hash((self.coeffs, self.cap))
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return TPoly(cs, _min_cap(self.cap, other.cap))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(map(operator.add, a, b))
+        cs += a[len(b):]
+        return _tpoly(cs, _min_cap(self.cap, other.cap))
 
     def __sub__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] -= c
-        return TPoly(cs, _min_cap(self.cap, other.cap))
+        a, b = self.coeffs, other.coeffs
+        cs = list(map(operator.sub, a, b))
+        if len(a) >= len(b):
+            cs += a[len(b):]
+        else:
+            cs += [-c for c in b[len(a):]]
+        return _tpoly(cs, _min_cap(self.cap, other.cap))
 
     def __mul__(self, other: "TPoly") -> "TPoly":
         cap = _min_cap(self.cap, other.cap)
-        if not self.coeffs or not other.coeffs:
-            return TPoly((), cap)
-        n = len(self.coeffs) + len(other.coeffs) - 1
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _tpoly([], cap)
+        n = len(a) + len(b) - 1
         if cap is not None:
             n = min(n, cap + 1)
         cs = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if i >= n or a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                cs[i + j] += a * b
-        return TPoly(cs, cap)
+        for i, x in enumerate(a):
+            if i >= n:
+                break
+            if x:
+                for j, y in enumerate(b[:n - i], i):
+                    cs[j] += x * y
+        return _tpoly(cs, cap)
 
     def scale(self, c: int) -> "TPoly":
-        return TPoly((c * a for a in self.coeffs), self.cap)
+        return _tpoly([c * a for a in self.coeffs], self.cap)
 
     def shift(self, k: int) -> "TPoly":
         """Multiply by the variable to the k-th power."""
         if k < 0:
             raise ValueError("shift must be >= 0")
-        if not self.coeffs:
-            return TPoly((), None if self.cap is None else self.cap + k)
         cap = None if self.cap is None else self.cap + k
-        return TPoly([0] * k + list(self.coeffs), cap)
+        if not self.coeffs:
+            return _tpoly([], cap)
+        return _tpoly([0] * k + list(self.coeffs), cap)
 
-    def truncate(self, cap: int) -> "TPoly":
-        return TPoly(self.coeffs, _min_cap(self.cap, cap))
+    def truncate(self, cap: int | None) -> "TPoly":
+        new = _min_cap(self.cap, cap)
+        if new is not None and new < 0:
+            raise ValueError("cap must be >= 0")
+        if new == self.cap:
+            return self
+        return _tpoly(list(self.coeffs), new)
 
     def dilate(self, r: int) -> "TPoly":
         """Substitute the variable by its r-th power."""
@@ -220,6 +225,22 @@ class TPoly:
     def __repr__(self) -> str:
         body = self.to_text()
         return f"TPoly({body!r}, cap={self.cap})" if self.cap is not None else f"TPoly({body!r})"
+
+
+def _tpoly(cs: list[int], cap: int | None) -> TPoly:
+    """Arithmetic results: a fresh list of ints and a valid cap.
+
+    Skips the public constructor's int() pass and cap check; trims to the
+    cap and strips trailing zeros exactly as it does.
+    """
+    if cap is not None:
+        del cs[cap + 1:]
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(TPoly)
+    p.coeffs = tuple(cs)
+    p.cap = cap
+    return p
 
 
 class Series:

@@ -253,7 +253,20 @@ def encode_walk(h: Heap, scheme: str) -> Walk:
 
 
 def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
-    """Inverse of encode_walk; rejects walks outside the scheme's shape."""
+    """Inverse of encode_walk; rejects walks outside the scheme's shape.
+
+    The counts must sit on a graph whose bonds are the positional path
+    0-1-...-(N-1), closed into a cycle when the graph is cyclic; any other
+    graph (a fork) has heaps the counts do not determine.  Along each bond
+    the counts differ by one (or both vanish) and the larger chain wraps the
+    smaller: u_k < v_k < u_(k+1) when c_u = c_v + 1.  So copy done[v] + 1
+    of v is minimal among the copies not yet placed once every bonded u has
+    placed done[v] + (c_u > c_v) copies.  Each round of a Cartier-Foata
+    sweep places every such copy at once, in ascending generator order, so
+    the rounds are the heap's layers and the sweep writes the canonical word
+    directly.  A round that places nothing before every copy is placed means
+    the relations form a cycle.
+    """
     if scheme not in SCHEMES:
         raise EncodingError(f"unknown scheme {scheme!r}")
     hs = w.heights()
@@ -273,57 +286,44 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
         if not g.cyclic:
             raise EncodingError("affineA scheme needs a cyclic graph")
         counts = hs[:-1]
-    if len(counts) != g.size:
-        raise EncodingError(f"walk yields {len(counts)} counts for {g.size} generators")
-    elements: list[tuple[int, int]] = []   # (generator, copy index starting at 1)
-    index: dict[tuple[int, int], int] = {}
-    for v, c in enumerate(counts):
-        for k in range(1, c + 1):
-            index[(v, k)] = len(elements)
-            elements.append((v, k))
-    edges: list[tuple[int, int]] = []      # e1 precedes e2
-    for v, c in enumerate(counts):
-        for k in range(1, c):
-            edges.append((index[(v, k)], index[(v, k + 1)]))
-    pairs = [(i, i + 1) for i in range(g.size - 1)]
+    size = g.size
+    if len(counts) != size:
+        raise EncodingError(f"walk yields {len(counts)} counts for {size} generators")
+    pairs = [(i, i + 1) for i in range(size - 1)]
     if g.cyclic:
-        pairs.append((g.size - 1, 0))
+        pairs.append((size - 1, 0))
+    # g.bonds holds distinct pairs i < j, so equal sizes and containment mean equal sets
+    closing = (0, size - 1) if g.cyclic else None
+    if len(g.bonds) != len(pairs) or any(j != i + 1 and (i, j) != closing
+                                         for i, j, _m in g.bonds):
+        raise EncodingError(f"{g.group} is not a path or a cycle of its generators; "
+                            "its walks do not determine heaps")
     for v, u in pairs:
         cv, cu = counts[v], counts[u]
         if abs(cv - cu) > 1 or (cv == cu and cv != 0):
             raise EncodingError(f"counts {cv},{cu} at bonded pair {v},{u} admit no interleaving")
-        if cu == cv + 1:
-            # u-chain wraps the v-chain: u_k < v_k < u_{k+1}
-            for k in range(1, cv + 1):
-                edges.append((index[(u, k)], index[(v, k)]))
-                edges.append((index[(v, k)], index[(u, k + 1)]))
-        elif cv == cu + 1:
-            for k in range(1, cu + 1):
-                edges.append((index[(v, k)], index[(u, k)]))
-                edges.append((index[(u, k)], index[(v, k + 1)]))
-    # layer by longest path; a cycle would mean the walk was not decodable
-    n = len(elements)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for e1, e2 in edges:
-        adj[e1].append(e2)
-        indeg[e2] += 1
-    layer = [1] * n
-    queue = [i for i in range(n) if indeg[i] == 0]
-    done = 0
-    while queue:
-        i = queue.pop()
-        done += 1
-        for j in adj[i]:
-            if layer[i] + 1 > layer[j]:
-                layer[j] = layer[i] + 1
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if done != n:
+    # ahead[v]: (u, d) per bonded u, whose d says whether u's chain wraps v's
+    ahead = [[(u, counts[u] > cv) for u in g.adjacency[v]] for v, cv in enumerate(counts)]
+    live = [v for v, cv in enumerate(counts) if cv]
+    done = [0] * size
+    word: list[int] = []
+    while True:
+        layer = []
+        for v in live:
+            k = done[v]
+            if k < counts[v]:
+                for u, d in ahead[v]:
+                    if done[u] < k + d:
+                        break
+                else:
+                    layer.append(v)
+        if not layer:
+            break
+        word += layer
+        for v in layer:
+            done[v] += 1
+    if len(word) != sum(counts):
         raise EncodingError("interleaving relations form a cycle")
-    order = sorted(range(n), key=lambda i: (layer[i], elements[i][0]))
-    word = tuple(elements[i][0] for i in order)
     out = Heap.from_word(g, word)
     if count_profile(out) != counts:
         raise EncodingError("decoded heap lost occurrences")

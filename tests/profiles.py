@@ -1,0 +1,19 @@
+"""Test-side statistics profiles that no library code needs."""
+
+from fcheaps.enumerator import passes_filter, walk_fc
+from fcheaps.heaps import major_index
+from fcheaps.qpoly import TPoly
+
+
+def descent_profiles(g, mode="alternating"):
+    """Major index polynomial per descent count over the filtered heaps."""
+    if g.group.is_affine:
+        raise ValueError("descent profiles need a finite family")
+    acc = {}
+    for h in walk_fc(g, None):
+        if passes_filter(h, mode):
+            counts = acc.setdefault(len(h.descents), [0])
+            m = major_index(h)
+            counts.extend([0] * (m + 1 - len(counts)))
+            counts[m] += 1
+    return {k: TPoly(cs) for k, cs in sorted(acc.items())}

@@ -7,12 +7,13 @@ from fcheaps.qpoly import TPoly
 from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
     FILTERS, AFFINE_DEFAULT_WINDOW, MemoryGuardError, passes_filter,
-    iter_fc, walk_fc, enumerate_fc, length_profile, maj_profile, descent_profiles,
+    iter_fc, walk_fc, enumerate_fc, length_profile, maj_profile,
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.coxeter import commutation_class
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
+from profiles import descent_profiles
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))

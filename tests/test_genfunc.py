@@ -117,7 +117,7 @@ class TestByDescents:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_sums_to_alternating_profile(self, n):
-        from fcheaps.enumerator import descent_profiles
+        from profiles import descent_profiles
         g = build_graph(GroupType("B", n))
         profile = descent_profiles(g, "alternating")
         for k, poly in profile.items():

@@ -62,6 +62,61 @@ class TestTPoly:
         assert TPoly([0, 1]).to_text("t", compact=True) == "t"
         assert TPoly([1, 2, 2]).to_text("q", compact=True) == "1+2q+2q^2"
 
+    def test_truncate_rejects_negative_cap(self):
+        for p in (TPoly([1, 2]), TPoly([1, 2], cap=4), TPoly([], cap=0)):
+            with pytest.raises(ValueError):
+                p.truncate(-1)
+
+
+def _least_cap(*caps):
+    known = [c for c in caps if c is not None]
+    return min(known) if known else None
+
+
+def _conv(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _zip_with(a, b, sign):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return [x + sign * y for x, y in zip(a, b)]
+
+
+tpolys = st.builds(TPoly, st.lists(st.integers(-6, 6), max_size=9),
+                   st.one_of(st.none(), st.integers(0, 9)))
+
+
+class TestArithmeticResults:
+    """Arithmetic builds its results without the validating constructor; each
+    one must be the value the constructor gives for the exact coefficients."""
+
+    @staticmethod
+    def _check(result, coeffs, cap):
+        assert result == TPoly(list(result.coeffs), result.cap)
+        assert result == TPoly(coeffs, cap)
+        assert type(result.coeffs) is tuple
+        assert all(type(c) is int for c in result.coeffs)
+
+    @given(tpolys, tpolys)
+    def test_binary(self, a, b):
+        cap = _least_cap(a.cap, b.cap)
+        self._check(a + b, _zip_with(a.coeffs, b.coeffs, 1), cap)
+        self._check(a - b, _zip_with(a.coeffs, b.coeffs, -1), cap)
+        self._check(a * b, _conv(a.coeffs, b.coeffs), cap)
+
+    @given(tpolys, st.integers(0, 6), st.integers(-3, 3),
+           st.one_of(st.none(), st.integers(0, 12)))
+    def test_unary(self, a, k, c, cap):
+        shifted_cap = None if a.cap is None else a.cap + k
+        self._check(a.shift(k), [0] * k + list(a.coeffs), shifted_cap)
+        self._check(a.scale(c), [c * x for x in a.coeffs], a.cap)
+        self._check(a.truncate(cap), list(a.coeffs), _least_cap(a.cap, cap))
+
 
 class TestSeries:
     def test_mul_is_x_convolution(self):

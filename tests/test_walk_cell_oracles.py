@@ -1,0 +1,359 @@
+"""Differential tests for the walk decoder, the alternation tests and the
+reduction moves against the code they replaced.
+
+The oracles below are the earlier implementations: the decoder that lists
+every copy of every generator, links them by the interleaving relations and
+layers them by Kahn's algorithm before sorting; the alternation test that
+scans the whole word once per bond behind two fork routines that rebuild the
+merged heap; and the reduction moves that build one heap per descent.
+"""
+
+import random
+
+import pytest
+
+from fcheaps import heaps
+from fcheaps.cells import CellError, reduce_fully, reduction_moves, remove_top
+from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.enumerator import iter_fc, walk_fc
+from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
+                           is_alternating, is_self_dual)
+from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profile,
+                           decode_walk, encode_walk)
+from test_acceptance import _random_heights, _scheme_cases
+
+
+# ---------------------------------------------------------------- decoder oracle
+
+def old_decode_walk(w, scheme, g):
+    if scheme not in SCHEMES:
+        raise EncodingError(f"unknown scheme {scheme!r}")
+    hs = w.heights()
+    if scheme == "linear":
+        counts = hs
+    elif scheme == "typeA":
+        if hs[0] != 0 or hs[-1] != 0:
+            raise EncodingError("scheme typeA needs a closed walk on the axis")
+        counts = hs[1:-1]
+    elif scheme == "typeB":
+        if hs[0] != 0:
+            raise EncodingError("scheme typeB needs an axis start")
+        counts = hs[1:]
+    else:
+        if hs[0] != hs[-1]:
+            raise EncodingError("scheme affineA needs equal endpoint heights")
+        if not g.cyclic:
+            raise EncodingError("affineA scheme needs a cyclic graph")
+        counts = hs[:-1]
+    if len(counts) != g.size:
+        raise EncodingError(f"walk yields {len(counts)} counts for {g.size} generators")
+    elements = []
+    index = {}
+    for v, c in enumerate(counts):
+        for k in range(1, c + 1):
+            index[(v, k)] = len(elements)
+            elements.append((v, k))
+    edges = []
+    for v, c in enumerate(counts):
+        for k in range(1, c):
+            edges.append((index[(v, k)], index[(v, k + 1)]))
+    pairs = [(i, i + 1) for i in range(g.size - 1)]
+    if g.cyclic:
+        pairs.append((g.size - 1, 0))
+    for v, u in pairs:
+        cv, cu = counts[v], counts[u]
+        if abs(cv - cu) > 1 or (cv == cu and cv != 0):
+            raise EncodingError(f"counts {cv},{cu} at bonded pair {v},{u} admit no interleaving")
+        if cu == cv + 1:
+            for k in range(1, cv + 1):
+                edges.append((index[(u, k)], index[(v, k)]))
+                edges.append((index[(v, k)], index[(u, k + 1)]))
+        elif cv == cu + 1:
+            for k in range(1, cu + 1):
+                edges.append((index[(v, k)], index[(u, k)]))
+                edges.append((index[(u, k)], index[(v, k + 1)]))
+    n = len(elements)
+    adj = [[] for _ in range(n)]
+    indeg = [0] * n
+    for e1, e2 in edges:
+        adj[e1].append(e2)
+        indeg[e2] += 1
+    layer = [1] * n
+    queue = [i for i in range(n) if indeg[i] == 0]
+    done = 0
+    while queue:
+        i = queue.pop()
+        done += 1
+        for j in adj[i]:
+            if layer[i] + 1 > layer[j]:
+                layer[j] = layer[i] + 1
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if done != n:
+        raise EncodingError("interleaving relations form a cycle")
+    order = sorted(range(n), key=lambda i: (layer[i], elements[i][0]))
+    out = Heap.from_word(g, tuple(elements[i][0] for i in order))
+    if count_profile(out) != counts:
+        raise EncodingError("decoded heap lost occurrences")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EncodingError, ClassificationError, CellError) as e:
+        return (type(e).__name__, str(e))
+
+
+def _same_decoding(w, scheme, g):
+    new, old = _outcome(decode_walk, w, scheme, g), _outcome(old_decode_walk, w, scheme, g)
+    if isinstance(old, Heap):
+        assert isinstance(new, Heap), (scheme, w, new)
+        assert (new.letters, new.below, new.layer, new.last, new.prev,
+                new.descents, new.minima) == (old.letters, old.below, old.layer,
+                                              old.last, old.prev, old.descents,
+                                              old.minima), (scheme, w.heights())
+    else:
+        assert new == old, (scheme, w.heights())
+
+
+class TestDecoderOracle:
+    def test_criterion_07_exhaustive_cases(self):
+        checked = 0
+        for scheme, g, window, _mode in _scheme_cases():
+            for _length, h in iter_fc(g, window):
+                if not (is_self_dual(h) and is_alternating(h)):
+                    continue
+                try:
+                    w = encode_walk(h, scheme)
+                except EncodingError:
+                    continue
+                _same_decoding(w, scheme, g)
+                assert decode_walk(w, scheme, g).letters == h.canonical_word
+                checked += 1
+        assert checked > 700
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_criterion_07_random_walks(self, scheme):
+        rng = random.Random(20261018)
+        for _ in range(1000):
+            if scheme == "linear":
+                g = build_graph(GroupType("A", rng.randint(9, 30)))
+                heights = _random_heights(rng, g.size)
+            elif scheme == "typeA":
+                g = build_graph(GroupType("A", rng.randint(9, 30)))
+                heights = _random_heights(rng, g.size + 2, zero_start=True, zero_end=True)
+            elif scheme == "typeB":
+                g = build_graph(GroupType("B", rng.randint(8, 30)))
+                heights = _random_heights(rng, g.size + 1, zero_start=True)
+            else:
+                g = build_graph(GroupType("affA", rng.randint(8, 30)))
+                heights = _random_heights(rng, g.size + 1, closed=True, need_touch=True)
+            _same_decoding(Walk.from_heights(heights), scheme, g)
+
+    @pytest.mark.parametrize("fam,n", [("A", 4), ("A", 7), ("B", 5), ("affA", 3),
+                                       ("affA", 4), ("affA", 6), ("affC", 3)])
+    def test_rejections_and_messages(self, fam, n):
+        """Arbitrary walks of every length near the rank, decodable or not."""
+        g = build_graph(GroupType(fam, n))
+        rng = random.Random(n)
+        for _ in range(400):
+            npoints = rng.randint(max(1, g.size - 1), g.size + 3)
+            heights = [rng.randint(0, 3)]
+            for _ in range(npoints - 1):
+                heights.append(max(0, heights[-1] + rng.choice((-1, 0, 1))))
+            try:
+                w = Walk.from_heights(heights)
+            except WalkError:
+                continue
+            for scheme in SCHEMES:
+                _same_decoding(w, scheme, g)
+
+
+# ---------------------------------------------------------------- alternation oracles
+
+def old_edge_chains_alternate(h, skip_labels=frozenset()):
+    for s, t, _m in h.graph.bonds:
+        if s in skip_labels or t in skip_labels:
+            continue
+        prev = -1
+        for c in h.letters:
+            if c == s or c == t:
+                if c == prev:
+                    return False
+                prev = c
+    return True
+
+
+class _NotMergeable(Exception):
+    pass
+
+
+def old_fork_normalize(h):
+    g = h.graph
+    word = list(h.canonical_word)
+    drop_positions = set()
+    relabel = {}
+    for a, b, _joint in g.forks:
+        fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
+        if len(fpos) == 2 and {h.letters[fpos[0]], h.letters[fpos[1]]} == {a, b} \
+                and not (h.below[fpos[1]] >> fpos[0]) & 1:
+            canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
+            drop_positions.add(canon_idx[1])
+            relabel[b] = a
+            continue
+        for p, q in zip(fpos, fpos[1:]):
+            if not (h.below[q] >> p) & 1:
+                raise _NotMergeable
+        relabel[b] = a
+    out = tuple(relabel.get(c, c) for i, c in enumerate(word) if i not in drop_positions)
+    return out, {b for a, b, _ in g.forks}
+
+
+def old_is_alternating(h):
+    try:
+        word, skips = old_fork_normalize(h)
+    except _NotMergeable:
+        return False
+    if skips:
+        h = Heap.from_word(h.graph, word)
+    return old_edge_chains_alternate(h, skips)
+
+
+def old_strict_fork_alternating(h):
+    g = h.graph
+    word = list(h.canonical_word)
+    drop = set()
+    relabel = {}
+    for a, b, _joint in g.forks:
+        fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
+        labels = [h.letters[p] for p in fpos]
+        if len(fpos) == 2 and set(labels) == {a, b} and not (h.below[fpos[1]] >> fpos[0]) & 1:
+            canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
+            drop.add(canon_idx[1])
+            relabel[b] = a
+            continue
+        for p, q in zip(fpos, fpos[1:]):
+            if not (h.below[q] >> p) & 1:
+                return False
+        if any(x == y for x, y in zip(labels, labels[1:])):
+            return False
+        relabel[b] = a
+    merged = tuple(relabel.get(c, c) for i, c in enumerate(word) if i not in drop)
+    hn = Heap.from_word(g, merged) if relabel else h
+    return old_edge_chains_alternate(hn, {b for _a, b, _ in g.forks})
+
+
+def _old_merged(h, strict=False):
+    return old_strict_fork_alternating(h) if strict else old_is_alternating(h)
+
+
+def _old_edge_chains(g, letters, skip_labels=frozenset()):
+    return old_edge_chains_alternate(Heap.from_word(g, letters), skip_labels)
+
+
+ALT_GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("D", 6, None),
+              ("affD", 4, 9), ("affD", 2, 9), ("affB", 3, 10)]
+
+
+def _random_words(g, count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rng.randrange(g.size) for _ in range(rng.randint(0, 16)))
+
+
+def _alternation_cases(fam, n, window):
+    g = build_graph(GroupType(fam, n))
+    yield from (h for _length, h in iter_fc(g, window))
+    yield from (Heap.from_word(g, w) for w in _random_words(g, 500, n))
+
+
+class TestAlternationOracle:
+    @pytest.mark.parametrize("fam,n,window", ALT_GROUPS)
+    def test_verdicts(self, fam, n, window):
+        rng = random.Random(7)
+        for h in _alternation_cases(fam, n, window):
+            assert is_alternating(h) == old_is_alternating(h), h
+            assert (heaps._fork_merged_alternating(h, strict=True)
+                    == old_strict_fork_alternating(h)), h
+            skip = {c for c in range(h.graph.size) if rng.random() < 0.2}
+            for s in (frozenset(), skip):
+                assert (heaps._edge_chains_alternate(h.graph, h.letters, s)
+                        == old_edge_chains_alternate(h, s)), (h, s)
+
+    @pytest.mark.parametrize("fam,n", [("B", 5), ("B", 6), ("D", 5), ("D", 6)])
+    def test_classification(self, fam, n, monkeypatch):
+        g = build_graph(GroupType(fam, n))
+        cases = [h for _l, h in iter_fc(g, None) if is_self_dual(h)]
+        cases += [Heap.from_word(g, w) for w in _random_words(g, 200, n)]
+        new = [_outcome(classify_involution, h) for h in cases]
+        monkeypatch.setattr(heaps, "_fork_merged_alternating", _old_merged)
+        monkeypatch.setattr(heaps, "_edge_chains_alternate", _old_edge_chains)
+        old = [_outcome(classify_involution, h) for h in cases]
+        assert new == old
+        assert sum(isinstance(c, heaps.Classification) for c in new) > 20
+
+
+# ---------------------------------------------------------------- reduction oracles
+
+def old_remove_top(h, s):
+    w = list(h.canonical_word)
+    if s not in w:
+        raise CellError(f"no occurrence of generator {s} to remove")
+    idx = max(i for i, c in enumerate(w) if c == s)
+    del w[idx]
+    return Heap.from_word(h.graph, w)
+
+
+def old_reduction_moves(h):
+    n = h.graph.size
+    out = []
+    for s in sorted(h.descents):
+        rest = old_remove_top(h, s)
+        if ((s - 1) % n) in rest.descents or ((s + 1) % n) in rest.descents:
+            out.append(s)
+    return out
+
+
+def old_reduce_fully(h, policy="min"):
+    rng = random.Random(policy) if isinstance(policy, int) else None
+    cur = h
+    for _ in range(len(h) + 1):
+        moves = old_reduction_moves(cur)
+        if not moves:
+            return cur
+        if rng is not None:
+            s = rng.choice(moves)
+        elif policy == "min":
+            s = moves[0]
+        else:
+            s = moves[-1]
+        cur = old_remove_top(cur, s)
+    raise CellError("reduction failed to terminate within the size bound")
+
+
+CELL_GROUPS = [(3, 11), (4, 11), (5, 11), (6, 10), (7, 9)]
+
+
+class TestReductionOracle:
+    @pytest.mark.parametrize("n,window", CELL_GROUPS)
+    def test_moves_and_tops(self, n, window):
+        """FC heaps, then heaps of random words that need not be reduced."""
+        g = build_graph(GroupType("affA", n))
+        words = (Heap.from_word(g, w) for w in _random_words(g, 500, n))
+        for h in (*walk_fc(g, window), *words):
+            assert reduction_moves(h) == old_reduction_moves(h), h
+            for s in range(n):
+                new, old = _outcome(remove_top, h, s), _outcome(old_remove_top, h, s)
+                assert new == old, (h, s)
+                if isinstance(new, Heap):
+                    assert new.descents == old.descents
+
+    @pytest.mark.parametrize("n,window", CELL_GROUPS)
+    def test_reduce_fully_every_policy(self, n, window):
+        g = build_graph(GroupType("affA", n))
+        for h in walk_fc(g, window):
+            for policy in ("min", "max", 1):
+                new = reduce_fully(h, policy)
+                assert new.canonical_word == old_reduce_fully(h, policy).canonical_word

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,18 @@ class TestEncodeDecode:
             decode_walk(Walk(0, (UP,)), "affineA", A4)   # acyclic graph
         with pytest.raises(EncodingError):
             decode_walk(Walk(0, (UP,)), "linear", A4)  # two counts for three
+
+    @pytest.mark.parametrize("fam,n", [("D", 4), ("affB", 3)])
+    def test_fork_graphs_rejected(self, fam, n):
+        # counts do not determine a heap once a generator has three bonds;
+        # every walk with one count per generator is refused
+        g = build_graph(GroupType(fam, n))
+        walks = [Walk.from_heights(hs) for hs in product(range(4), repeat=g.size)
+                 if all(abs(a - b) <= 1 and (a != b or a == 0) for a, b in zip(hs, hs[1:]))]
+        assert len(walks) > 30
+        for w in walks:
+            with pytest.raises(EncodingError, match="not a path or a cycle"):
+                decode_walk(w, "linear", g)
 
     def test_affine_round_trip(self):
         g = build_graph(GroupType("affA", 4))
