@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGraph, GroupType, build_graph
-from .enumerator import enumerate_fc
+from .enumerator import walk_fc
 from .heaps import Heap, is_reduced_fc, is_self_dual
 
 
@@ -183,9 +183,9 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     support = set(h.letters)
     if len(support) != n:
         hh = Heap.from_word(h.graph, word)
-        max_positions = {p for p in range(len(word)) if hh.above[p] == 0}
-        top = tuple(word[p] for p in sorted(max_positions))
-        bottom = tuple(word[p] for p in range(len(word)) if p not in max_positions)
+        maxima = sorted(hh.last[s] for s in hh.descents)
+        top = tuple(word[p] for p in maxima)
+        bottom = tuple(c for p, c in enumerate(word) if p not in maxima)
         return TopBottomSplit(top, bottom, None)
     classes = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
     remaining = list(word)
@@ -194,8 +194,8 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     count = 0
     while remaining:
         hh = Heap.from_word(h.graph, remaining)
-        maxima = [p for p in range(len(remaining)) if hh.above[p] == 0]
-        labels = frozenset(remaining[p] for p in maxima)
+        maxima = sorted(hh.last[s] for s in hh.descents)
+        labels = hh.descents
         if labels not in classes or len(maxima) != n // 2:
             break
         if prev is not None and labels == prev:
@@ -228,48 +228,42 @@ def involution_of(h: Heap) -> Heap | None:
     return out
 
 
-def cells_report(n: int, max_length: int, layer_cap: int = 10 ** 7) -> dict:
+def cells_report(n: int, max_length: int) -> dict:
     """Fibers of reduce_fully over all FC heaps of the cycle, with audits.
 
     Audits: every fiber holds at most one involution; fibers lacking one
     occur only on even cycles; each representative passes both
-    irreducibility tests.
+    irreducibility tests.  A fiber reports its least involution by
+    (length, canonical word).
     """
     g = build_graph(GroupType("affA", n))
-    _counts, layers = enumerate_fc(g, max_length, "all", layer_cap, collect=True)
     fibers: dict[tuple[int, ...], dict] = {}
     audit_single = True
     audit_even = True
     audit_irreducible = True
-    for heaps in layers:
-        for h in heaps:
-            rep = reduce_fully(h)
-            key = rep.canonical_word
-            rec = fibers.get(key)
-            if rec is None:
-                ok_moves = not reduction_moves(rep)
-                ok_struct = is_irreducible_structural(rep)
-                if not (ok_moves and ok_struct):
-                    audit_irreducible = False
-                rec = fibers[key] = {
-                    "representative": _word_names(rep),
-                    "members": 0,
-                    "involutions": [],
-                }
-            rec["members"] += 1
-            if is_self_dual(h):
-                rec["involutions"].append(_word_names(h))
+    for h in walk_fc(g, max_length):
+        rep = reduce_fully(h)
+        key = rep.canonical_word
+        rec = fibers.get(key)
+        if rec is None:
+            if reduction_moves(rep) or not is_irreducible_structural(rep):
+                audit_irreducible = False
+            rec = fibers[key] = {"members": 0, "involutions": []}
+        rec["members"] += 1
+        if is_self_dual(h):
+            rec["involutions"].append((len(h.letters), h.canonical_word))
     rows = []
     for key in sorted(fibers):
         rec = fibers[key]
-        if len(rec["involutions"]) > 1:
+        involutions = rec["involutions"]
+        if len(involutions) > 1:
             audit_single = False
-        if not rec["involutions"] and n % 2 == 1:
+        if not involutions and n % 2 == 1:
             audit_even = False
         rows.append({
-            "representative": rec["representative"],
+            "representative": _word_names(g, key),
             "members": rec["members"],
-            "involution": rec["involutions"][0] if rec["involutions"] else None,
+            "involution": _word_names(g, min(involutions)[1]) if involutions else None,
         })
     return {
         "rank": n,
@@ -284,5 +278,5 @@ def cells_report(n: int, max_length: int, layer_cap: int = 10 ** 7) -> dict:
     }
 
 
-def _word_names(h: Heap) -> str:
-    return " ".join(h.graph.names[c] for c in h.canonical_word) or "e"
+def _word_names(g: CoxeterGraph, word: tuple[int, ...]) -> str:
+    return " ".join(g.names[c] for c in word) or "e"

@@ -1,9 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input or an affine
-window too short for verify to decide.  Output is deterministic and
-independent of --threads (execution is sequential; the flag is accepted for
-interface stability).
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an affine
+window too short for verify to decide, or an enumerate --stream length that
+outgrew the memory guard.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import click
 from .cells import cells_report
 from .coxeter import (FAMILIES, GroupType, InvalidGroupError, build_graph,
                       normalize_family)
-from .enumerator import cross_validate, enumerate_fc, iter_fc
+from .enumerator import MemoryGuardError, cross_validate, enumerate_fc, listed_words
 from .genfunc import (SERIES_IDS, InconclusiveWindowError, card_involutions,
                       length_genfunc, maj_genfunc, maj_genfunc_by_descents,
                       solve_series)
@@ -42,13 +41,6 @@ type_option = click.option("--type", "family", required=True,
 rank_option = click.option("--rank", type=int, required=True, help="rank parameter")
 format_option = click.option("--format", "fmt", type=click.Choice(FORMATS),
                              default="text", show_default=True)
-threads_option = click.option("--threads", type=int, default=1, show_default=True,
-                              help="accepted for compatibility; execution is sequential")
-
-
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
 
 
 @click.group()
@@ -109,22 +101,21 @@ def graph_show(family: str, rank: int, fmt: str) -> None:
 @click.option("--all", "mode", flag_value="all", default=True, hidden=True)
 @click.option("--stream", is_flag=True, help="emit canonical words instead of counts")
 @format_option
-@threads_option
 def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
-                  stream: bool, fmt: str, threads: int) -> None:
+                  stream: bool, fmt: str) -> None:
     """Count FC heaps by length, optionally filtered or streamed."""
-    _check_threads(threads)
     if max_length < 0:
         raise click.UsageError("--max-length must be >= 0")
     t = _group_type(family, rank)
     g = build_graph(t)
     if stream:
-        from .enumerator import passes_filter
-        elements = []
-        for length, h in iter_fc(g, max_length):
-            if passes_filter(h, mode):
-                word = " ".join(g.names[c] for c in h.canonical_word) or "e"
-                elements.append((length, word))
+        try:
+            words = listed_words(g, max_length, mode)
+        except MemoryGuardError as e:
+            click.echo(f"Error: {e}; lower --max-length", err=True)
+            sys.exit(2)
+        elements = [(length, " ".join(g.names[c] for c in word) or "e")
+                    for length, bucket in enumerate(words) for word in bucket]
         if fmt == "json":
             _emit_json({"type": t.family, "rank": t.n, "max_length": max_length,
                         "filter": mode,
@@ -137,7 +128,7 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
             for _l, w in elements:
                 click.echo(w)
         return
-    counts, _ = enumerate_fc(g, max_length, mode)
+    counts = enumerate_fc(g, max_length, mode)
     if fmt == "json":
         _emit_json({"type": t.family, "rank": t.n, "max_length": max_length,
                     "filter": mode, "counts": counts})
@@ -273,10 +264,8 @@ def walks_family(length: int, no_horiz: bool, touch: bool, start: str, end: str,
               help="enumeration window for affine families")
 @click.option("--format", "fmt", type=click.Choice(("text", "json")),
               default="text", show_default=True)
-@threads_option
-def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str, threads: int) -> None:
+def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str) -> None:
     """Check enumerated counts against every closed form for the group."""
-    _check_threads(threads)
     t = _group_type(family, rank)
     if max_length is not None and max_length < 4:
         raise click.UsageError("--max-length must be >= 4")
@@ -336,10 +325,8 @@ def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str, threads
 @click.option("--rank", type=int, required=True)
 @click.option("--max-length", type=int, required=True)
 @format_option
-@threads_option
-def cells_cmd(rank: int, max_length: int, fmt: str, threads: int) -> None:
+def cells_cmd(rank: int, max_length: int, fmt: str) -> None:
     """Reduce every FC heap of a cycle and report the fibers."""
-    _check_threads(threads)
     if max_length < 0:
         raise click.UsageError("--max-length must be >= 0")
     try:

@@ -3,7 +3,7 @@
 Heaps grow one maximal element at a time, and only along lexicographic
 normal forms of the trace monoid, so each FC element is generated exactly
 once and needs no deduplication.  Counting walks the normal-form tree in no
-set order; only the paths that emit or collect heaps sort them.
+set order.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .walks import UP, DOWN, FLAT, Walk, encode_walk
 FILTERS = ("all", "involutions", "alternating")
 
 AFFINE_DEFAULT_WINDOW = {"affA": 40, "affC": 60, "affB": 150, "affD": 60}
+
+LAYER_CAP = 10 ** 7  # most heaps or words a listing path holds for one length
 
 
 class MemoryGuardError(RuntimeError):
@@ -81,8 +83,22 @@ def walk_fc(g: CoxeterGraph, max_length: int | None):
                 later = last[s]
 
 
+def _by_length(pairs, layer_cap: int) -> list[list]:
+    """The items of (length, item) pairs bucketed by length; MemoryGuardError
+    as soon as one length holds more than layer_cap items."""
+    buckets: list[list] = []
+    for length, item in pairs:
+        while len(buckets) <= length:
+            buckets.append([])
+        bucket = buckets[length]
+        if len(bucket) >= layer_cap:
+            raise MemoryGuardError(f"length {length} exceeds {layer_cap} heaps")
+        bucket.append(item)
+    return buckets
+
+
 def iter_fc(g: CoxeterGraph, max_length: int | None,
-            layer_cap: int = 10 ** 7):
+            layer_cap: int = LAYER_CAP):
     """Yield (length, heap) for every reduced FC heap, lengths ascending and
     canonical words sorted within a length.
 
@@ -90,58 +106,51 @@ def iter_fc(g: CoxeterGraph, max_length: int | None,
     is held before the first is yielded; MemoryGuardError, raised during the
     walk, when a length holds more than layer_cap heaps.
     """
-    buckets: list[list[Heap]] = []
-    for h in walk_fc(g, max_length):
-        length = len(h.letters)
-        while len(buckets) <= length:
-            buckets.append([])
-        bucket = buckets[length]
-        if len(bucket) >= layer_cap:
-            raise MemoryGuardError(f"length {length} exceeds {layer_cap} heaps")
-        bucket.append(h)
+    buckets = _by_length(((len(h.letters), h) for h in walk_fc(g, max_length)),
+                         layer_cap)
     for length, bucket in enumerate(buckets):
         bucket.sort(key=lambda h: h.canonical_word)
         for h in bucket:
             yield length, h
 
 
-def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all",
-                 layer_cap: int = 10 ** 7, collect: bool = False):
+def listed_words(g: CoxeterGraph, max_length: int, mode: str) -> list[list[tuple[int, ...]]]:
+    """Canonical words of the heaps passing the filter, per length, sorted.
+
+    Heaps are filtered during the walk and only their words are kept, so at
+    most LAYER_CAP words per length; MemoryGuardError beyond that.
+    """
+    buckets = _by_length(((len(h.letters), h.canonical_word)
+                          for h in walk_fc(g, max_length) if passes_filter(h, mode)),
+                         LAYER_CAP)
+    for bucket in buckets:
+        bucket.sort()
+    return buckets
+
+
+def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all") -> list[int]:
     """Counts per length of FC heaps passing the filter.
 
-    Returns (counts, heaps) where counts[k] counts length-k heaps that pass
-    and heaps collects them per length, canonical words sorted, when
-    requested (None otherwise).  layer_cap bounds the heaps collected per
-    length; counting holds no more than the walk's stack.
+    counts[k] counts the length-k heaps that pass.  There is a slot for every
+    length the walk reaches, pass or not, and zeros up to max_length when
+    given.  Counting holds no more than the walk's stack.
     """
-    if mode not in FILTERS:
-        raise ValueError(f"unknown filter {mode!r}; expected one of {FILTERS}")
     counts: list[int] = []
-    collected: list[list[Heap]] | None = [] if collect else None
-    heaps = (iter_fc(g, max_length, layer_cap) if collect
-             else ((len(h.letters), h) for h in walk_fc(g, max_length)))
-    for length, h in heaps:
+    for h in walk_fc(g, max_length):
+        length = len(h.letters)
         while len(counts) <= length:
             counts.append(0)
-            if collected is not None:
-                collected.append([])
         if passes_filter(h, mode):
             counts[length] += 1
-            if collected is not None:
-                collected[length].append(h)
     if max_length is not None:
-        while len(counts) <= max_length:
-            counts.append(0)
-            if collected is not None:
-                collected.append([])
-    return counts, collected
+        counts.extend([0] * (max_length + 1 - len(counts)))
+    return counts
 
 
 def length_profile(g: CoxeterGraph, max_length: int | None,
                    mode: str = "involutions") -> TPoly:
     """Counts-by-length as a polynomial; capped at max_length when given."""
-    counts, _ = enumerate_fc(g, max_length, mode)
-    return TPoly(counts, max_length)
+    return TPoly(enumerate_fc(g, max_length, mode), max_length)
 
 
 def _bump(counts: list[int], k: int) -> None:
@@ -293,8 +302,7 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
     if lmax < 2 * declared:
         raise InconclusiveWindowError(
             f"inconclusive: window {lmax} < 2 × declared period {declared}")
-    counts, _ = enumerate_fc(g, lmax, "involutions")
-    oracle = TPoly(counts, lmax)
+    oracle = TPoly(enumerate_fc(g, lmax, "involutions"), lmax)
     periodic, _ = affine_periodic_part(family, n, lmax)
     try:
         remainder, period = reconcile(oracle, periodic, declared)

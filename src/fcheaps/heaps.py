@@ -2,8 +2,8 @@
 
 A heap is the word's positions partially ordered by: p precedes q when p < q
 and their letters are equal or bonded.  We store, per position, a bitmask of
-the positions strictly below it (the positions above are derived on demand),
-plus a layer number used for the canonical linear extension.
+the positions strictly below it, plus a layer number used for the canonical
+linear extension.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ class Heap:
     occurrences from the top down and a bond's chain can be read backward
     without scanning the word.  descents and minima are the labels of the
     maximal and of the minimal elements.  All fields are immutable, so
-    extensions share parent data.  above[p], the bitmask of positions
-    strictly above p, is derived from below on first use and cached.
+    extensions share parent data.
     """
 
     __slots__ = ("graph", "letters", "below", "layer", "last", "prev",
-                 "descents", "minima", "_above", "_canon")
+                 "descents", "minima", "_canon")
 
     def __init__(self, graph, letters, below, layer, last, prev, descents, minima):
         self.graph = graph
@@ -43,7 +42,6 @@ class Heap:
         self.prev = prev            # previous occurrence of the same letter, -1 if none
         self.descents = descents    # labels of maximal elements, frozenset
         self.minima = minima        # labels of minimal elements, frozenset
-        self._above = None
         self._canon = None
 
     @classmethod
@@ -88,19 +86,6 @@ class Heap:
         return len(self.letters)
 
     @property
-    def above(self) -> tuple[int, ...]:
-        if self._above is None:
-            above = [0] * len(self.letters)
-            for q, rest in enumerate(self.below):
-                bit_q = 1 << q
-                while rest:
-                    low = rest & -rest
-                    above[low.bit_length() - 1] |= bit_q
-                    rest ^= low
-            self._above = tuple(above)
-        return self._above
-
-    @property
     def canonical_word(self) -> tuple[int, ...]:
         if self._canon is None:
             # (layer, letter) pairs are distinct: equal letters are comparable
@@ -140,36 +125,16 @@ class Heap:
 def is_reduced_fc(h: Heap) -> bool:
     """Whether the word heap is a reduced word of a fully commutative element.
 
-    Two tests over the heap, both on convex chains (chains with no outside
-    element strictly between their endpoints in the order):
-    (a) no two consecutive equal-letter positions form a convex pair;
-    (b) no bond of label m admits a convex window of m chain elements with
-        alternating letters.
+    A fold of extend over the word from the empty heap.  Every prefix of a
+    reduced FC word is reduced FC, and extend decides whether one more letter
+    keeps a reduced FC heap so; hence the word is reduced FC iff each of its
+    letters extends the heap of the letters before it.
     """
-    g = h.graph
-    letters = h.letters
-    occ: list[list[int]] = [[] for _ in range(g.size)]
-    for p, c in enumerate(letters):
-        occ[c].append(p)
-    for s in range(g.size):
-        ps = occ[s]
-        for i, j in zip(ps, ps[1:]):
-            if h.above[i] & h.below[j] == 0:
-                return False
-    for s, t, m in g.bonds:
-        chain = sorted(occ[s] + occ[t])
-        if len(chain) < m:
-            continue
-        for k in range(len(chain) - m + 1):
-            win = chain[k:k + m]
-            if any(letters[win[i]] == letters[win[i + 1]] for i in range(m - 1)):
-                continue
-            interior = 0
-            for p in win[1:-1]:
-                interior |= 1 << p
-            between = h.above[win[0]] & h.below[win[-1]]
-            if between & ~interior == 0:
-                return False
+    cur = Heap.empty(h.graph)
+    for s in h.letters:
+        cur = extend(cur, s)
+        if cur is None:
+            return False
     return True
 
 
@@ -208,16 +173,6 @@ def is_self_dual(h: Heap) -> bool:
             return False
         depth[c] = lay
     return True
-
-
-def right_descents(h: Heap) -> frozenset[int]:
-    """Labels of the maximal elements."""
-    return h.descents
-
-
-def left_descents(h: Heap) -> frozenset[int]:
-    """Labels of the minimal elements."""
-    return h.minima
 
 
 def major_index(h: Heap) -> int:

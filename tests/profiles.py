@@ -1,6 +1,6 @@
-"""Test-side statistics profiles that no library code needs."""
+"""Test-side profiles and listings that no library code needs."""
 
-from fcheaps.enumerator import passes_filter, walk_fc
+from fcheaps.enumerator import iter_fc, passes_filter, walk_fc
 from fcheaps.heaps import major_index
 from fcheaps.qpoly import TPoly
 
@@ -17,3 +17,9 @@ def descent_profiles(g, mode="alternating"):
             counts.extend([0] * (m + 1 - len(counts)))
             counts[m] += 1
     return {k: TPoly(cs) for k, cs in sorted(acc.items())}
+
+
+def filtered_heaps(g, max_length, mode):
+    """The heaps passing the filter, lengths ascending and canonical words
+    sorted within a length."""
+    return [h for _length, h in iter_fc(g, max_length) if passes_filter(h, mode)]

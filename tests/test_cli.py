@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from fcheaps.cli import main
-from fcheaps.enumerator import ValidationReport
+from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.enumerator import ValidationReport, iter_fc, passes_filter
 from fcheaps.walks import WalkFamilySpec, family_poly
 
 
@@ -73,11 +75,30 @@ class TestEnumerate:
         # s1s0s1 is a peak, not alternating; s0s1s0 stays
         assert r.output == "0,1\n1,2\n2,0\n3,1\n4,0\n"
 
-    def test_threads_do_not_change_bytes(self):
-        a = run("enumerate", "--type", "B", "--rank", "4", "--max-length", "8")
-        b = run("enumerate", "--type", "B", "--rank", "4", "--max-length", "8",
-                "--threads", "4")
-        assert a.output == b.output
+    @pytest.mark.parametrize("argv", [("B", "4", "10", "--all"), ("D", "5", "8", "--involutions"),
+                                      ("affA", "5", "9", "--all"), ("affD", "4", "8", "--alternating")])
+    def test_stream_lists_the_sorted_walk(self, argv):
+        # the listing that streamed heaps from iter_fc is the reference order
+        fam, rank, window, flag = argv
+        g = build_graph(GroupType(fam, int(rank)))
+        want = [f"{length},{' '.join(g.names[c] for c in h.canonical_word) or 'e'}"
+                for length, h in iter_fc(g, int(window)) if passes_filter(h, flag[2:])]
+        r = run("enumerate", "--type", fam, "--rank", rank, "--max-length", window,
+                flag, "--stream", "--format", "csv")
+        assert r.output.splitlines() == ["length,word", *want]
+
+    def test_stream_over_the_cap_exits_two(self, monkeypatch):
+        monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", 2)
+        # A:3 lists at most two words per length, A:4 three of length one
+        assert run("enumerate", "--type", "A", "--rank", "3", "--max-length", "3",
+                   "--stream").exit_code == 0
+        r = run("enumerate", "--type", "A", "--rank", "4", "--max-length", "3",
+                "--stream")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        # the walk has no set order, so the length that trips first is open
+        assert re.fullmatch(r"Error: length \d exceeds 2 heaps; lower --max-length\n",
+                            r.stderr)
 
     def test_negative_window_rejected(self):
         assert run("enumerate", "--type", "A", "--rank", "3",
@@ -210,11 +231,6 @@ class TestVerify:
         assert run("verify", "--type", "affA", "--rank", "4",
                    "--max-length", "2").exit_code == 2
 
-    def test_threads_do_not_change_bytes(self):
-        a = run("verify", "--type", "B", "--rank", "3")
-        b = run("verify", "--type", "B", "--rank", "3", "--threads", "8")
-        assert a.output == b.output and a.exit_code == b.exit_code == 0
-
 
 class TestInconclusiveWindow:
     """A window shorter than two declared periods is inconclusive (exit 2),
@@ -282,7 +298,3 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self):
         assert run("frobnicate").exit_code == 2
-
-    def test_zero_threads(self):
-        assert run("verify", "--type", "B", "--rank", "2",
-                   "--threads", "0").exit_code == 2

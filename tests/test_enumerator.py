@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph
-from fcheaps.heaps import Heap, is_reduced_fc, is_self_dual
+from fcheaps.heaps import Heap
 from fcheaps.qpoly import TPoly
 from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
@@ -13,7 +13,8 @@ from fcheaps.enumerator import (
 from fcheaps.coxeter import commutation_class
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
-from profiles import descent_profiles
+from fc_oracles import scan_is_reduced_fc
+from profiles import descent_profiles, filtered_heaps
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -23,7 +24,7 @@ class TestIteration:
     def test_all_heaps_are_reduced_fc(self):
         for length, h in iter_fc(A4, 4):
             assert len(h) == length
-            assert is_reduced_fc(h)
+            assert scan_is_reduced_fc(h)
 
     def test_lengths_ascend_and_words_sort_within_layer(self):
         seen = list(iter_fc(A4, 3))
@@ -44,9 +45,12 @@ class TestIteration:
             list(iter_fc(g, None, layer_cap=3))
 
     def test_max_length_padding(self):
-        counts, _ = enumerate_fc(A4, 9, "all")
+        counts = enumerate_fc(A4, 9, "all")
         assert len(counts) == 10
         assert counts[7] == 0  # the longest element has length 6
+        # a slot for every length the walk reaches, whether or not a heap of
+        # that length passes: A:5's longest FC element has length 6
+        assert enumerate_fc(A5, None, "involutions") == [1, 4, 3, 0, 2, 0, 0]
 
 
 class TestFilters:
@@ -54,6 +58,8 @@ class TestFilters:
         assert set(FILTERS) == {"all", "involutions", "alternating"}
         with pytest.raises(ValueError):
             passes_filter(Heap.empty(A4), "evens")
+        with pytest.raises(ValueError, match="unknown filter 'evens'"):
+            enumerate_fc(A4, 2, "evens")
 
     def test_involutions_flag(self):
         assert passes_filter(Heap.from_word(A4, (0, 2)), "involutions")
@@ -100,8 +106,7 @@ class TestRSK:
     def test_rsk_walk_equals_padded_counts_with_flats_up(self):
         for n in range(2, 7):
             g = build_graph(GroupType("A", n))
-            _, rows = enumerate_fc(g, None, "involutions", collect=True)
-            for h in (x for row in rows for x in row):
+            for h in filtered_heaps(g, None, "involutions"):
                 assert rsk_walk(h) == flats_up(encode_walk(h, "typeA"))
 
     def test_flats_up(self):
@@ -195,7 +200,7 @@ class TestOnePassCrossValidate:
                                        for n in range(2, 7)])
     def test_matches_separate_profiles(self, fam, n):
         g = build_graph(GroupType(fam, n))
-        counts, _ = enumerate_fc(g, None, "involutions")
+        counts = enumerate_fc(g, None, "involutions")
         r = cross_validate(fam, n)
         assert r.length == TPoly(counts)
         assert r.card == sum(counts)
@@ -232,7 +237,7 @@ def walk_keys(g, max_length):
 def word_bfs(g, max_length):
     """(length, canonical word) of every reduced FC heap, sorted, found from
     words alone: a word one letter longer is kept when its rebuilt heap passes
-    is_reduced_fc.  Shares no code with extend or the normal-form rule."""
+    the convex-chain scan.  Shares no code with extend or the normal-form rule."""
     layer = [()]
     out = [(0, ())]
     for length in range(1, max_length + 1):
@@ -240,7 +245,7 @@ def word_bfs(g, max_length):
         for word in layer:
             for s in range(g.size):
                 h = Heap.from_word(g, word + (s,))
-                if is_reduced_fc(h):
+                if scan_is_reduced_fc(h):
                     nxt.add(h.canonical_word)
         layer = sorted(nxt)
         out += [(length, w) for w in layer]
@@ -294,7 +299,7 @@ class TestDepthFirstWalk:
             depth = max(depth, len(h))
         bound = g.size * (depth + 1)
         assert peak <= bound
-        counts, _ = enumerate_fc(g, None, "all")
+        counts = enumerate_fc(g, None, "all")
         assert max(counts) > bound
 
     def test_counting_never_sorts_or_reads_canonical_words(self, monkeypatch):
@@ -304,17 +309,15 @@ class TestDepthFirstWalk:
         monkeypatch.setattr("fcheaps.enumerator.iter_fc", refuse)
         monkeypatch.setattr(Heap, "canonical_word", property(refuse))
         assert length_profile(A4, None).coeffs == (1, 3, 1, 0, 1)
-        assert sum(enumerate_fc(A5, None, "all")[0]) == 42  # Catalan(5)
+        assert sum(enumerate_fc(A5, None, "all")) == 42  # Catalan(5)
         assert maj_profile(A4).coeffs == (1, 1, 2, 1, 1)
         assert cross_validate("A", 5).ok
         assert cross_validate("affC", 2, max_length=40).ok
 
     def test_layer_cap_counts_one_length(self):
         g = build_graph(GroupType("A", 6))
-        counts, _ = enumerate_fc(g, None, "all")
+        counts = enumerate_fc(g, None, "all")
         widest = max(counts)
         assert sum(1 for _ in iter_fc(g, None, layer_cap=widest)) == sum(counts)
         with pytest.raises(MemoryGuardError, match=f"exceeds {widest - 1} heaps"):
             next(iter_fc(g, None, layer_cap=widest - 1))
-        with pytest.raises(MemoryGuardError):
-            enumerate_fc(g, None, "all", layer_cap=widest - 1, collect=True)

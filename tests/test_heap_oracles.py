@@ -13,11 +13,11 @@ import pytest
 from fcheaps.coxeter import GroupType, build_graph, canonical_form
 from fcheaps.enumerator import iter_fc
 from fcheaps.heaps import Heap, extend, is_self_dual
+from fc_oracles import above_masks
 
 GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12),
           ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10)]
 
-FIELDS = ("letters", "below", "above", "layer", "last", "descents")
 
 
 def old_canonical_word(h):
@@ -36,6 +36,7 @@ def old_extend(h, s):
         return None
     nbrs = g.adjacency[s]
     nu = len(h.letters)
+    above = list(above_masks(h))
     below_nu = 0
     lay = 0
     for u in (s, *nbrs):
@@ -61,9 +62,8 @@ def old_extend(h, s):
         interior = 0
         for p in tail[1:]:
             interior |= 1 << p
-        if (h.above[tail[0]] & below_nu) & ~interior == 0:
+        if (above[tail[0]] & below_nu) & ~interior == 0:
             return None
-    above = list(h.above)
     for p in range(nu):
         if (below_nu >> p) & 1:
             above[p] |= 1 << nu
@@ -74,7 +74,8 @@ def old_extend(h, s):
 
 
 def fields(h):
-    return tuple(getattr(h, f) for f in FIELDS)
+    """The stored fields, with the above masks derived from the word."""
+    return (h.letters, h.below, above_masks(h), h.layer, h.last, h.descents)
 
 
 def heaps_of(fam, n, max_length):

@@ -3,12 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcheaps.coxeter import GroupType, build_graph, canonical_form
+from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
 from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, dual, is_self_dual,
-    right_descents, left_descents, major_index, is_alternating,
-    classify_involution, extend,
+    major_index, is_alternating, classify_involution, extend,
 )
+from fc_oracles import above_masks, scan_is_reduced_fc
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -27,7 +27,7 @@ class TestHeapStructure:
         h = Heap.empty(A4)
         assert len(h) == 0
         assert h.canonical_word == ()
-        assert right_descents(h) == frozenset()
+        assert h.descents == frozenset()
 
     def test_equality_is_up_to_commutation(self):
         assert heap(A4, 0, 2) == heap(A4, 2, 0)
@@ -71,6 +71,15 @@ class TestReducedFC:
         assert is_reduced_fc(heap(A5, 1, 0, 2, 1))
         assert not is_reduced_fc(heap(A5, 1, 0, 1))
 
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fold_equals_convex_chain_scan(self, fam, extra_rank, data):
+        # words need not be reduced or FC; A at its least rank has no letters
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
+        word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=14))
+        h = Heap.from_word(g, word)
+        assert is_reduced_fc(h) == scan_is_reduced_fc(h), word
+
 
 class TestDuality:
     def test_dual_reverses(self):
@@ -91,13 +100,13 @@ class TestDuality:
 class TestDescentsAndMaj:
     def test_descents_are_maximal_labels(self):
         h = heap(A4, 1, 0, 2, 1)
-        assert right_descents(h) == frozenset({1})
-        assert left_descents(h) == frozenset({1})
+        assert h.descents == frozenset({1})
+        assert h.minima == frozenset({1})
 
     def test_one_sided_word(self):
         h = heap(A4, 0, 1)
-        assert right_descents(h) == frozenset({1})
-        assert left_descents(h) == frozenset({0})
+        assert h.descents == frozenset({1})
+        assert h.minima == frozenset({0})
 
     def test_major_index_weights(self):
         assert major_index(heap(A4, 1, 0, 2, 1)) == 2
@@ -167,11 +176,10 @@ class TestClassification:
         assert classify_involution(heap(D3, 0, 2)).kind == "alternating"
 
     def test_every_involution_classifies(self):
-        from fcheaps.enumerator import enumerate_fc
+        from profiles import filtered_heaps
         for fam, n in [("B", 4), ("D", 3)]:
             g = build_graph(GroupType(fam, n))
-            _, rows = enumerate_fc(g, None, "involutions", collect=True)
-            for h in (x for row in rows for x in row):
+            for h in filtered_heaps(g, None, "involutions"):
                 classify_involution(h)  # must not raise
 
 
@@ -190,7 +198,7 @@ class TestExtend:
     def test_double_bond_allows_three(self):
         h = heap(B2, 0, 1)
         h2 = extend(h, 0)
-        assert h2 is not None and is_reduced_fc(h2)
+        assert h2 is not None and scan_is_reduced_fc(h2)
         assert extend(h2, 1) is None
 
     @given(WORD)
@@ -201,7 +209,7 @@ class TestExtend:
         for s in word:
             grown = extend(h, s)
             fresh = Heap.from_word(g, h.canonical_word + (s,))
-            if is_reduced_fc(fresh) and len(fresh) == len(h) + 1:
+            if scan_is_reduced_fc(fresh) and len(fresh) == len(h) + 1:
                 assert grown is not None, (h.canonical_word, s)
                 assert grown == fresh
                 assert grown.descents == fresh.descents
@@ -220,7 +228,7 @@ class TestExtend:
         for s in word:
             grown = extend(h, s)
             fresh = Heap.from_word(g, h.canonical_word + (s,))
-            if is_reduced_fc(fresh) and len(fresh) == len(h) + 1:
+            if scan_is_reduced_fc(fresh) and len(fresh) == len(h) + 1:
                 assert grown == fresh
                 h = grown
             else:
@@ -239,34 +247,17 @@ DERIVED_GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12
                   ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10)]
 
 
-def backward_pass_above(g, letters):
-    """The above masks from_word built in a backward pass before above was
-    derived from below on demand."""
-    above = [0] * len(letters)
-    nxt = [-1] * g.size
-    for p in range(len(letters) - 1, -1, -1):
-        c = letters[p]
-        a = 0
-        for u in (c, *g.adjacency[c]):
-            if nxt[u] >= 0:
-                a |= above[nxt[u]] | (1 << nxt[u])
-        above[p] = a
-        nxt[c] = p
-    return tuple(above)
-
-
 def check_derived_fields(h):
-    above = backward_pass_above(h.graph, h.letters)
-    assert h.above == above, h.letters
+    above = above_masks(h)
     assert h.descents == frozenset(c for c, a in zip(h.letters, above) if a == 0)
+    assert sorted(h.last[s] for s in h.descents) == [p for p, a in enumerate(above) if a == 0]
     assert h.minima == frozenset(c for c, b in zip(h.letters, h.below) if b == 0)
-    assert left_descents(h) == h.minima
 
 
 @pytest.mark.parametrize("fam,n,max_length", DERIVED_GROUPS)
 class TestDerivedFields:
-    """descents and minima carried by extend and from_word, and the lazily
-    derived above, against scans of the heap."""
+    """descents and minima carried by extend and from_word, and the maximal
+    positions read from last and descents, against scans of the heap."""
 
     def test_every_enumerated_heap(self, fam, n, max_length):
         from fcheaps.enumerator import walk_fc
@@ -281,9 +272,3 @@ class TestDerivedFields:
         for _ in range(300):
             word = tuple(rng.randrange(g.size) for _ in range(rng.randint(0, 16)))
             check_derived_fields(Heap.from_word(g, word))
-
-
-def test_above_is_derived_once():
-    h = heap(A5, 0, 1, 2, 1)
-    assert h.above is h.above
-    assert h.above == ((1 << 1) | (1 << 2) | (1 << 3), (1 << 2) | (1 << 3), 1 << 3, 0)

@@ -5,21 +5,27 @@ The oracles below are the earlier implementations: the decoder that lists
 every copy of every generator, links them by the interleaving relations and
 layers them by Kahn's algorithm before sorting; the alternation test that
 scans the whole word once per bond behind two fork routines that rebuild the
-merged heap; and the reduction moves that build one heap per descent.
+merged heap; the reduction moves that build one heap per descent; and the
+cells report that collected every heap in listing order and reported each
+fiber's first involution.
 """
 
+import json
 import random
 
 import pytest
 
-from fcheaps import heaps
-from fcheaps.cells import CellError, reduce_fully, reduction_moves, remove_top
+from fcheaps import cells, heaps
+from fcheaps.cells import (CellError, TopBottomSplit, cells_report,
+                           is_irreducible_structural, reduce_fully, reduction_moves,
+                           remove_top, split_top_bottom)
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import iter_fc, walk_fc
 from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
                            is_alternating, is_self_dual)
 from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profile,
                            decode_walk, encode_walk)
+from fc_oracles import above_masks
 from test_acceptance import _random_heights, _scheme_cases
 
 
@@ -357,3 +363,129 @@ class TestReductionOracle:
             for policy in ("min", "max", 1):
                 new = reduce_fully(h, policy)
                 assert new.canonical_word == old_reduce_fully(h, policy).canonical_word
+
+
+def old_split_top_bottom(h):
+    """The split reading the maximal positions off the above masks."""
+    n = h.graph.size
+    if not is_irreducible_structural(h):
+        raise CellError("top/bottom split needs an irreducible heap")
+    word = h.canonical_word
+    if len(set(h.letters)) != n:
+        above = above_masks(Heap.from_word(h.graph, word))
+        max_positions = {p for p in range(len(word)) if above[p] == 0}
+        top = tuple(word[p] for p in sorted(max_positions))
+        bottom = tuple(word[p] for p in range(len(word)) if p not in max_positions)
+        return TopBottomSplit(top, bottom, None)
+    classes = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
+    remaining = list(word)
+    top = []
+    prev = None
+    count = 0
+    while remaining:
+        above = above_masks(Heap.from_word(h.graph, remaining))
+        maxima = [p for p in range(len(remaining)) if above[p] == 0]
+        labels = frozenset(remaining[p] for p in maxima)
+        if labels not in classes or len(maxima) != n // 2:
+            break
+        if prev is not None and labels == prev:
+            break
+        prev = labels
+        count += 1
+        top.extend(remaining[p] for p in maxima)
+        remaining = [c for p, c in enumerate(remaining) if p not in set(maxima)]
+    if count == 0:
+        raise CellError("full-support irreducible heap peeled no parity layer")
+    return TopBottomSplit(tuple(top), tuple(remaining), count)
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("n,window", CELL_GROUPS[1:])
+    def test_same_split(self, n, window):
+        """FC heaps and their representatives, irreducible or not.  (A gapped
+        irreducible heap on the 3-cycle has one maximal element.)"""
+        g = build_graph(GroupType("affA", n))
+        gapped_tops = 0
+        for h in walk_fc(g, window):
+            for k in (h, reduce_fully(h)):
+                new = _outcome(split_top_bottom, k)
+                assert new == _outcome(old_split_top_bottom, k), k
+                gapped_tops += isinstance(new, TopBottomSplit) and len(new.top_word) > 1 \
+                    and new.factor_count is None
+        assert gapped_tops > 0
+
+
+# ---------------------------------------------------------------- cells report oracle
+
+def old_cells_report(n, max_length):
+    g = build_graph(GroupType("affA", n))
+
+    def names(h):
+        return " ".join(g.names[c] for c in h.canonical_word) or "e"
+
+    fibers = {}
+    audit_single = True
+    audit_even = True
+    audit_irreducible = True
+    for _length, h in iter_fc(g, max_length):
+        rep = cells.reduce_fully(h)
+        key = rep.canonical_word
+        rec = fibers.get(key)
+        if rec is None:
+            ok_moves = not reduction_moves(rep)
+            ok_struct = is_irreducible_structural(rep)
+            if not (ok_moves and ok_struct):
+                audit_irreducible = False
+            rec = fibers[key] = {"representative": names(rep), "members": 0,
+                                 "involutions": []}
+        rec["members"] += 1
+        if is_self_dual(h):
+            rec["involutions"].append(names(h))
+    rows = []
+    for key in sorted(fibers):
+        rec = fibers[key]
+        if len(rec["involutions"]) > 1:
+            audit_single = False
+        if not rec["involutions"] and n % 2 == 1:
+            audit_even = False
+        rows.append({
+            "representative": rec["representative"],
+            "members": rec["members"],
+            "involution": rec["involutions"][0] if rec["involutions"] else None,
+        })
+    return {
+        "rank": n,
+        "max_length": max_length,
+        "fiber_count": len(rows),
+        "fibers": rows,
+        "audits": {
+            "at_most_one_involution_per_fiber": audit_single,
+            "missing_involutions_only_on_even_cycles": audit_even,
+            "representatives_irreducible_both_tests": audit_irreducible,
+        },
+    }
+
+
+def _json(report):
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+class TestCellsReportOracle:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("window", [8, 12])
+    def test_same_json(self, n, window):
+        assert _json(cells_report(n, window)) == _json(old_cells_report(n, window))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_fiber_with_several_involutions(self, n, monkeypatch):
+        # every heap of length >= 2 lands in the fiber of s0 s1, so that fiber
+        # holds many involutions; the walk meets a longer one before s0 s2
+        g = build_graph(GroupType("affA", n))
+        merged = Heap.from_word(g, (0, 1))
+        monkeypatch.setattr(cells, "reduce_fully",
+                            lambda h: reduce_fully(h) if len(h) < 2 else merged)
+        new, old = cells_report(n, 8), old_cells_report(n, 8)
+        assert _json(new) == _json(old)
+        assert new["audits"]["at_most_one_involution_per_fiber"] is False
+        row = next(r for r in new["fibers"] if r["representative"] == "s0 s1")
+        assert row["involution"] == "s0 s2"

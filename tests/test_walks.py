@@ -165,10 +165,9 @@ class TestEncodeDecode:
         assert decode_walk(w, "affineA", g) == h
 
     def test_exhaustive_small_rank_round_trip(self):
-        from fcheaps.enumerator import enumerate_fc
+        from profiles import filtered_heaps
         g = build_graph(GroupType("A", 5))
-        _, rows = enumerate_fc(g, None, "involutions", collect=True)
-        for h in (x for row in rows for x in row):
+        for h in filtered_heaps(g, None, "involutions"):
             for scheme in ("linear", "typeA"):
                 w = encode_walk(h, scheme)
                 assert decode_walk(w, scheme, g) == h
@@ -247,10 +246,9 @@ class TestFrobenius:
             walk_to_frobenius(Walk(1, (UP,)), "B")
 
     def test_maj_transport_small(self):
-        from fcheaps.enumerator import enumerate_fc
+        from profiles import filtered_heaps
         g = build_graph(GroupType("A", 6))
-        _, rows = enumerate_fc(g, None, "involutions", collect=True)
-        for h in (x for row in rows for x in row):
+        for h in filtered_heaps(g, None, "involutions"):
             f = walk_to_frobenius(encode_walk(h, "typeA"), "A")
             assert f.weight == major_index(h)
 
