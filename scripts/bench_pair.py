@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two checkouts in alternating pairs and compare them.
+
+Example:
+    python3 scripts/bench_pair.py --parent ../parent --change . \\
+        --workload walks-closed-forms --pairs 10 --claim run_s
+
+Each pair runs `perfbench/run.py --trace 0` once in each checkout, with its
+own seed (--seed, --seed + 1, ...); the side that runs first alternates from
+pair to pair.  The run length and the end-to-end metrics with their bounds
+come from the change checkout's BENCHMARK.json.  For each metric the script
+prints both sides' median and quartiles and whether the change's median is
+worse than the parent's by more than the bound, a share of the parent's
+median.  For --claim it also prints the pair wins and whether the claim
+holds: the change wins at least nine of every ten pairs (ties count for
+neither side) and the medians differ, the change's way, by more than the
+parent's interquartile range.  Nothing is written to either checkout.
+
+setup_s and peak_rss_mib include importing fcheaps, which compiles its
+sources unless a __pycache__ holds them; the script warns when only one
+checkout has such a cache, since the two sides then measure different work.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (one value: itself thrice)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4)
+    return q1, med, q3
+
+
+def worse_share(parent: float, change: float, better: str) -> float:
+    """How much worse the change is than the parent, as a share of the parent;
+    negative when it is better."""
+    diff = change - parent if better == "lower" else parent - change
+    return diff / parent
+
+
+def exceeds_bound(parent: list[float], change: list[float], better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by more than bound."""
+    return worse_share(statistics.median(parent), statistics.median(change), better) > bound
+
+
+def pair_wins(parent: list[float], change: list[float], better: str) -> tuple[int, int]:
+    """Pairs the change wins and pairs it loses; ties count for neither."""
+    wins = losses = 0
+    for p, c in zip(parent, change, strict=True):
+        if c != p:
+            if (c < p) == (better == "lower"):
+                wins += 1
+            else:
+                losses += 1
+    return wins, losses
+
+
+def claim_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """At least nine tenths of the pairs won, and the medians apart, the
+    change's way, by more than the parent's interquartile range."""
+    wins, _losses = pair_wins(parent, change, better)
+    q1, med, q3 = quartiles(parent)
+    gain = med - statistics.median(change)
+    if better != "lower":
+        gain = -gain
+    return 10 * wins >= 9 * len(parent) and gain > q3 - q1
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise SystemExit(f"{checkout}: benchmark exited {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
+    ap.add_argument("--seed", type=int, default=9000, help="seed of the first pair")
+    args = ap.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    if args.claim is not None and args.claim not in metrics:
+        ap.error(f"--claim must be one of {', '.join(metrics)}")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    sides = {"parent": args.parent, "change": args.change}
+    cached = {side: any((d / "src").rglob("__pycache__")) for side, d in sides.items()}
+    if len(set(cached.values())) > 1:
+        print(f"warning: bytecode caches under src/ differ ({cached}); setup_s and "
+              "peak_rss_mib compare different work", file=sys.stderr)
+    values: dict[str, dict[str, list[float]]] = {s: {m: [] for m in metrics} for s in sides}
+    failed = {s: 0 for s in sides}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(sides[side], args.workload, args.seed + i, spec["run_seconds"])
+            failed[side] += result["failed"] + (not result["correct"])
+            for m in metrics:
+                values[side][m].append(result["metrics"][m]["value"])
+            print(f"pair {i} {side}: " + " ".join(f"{m}={values[side][m][-1]:.4g}"
+                                                   for m in metrics), flush=True)
+    print(f"failed or incorrect: parent {failed['parent']}, change {failed['change']}")
+    for m, meta in metrics.items():
+        p, c = values["parent"][m], values["change"][m]
+        cells = [f"{s} q1/med/q3 " + "/".join(f"{v:.4g}" for v in quartiles(values[s][m]))
+                 for s in sides]
+        share = worse_share(statistics.median(p), statistics.median(c), meta["better"])
+        verdict = "WORSE than bound" if exceeds_bound(p, c, meta["better"], meta["bound"]) \
+            else "within bound"
+        print(f"{m} [{meta['unit']}]: {'; '.join(cells)}; change worse by {share:+.1%}, "
+              f"bound {meta['bound']:.0%}: {verdict}")
+    if args.claim is not None:
+        meta = metrics[args.claim]
+        p, c = values["parent"][args.claim], values["change"][args.claim]
+        wins, losses = pair_wins(p, c, meta["better"])
+        holds = claim_holds(p, c, meta["better"])
+        print(f"claim {args.claim}: change won {wins} of {len(p)} pairs (lost {losses}); "
+              f"claim {'holds' if holds else 'NOT met'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

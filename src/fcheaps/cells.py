@@ -60,21 +60,34 @@ def reduction_moves(h: Heap) -> list[int]:
     return out
 
 
-def reduce_fully(h: Heap, policy="min") -> Heap:
+def reduce_fully(h: Heap, policy="min", reps: dict | None = None) -> Heap:
     """Iterate reduction moves to a fixed point.
 
     policy picks among available moves: "min", "max", or an integer seed for
     a reproducible random choice.  The result is policy-independent; the
     test suite checks that rather than assuming it.
+
+    reps, when given with a deterministic policy, maps canonical words to
+    the representatives already found: the walk stops at the first heap it
+    holds, and every heap on the walk is added.  This is exact because the
+    moves and the removed element depend only on the heap.
     """
     if not isinstance(policy, int) and policy not in ("min", "max"):
         raise ValueError(f"unknown policy {policy!r}")
     rng = random.Random(policy) if isinstance(policy, int) else None
     cur = h
+    path = []
     for _ in range(len(h) + 1):
+        if reps is not None:
+            key = cur.canonical_word
+            rep = reps.get(key)
+            if rep is not None:
+                break
+            path.append(key)
         moves = reduction_moves(cur)
         if not moves:
-            return cur
+            rep = cur
+            break
         if rng is not None:
             s = rng.choice(moves)
         elif policy == "min":
@@ -82,7 +95,11 @@ def reduce_fully(h: Heap, policy="min") -> Heap:
         else:
             s = moves[-1]
         cur = remove_top(cur, s)
-    raise CellError("reduction failed to terminate within the size bound")
+    else:
+        raise CellError("reduction failed to terminate within the size bound")
+    for key in path:
+        reps[key] = rep
+    return rep
 
 
 def _precedes(h: Heap, p: int, q: int) -> bool:
@@ -234,15 +251,18 @@ def cells_report(n: int, max_length: int) -> dict:
     Audits: every fiber holds at most one involution; fibers lacking one
     occur only on even cycles; each representative passes both
     irreducibility tests.  A fiber reports its least involution by
-    (length, canonical word).
+    (length, canonical word).  Reduction chains share their tails, so a map
+    from canonical word to representative, local to the call, gives each
+    heap met on any chain one reduction move.
     """
     g = build_graph(GroupType("affA", n))
     fibers: dict[tuple[int, ...], dict] = {}
     audit_single = True
     audit_even = True
     audit_irreducible = True
+    reps: dict[tuple[int, ...], Heap] = {}
     for h in walk_fc(g, max_length):
-        rep = reduce_fully(h)
+        rep = reduce_fully(h, reps=reps)
         key = rep.canonical_word
         rec = fibers.get(key)
         if rec is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import islice
 
 import click
 
@@ -34,6 +35,22 @@ def _group_type(family: str, rank: int) -> GroupType:
 
 def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit_json_elements(head: dict, elements) -> None:
+    """_emit_json of head plus an "elements" list of {"length", "word"}
+    records, written a block of records at a time so the listing is never
+    held as one string."""
+    before, after = json.dumps({**head, "elements": []}, indent=2,
+                               sort_keys=True).split('"elements": []', 1)
+    records = (f'    {{\n      "length": {length},\n      "word": {json.dumps(word)}\n    }}'
+               for length, word in elements)
+    sep = "\n"
+    click.echo(before + '"elements": [', nl=False)
+    while block := list(islice(records, 1024)):
+        click.echo(sep + ",\n".join(block), nl=False)
+        sep = ",\n"
+    click.echo(("]" if sep == "\n" else "\n  ]") + after)
 
 
 type_option = click.option("--type", "family", required=True,
@@ -114,12 +131,11 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         except MemoryGuardError as e:
             click.echo(f"Error: {e}; lower --max-length", err=True)
             sys.exit(2)
-        elements = [(length, " ".join(g.names[c] for c in word) or "e")
-                    for length, bucket in enumerate(words) for word in bucket]
+        elements = ((length, " ".join(g.names[c] for c in word) or "e")
+                    for length, bucket in enumerate(words) for word in bucket)
         if fmt == "json":
-            _emit_json({"type": t.family, "rank": t.n, "max_length": max_length,
-                        "filter": mode,
-                        "elements": [{"length": l, "word": w} for l, w in elements]})
+            _emit_json_elements({"type": t.family, "rank": t.n, "max_length": max_length,
+                                 "filter": mode}, elements)
         elif fmt == "csv":
             click.echo("length,word")
             for l, w in elements:

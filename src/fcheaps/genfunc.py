@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .coxeter import GroupType, InvalidGroupError
 from .qpoly import (PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial,
-                    qbinomial_rows, solve_triangular)
+                    qbinomial_column, qbinomial_rows, solve_triangular)
 from .walks import WalkFamilySpec, family_poly
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
@@ -202,14 +202,14 @@ def maj_genfunc_by_descents(n: int, k: int) -> TPoly:
 
     With a_i = q^i [i; k-1], the polynomial is
     q^((k-1)^2 + 1) sum_{i+j <= n-1} a_i a_j, summed as
-    sum_i a_i (a_0 + ... + a_{n-1-i}) over prefix sums of a.
+    sum_i a_i (a_0 + ... + a_{n-1-i}) over prefix sums of a.  The a_i need
+    one column of the q-Pascal triangle, walked down on its own.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     if k == 0:
         return TPoly.one()
-    rows = qbinomial_rows(n - 1)
-    a = [rows[i][k - 1].shift(i) if k - 1 <= i else TPoly.zero() for i in range(n)]
+    a = [c.shift(i) for i, c in enumerate(qbinomial_column(k - 1, n - 1))]
     prefix = list(accumulate(a))
     total = TPoly.zero()
     for i in range(n):

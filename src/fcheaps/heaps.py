@@ -27,11 +27,13 @@ class Heap:
     occurrences from the top down and a bond's chain can be read backward
     without scanning the word.  descents and minima are the labels of the
     maximal and of the minimal elements.  All fields are immutable, so
-    extensions share parent data.
+    extensions share parent data.  The canonical word and the is_self_dual
+    and is_alternating verdicts are computed on first request and kept on
+    the heap, so they live exactly as long as it does.
     """
 
     __slots__ = ("graph", "letters", "below", "layer", "last", "prev",
-                 "descents", "minima", "_canon")
+                 "descents", "minima", "_canon", "_self_dual", "_alternating")
 
     def __init__(self, graph, letters, below, layer, last, prev, descents, minima):
         self.graph = graph
@@ -43,6 +45,8 @@ class Heap:
         self.descents = descents    # labels of maximal elements, frozenset
         self.minima = minima        # labels of minimal elements, frozenset
         self._canon = None
+        self._self_dual = None
+        self._alternating = None
 
     @classmethod
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
@@ -146,6 +150,16 @@ def dual(h: Heap) -> Heap:
 def is_self_dual(h: Heap) -> bool:
     """Order-reversal invariance; for FC heaps this marks the involutions.
 
+    Computed on the first call for a heap and kept on it.
+    """
+    if h._self_dual is None:
+        h._self_dual = _self_dual(h)
+    return h._self_dual
+
+
+def _self_dual(h: Heap) -> bool:
+    """The self-duality test behind is_self_dual.
+
     One backward pass gives each position its co-layer, one plus the longest
     chain strictly above it.  The heap is self-dual iff the (letter, layer)
     pairs and the (letter, co-layer) pairs form the same set.  This is exact:
@@ -241,8 +255,11 @@ def is_alternating(h: Heap) -> bool:
     On fork graphs the two branch generators are first merged into a single
     partner of the joint: an incomparable branch pair counts as one element,
     and all branch elements must form a chain for the merge to make sense.
+    Computed on the first call for a heap and kept on it.
     """
-    return _fork_merged_alternating(h)
+    if h._alternating is None:
+        h._alternating = _fork_merged_alternating(h)
+    return h._alternating
 
 
 def _low_part_alternating(h: Heap, j: int) -> bool:

@@ -401,6 +401,35 @@ def qbinomial_rows(nmax: int) -> list[list[TPoly]]:
     return rows
 
 
+def qbinomial_column(k: int, nmax: int) -> list[TPoly]:
+    """The column [n; k] of the q-Pascal triangle for n = 0..nmax.
+
+    Walks down the column by [n; k] = [n-1; k] (1 - q^n) / (1 - q^(n-k))
+    from [k; k] = 1; the entries above it are zero.  The division is exact:
+    with c = [n-1; k] (1 - q^n) and m = n - k, the quotient d solves
+    d_e = c_e + d_(e-m) for its k (n - k) + 1 coefficients.
+
+    >>> [p.to_text("q") for p in qbinomial_column(2, 4)]
+    ['0', '0', '1', '1 + q + q^2', '1 + q + 2*q^2 + q^3 + q^4']
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    col = [TPoly.zero()] * min(k, nmax + 1)
+    if k > nmax:
+        return col
+    d = [1]
+    col.append(TPoly.one())
+    for n in range(k + 1, nmax + 1):
+        m = n - k
+        prev, d = d, d + [0] * k
+        for e in range(n, len(d)):
+            d[e] -= prev[e - n]
+        for e in range(m, len(d)):
+            d[e] += d[e - m]
+        col.append(TPoly(d))
+    return col
+
+
 def qbinomial(n: int, k: int) -> TPoly:
     """Gaussian binomial coefficient as an exact polynomial; zero outside 0 <= k <= n.
 

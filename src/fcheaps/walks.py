@@ -159,8 +159,9 @@ class WalkFamilySpec:
 def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     """Total weight polynomial of the family, exact up to degree tmax.
 
-    Any counted point above height tmax forces the weight past the cap, so
-    such states are pruned; with the exclude-start weight the (uncounted)
+    A step whose every walk would weigh past the cap is pruned (in
+    particular any counted point above height tmax), so no all-zero
+    polynomial is built; with the exclude-start weight the (uncounted)
     start may still sit at tmax + 1.  The walk polynomial is linear in its
     start, so one pass seeded with every admissible start height sums them
     all; only an end tied to the start needs one pass per start.
@@ -178,26 +179,28 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
 
 def _family_poly_from(starts: list[int], end, spec: WalkFamilySpec, tmax: int) -> TPoly:
     lowest = 1 if spec.strictly_positive else 0
-    # state: (height, touched) -> weight polynomial accumulated so far
-    states = {(h0, h0 == 0): TPoly.one(tmax) if spec.weight == "exclude-start"
-              else TPoly.term(h0, cap=tmax) for h0 in starts}
+    # state: (height, touched) -> (weight polynomial accumulated so far, its
+    # lowest degree); the coefficients count walks, so sums never cancel and
+    # a step to h2 leaves a term below the cap iff low + h2 <= tmax
+    states = {(h0, h0 == 0): (TPoly.one(tmax), 0) if spec.weight == "exclude-start"
+              else (TPoly.term(h0, cap=tmax), h0) for h0 in starts}
     for _ in range(spec.n):
-        nxt: dict[tuple[int, bool], TPoly] = {}
-        for (h, touched), acc in states.items():
+        nxt: dict[tuple[int, bool], tuple[TPoly, int]] = {}
+        for (h, touched), (acc, low) in states.items():
             moves = [h + UP, h + DOWN]
             if spec.allow_horiz and h == 0:
                 moves.append(0)
             for h2 in moves:
-                if h2 < lowest or h2 > tmax:
+                low2 = low + h2
+                if h2 < lowest or low2 > tmax:
                     continue
                 key = (h2, touched or h2 == 0)
                 add = acc.shift(h2).truncate(tmax)
-                if add.is_zero():
-                    continue
-                nxt[key] = nxt.get(key, TPoly.zero(tmax)) + add
+                old = nxt.get(key)
+                nxt[key] = (add, low2) if old is None else (old[0] + add, min(old[1], low2))
         states = nxt
     out = TPoly.zero(tmax)
-    for (h, touched), acc in states.items():
+    for (h, touched), (acc, _low) in states.items():
         if isinstance(end, int):
             if h != end:
                 continue
@@ -222,6 +225,9 @@ SCHEMES = ("linear", "typeA", "typeB", "affineA")
 
 def encode_walk(h: Heap, scheme: str) -> Walk:
     """Walk of an alternating self-dual heap under the named scheme.
+
+    The domain is self-dual alternating heaps, which need not be fully
+    commutative (see decode_walk).
 
     linear:  heights are the per-generator occurrence counts, left to right.
     typeA:   counts padded with a zero at both ends.
@@ -255,17 +261,21 @@ def encode_walk(h: Heap, scheme: str) -> Walk:
 def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
     """Inverse of encode_walk; rejects walks outside the scheme's shape.
 
+    The schemes biject walks with self-dual *alternating* heaps, which need
+    not be fully commutative: on A:4 the linear walk with heights [2, 1, 0]
+    decodes to s1 s2 s1, a braid, so is_reduced_fc rejects it.
+
     The counts must sit on a graph whose bonds are the positional path
     0-1-...-(N-1), closed into a cycle when the graph is cyclic; any other
     graph (a fork) has heaps the counts do not determine.  Along each bond
     the counts differ by one (or both vanish) and the larger chain wraps the
-    smaller: u_k < v_k < u_(k+1) when c_u = c_v + 1.  So copy done[v] + 1
-    of v is minimal among the copies not yet placed once every bonded u has
-    placed done[v] + (c_u > c_v) copies.  Each round of a Cartier-Foata
-    sweep places every such copy at once, in ascending generator order, so
-    the rounds are the heap's layers and the sweep writes the canonical word
-    directly.  A round that places nothing before every copy is placed means
-    the relations form a cycle.
+    smaller: u_k < v_k < u_(k+1) when c_u = c_v + 1.  So listing copy k of
+    every generator whose count exceeds k, for rounds k = 0, 1, ..., each
+    round by falling count (generator order on ties), gives a linear
+    extension of the heap: copy k of v follows copy k-1 of v, copy k of a
+    bonded u with c_u > c_v (earlier in the same round) and copy k-1 of a
+    bonded u with c_u < c_v.  The returned heap's letters are that word, not
+    its canonical word.
     """
     if scheme not in SCHEMES:
         raise EncodingError(f"unknown scheme {scheme!r}")
@@ -302,28 +312,14 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
         cv, cu = counts[v], counts[u]
         if abs(cv - cu) > 1 or (cv == cu and cv != 0):
             raise EncodingError(f"counts {cv},{cu} at bonded pair {v},{u} admit no interleaving")
-    # ahead[v]: (u, d) per bonded u, whose d says whether u's chain wraps v's
-    ahead = [[(u, counts[u] > cv) for u in g.adjacency[v]] for v, cv in enumerate(counts)]
-    live = [v for v, cv in enumerate(counts) if cv]
-    done = [0] * size
+    # by falling count, so round k lists a prefix: the generators with count > k
+    order = sorted(range(size), key=counts.__getitem__, reverse=True)
     word: list[int] = []
-    while True:
-        layer = []
-        for v in live:
-            k = done[v]
-            if k < counts[v]:
-                for u, d in ahead[v]:
-                    if done[u] < k + d:
-                        break
-                else:
-                    layer.append(v)
-        if not layer:
-            break
-        word += layer
-        for v in layer:
-            done[v] += 1
-    if len(word) != sum(counts):
-        raise EncodingError("interleaving relations form a cycle")
+    live = size
+    for k in range(counts[order[0]]):
+        while counts[order[live - 1]] <= k:
+            live -= 1
+        word += order[:live]
     out = Heap.from_word(g, word)
     if count_profile(out) != counts:
         raise EncodingError("decoded heap lost occurrences")

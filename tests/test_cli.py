@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -86,6 +87,33 @@ class TestEnumerate:
         r = run("enumerate", "--type", fam, "--rank", rank, "--max-length", window,
                 flag, "--stream", "--format", "csv")
         assert r.output.splitlines() == ["length,word", *want]
+
+    @pytest.mark.parametrize("fam_rank,flag,window", [
+        *product([("A", "5"), ("B", "4"), ("affA", "4")],
+                 ["--all", "--involutions", "--alternating"], ["0", "7"]),
+        (("A", "8"), "--all", "30")])
+    def test_stream_json_bytes(self, fam_rank, flag, window):
+        # the records are written in blocks (A:8 has 1,430 of them); the
+        # bytes are those of one dump
+        fam, rank = fam_rank
+        g = build_graph(GroupType(fam, int(rank)))
+        payload = {"type": fam, "rank": int(rank), "max_length": int(window),
+                   "filter": flag[2:],
+                   "elements": [{"length": length,
+                                 "word": " ".join(g.names[c] for c in h.canonical_word) or "e"}
+                                for length, h in iter_fc(g, int(window))
+                                if passes_filter(h, flag[2:])]}
+        r = run("enumerate", "--type", fam, "--rank", rank, "--max-length", window,
+                flag, "--stream", "--format", "json")
+        assert r.exit_code == 0
+        assert r.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_stream_json_empty_listing(self, monkeypatch):
+        monkeypatch.setattr("fcheaps.cli.listed_words", lambda g, max_length, mode: [[]])
+        r = run("enumerate", "--type", "A", "--rank", "3", "--max-length", "0",
+                "--stream", "--format", "json")
+        payload = {"type": "A", "rank": 3, "max_length": 0, "filter": "all", "elements": []}
+        assert r.output == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_stream_over_the_cap_exits_two(self, monkeypatch):
         monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", 2)

@@ -11,7 +11,7 @@ import pytest
 
 from fcheaps.genfunc import (SERIES_IDS, _even_shift_tail, length_bound, length_genfunc,
                              maj_genfunc, maj_genfunc_by_descents, solve_series)
-from fcheaps.qpoly import Series, TPoly, qbinomial, qbinomial_rows
+from fcheaps.qpoly import Series, TPoly, qbinomial, qbinomial_column, qbinomial_rows
 
 WINDOWS = [(6, 20), (12, 40), (24, 120)]
 RANKS = range(2, 13)
@@ -152,6 +152,14 @@ def test_qbinomial_rows_match_per_call_sweep():
         assert qbinomial(n, -1) == qbinomial(n, n + 1) == row_qbinomial(n, n + 1)
         for k in range(n + 1):
             assert rows[n][k] == qbinomial(n, k) == row_qbinomial(n, k)
+
+
+def test_qbinomial_column_matches_triangle():
+    rows = qbinomial_rows(30)
+    for n in range(31):
+        for k in range(n + 3):
+            want = [rows[m][k] if k <= m else TPoly.zero() for m in range(n + 1)]
+            assert qbinomial_column(k, n) == want, (n, k)
 
 
 @pytest.mark.parametrize("family", ["A", "B", "D"])

@@ -7,12 +7,14 @@ occurrences of the two bonded letters.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
+from fcheaps import heaps as heaps_mod
 from fcheaps.coxeter import GroupType, build_graph, canonical_form
 from fcheaps.enumerator import iter_fc
-from fcheaps.heaps import Heap, extend, is_self_dual
+from fcheaps.heaps import Heap, extend, is_alternating, is_self_dual
 from fc_oracles import above_masks
 
 GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12),
@@ -150,3 +152,41 @@ def test_prev_threads_each_letter():
     h = Heap.from_word(g, (0, 1, 0, 2, 1, 0))
     assert h.prev == (-1, -1, 0, -1, 1, 2)
     assert h.last == (5, 4, 3)
+
+
+@pytest.mark.parametrize("fam,n,max_length", GROUPS)
+def test_cached_verdicts(fam, n, max_length, monkeypatch):
+    """Each heap keeps its own is_self_dual and is_alternating verdicts: both
+    equal a computation on a new heap of the same word, whichever is asked
+    first, and a second call computes nothing."""
+    g, fc = heaps_of(fam, n, max_length)
+    rng = random.Random(f"verdicts {fam}:{n}")
+    words = [tuple(rng.randrange(g.size) for _ in range(rng.randint(0, 16)))
+             for _ in range(300)]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(heaps_mod, "_self_dual", counted("dual", heaps_mod._self_dual))
+    monkeypatch.setattr(heaps_mod, "_fork_merged_alternating",
+                        counted("alt", heaps_mod._fork_merged_alternating))
+    verdicts = set()
+    for i, h in enumerate(fc + [Heap.from_word(g, w) for w in words]):
+        order = (is_self_dual, is_alternating) if i % 2 else (is_alternating, is_self_dual)
+        got = [f(h) for f in order]
+        before = calls.copy()
+        assert [f(h) for f in order] == got
+        assert calls == before, h
+        fresh = []
+        for f in order:
+            before = calls.copy()
+            fresh.append(f(Heap.from_word(g, h.letters)))
+            assert sum(calls.values()) == sum(before.values()) + 1
+        assert got == fresh, (h, order)
+        verdicts.add(tuple(got))
+    # the two verdicts disagree on some heaps, so a shared slot would show
+    assert any(a != b for a, b in verdicts)

@@ -112,14 +112,31 @@ def _outcome(fn, *args):
         return (type(e).__name__, str(e))
 
 
+def falling_count_rounds(counts):
+    """Copy k of every generator whose count exceeds k, for k = 0, 1, ...,
+    each round by falling count and by generator on ties."""
+    word = []
+    for k in range(max(counts, default=0)):
+        word += sorted((v for v, c in enumerate(counts) if c > k), key=lambda v: -counts[v])
+    return tuple(word)
+
+
+def _fields(h):
+    return (h.letters, h.below, h.layer, h.last, h.prev, h.descents, h.minima)
+
+
 def _same_decoding(w, scheme, g):
+    """Same outcome as the old decoder.  A decoded heap is the same heap: on
+    its canonical word it has the oracle's fields (whose letters are that
+    word), its own fields are those of its letters' heap, and its letters
+    are the round-by-round listing by falling count."""
     new, old = _outcome(decode_walk, w, scheme, g), _outcome(old_decode_walk, w, scheme, g)
     if isinstance(old, Heap):
         assert isinstance(new, Heap), (scheme, w, new)
-        assert (new.letters, new.below, new.layer, new.last, new.prev,
-                new.descents, new.minima) == (old.letters, old.below, old.layer,
-                                              old.last, old.prev, old.descents,
-                                              old.minima), (scheme, w.heights())
+        assert new == old, (scheme, w.heights())
+        assert _fields(Heap.from_word(g, new.canonical_word)) == _fields(old), (scheme, w.heights())
+        assert _fields(new) == _fields(Heap.from_word(g, new.letters)), (scheme, w.heights())
+        assert new.letters == falling_count_rounds(count_profile(old)), (scheme, w.heights())
     else:
         assert new == old, (scheme, w.heights())
 
@@ -136,7 +153,9 @@ class TestDecoderOracle:
                 except EncodingError:
                     continue
                 _same_decoding(w, scheme, g)
-                assert decode_walk(w, scheme, g).letters == h.canonical_word
+                decoded = decode_walk(w, scheme, g)
+                assert decoded.canonical_word == h.canonical_word
+                assert decoded.letters == falling_count_rounds(count_profile(h))
                 checked += 1
         assert checked > 700
 
@@ -364,6 +383,19 @@ class TestReductionOracle:
                 new = reduce_fully(h, policy)
                 assert new.canonical_word == old_reduce_fully(h, policy).canonical_word
 
+    @pytest.mark.parametrize("n,window", CELL_GROUPS)
+    def test_representative_map(self, n, window):
+        """A map shared along the walk gives every heap its own representative,
+        and so does every entry the map collects."""
+        g = build_graph(GroupType("affA", n))
+        reps = {}
+        for h in walk_fc(g, window):
+            got = reduce_fully(h, reps=reps)
+            assert got.canonical_word == old_reduce_fully(h).canonical_word, h
+        assert len(reps) > 0
+        for key, rep in reps.items():
+            assert rep.canonical_word == old_reduce_fully(Heap.from_word(g, key)).canonical_word
+
 
 def old_split_top_bottom(h):
     """The split reading the maximal positions off the above masks."""
@@ -479,11 +511,14 @@ class TestCellsReportOracle:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_fiber_with_several_involutions(self, n, monkeypatch):
         # every heap of length >= 2 lands in the fiber of s0 s1, so that fiber
-        # holds many involutions; the walk meets a longer one before s0 s2
+        # holds many involutions; the walk meets a longer one before s0 s2.
+        # cells_report passes its representative map, which the merged heaps
+        # bypass; the shorter heaps' chains hold only shorter heaps.
         g = build_graph(GroupType("affA", n))
         merged = Heap.from_word(g, (0, 1))
         monkeypatch.setattr(cells, "reduce_fully",
-                            lambda h: reduce_fully(h) if len(h) < 2 else merged)
+                            lambda h, policy="min", reps=None:
+                            reduce_fully(h, policy, reps) if len(h) < 2 else merged)
         new, old = cells_report(n, 8), old_cells_report(n, 8)
         assert _json(new) == _json(old)
         assert new["audits"]["at_most_one_involution_per_fiber"] is False

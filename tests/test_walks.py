@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import GroupType, build_graph
-from fcheaps.heaps import Heap, major_index
+from fcheaps.heaps import Heap, is_alternating, is_reduced_fc, is_self_dual, major_index
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
     family_poly, count_profile, encode_walk, decode_walk,
@@ -155,6 +155,15 @@ class TestEncodeDecode:
         for w in walks:
             with pytest.raises(EncodingError, match="not a path or a cycle"):
                 decode_walk(w, "linear", g)
+
+    def test_domain_is_alternating_not_fc(self):
+        # the schemes biject walks with self-dual alternating heaps, FC or not
+        w = Walk.from_heights([2, 1, 0])
+        h = decode_walk(w, "linear", A4)
+        assert h.canonical_word == (0, 1, 0)
+        assert is_self_dual(h) and is_alternating(h)
+        assert not is_reduced_fc(h)
+        assert encode_walk(h, "linear") == w
 
     def test_affine_round_trip(self):
         g = build_graph(GroupType("affA", 4))
