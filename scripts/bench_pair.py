@@ -17,17 +17,23 @@ neither side) and the medians differ, the change's way, by more than the
 parent's interquartile range.  Nothing is written to either checkout.
 
 setup_s and peak_rss_mib include importing fcheaps, which compiles its
-sources unless a __pycache__ holds them; the script warns when only one
-checkout has such a cache, since the two sides then measure different work.
+sources unless a bytecode cache holds them.  So that both sides do the same
+work whatever __pycache__ the checkouts hold, each side runs with
+PYTHONPYCACHEPREFIX set to a fresh temporary directory of its own (and
+bytecode writing on), filled before the first pair by compileall over src
+and perfbench and by one set-up-only benchmark process, which caches the
+interpreter modules the benchmark imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -74,10 +80,31 @@ def claim_holds(parent: list[float], change: list[float], better: str) -> bool:
     return 10 * wins >= 9 * len(parent) and gain > q3 - q1
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def side_env(cache_dir: Path, base: dict[str, str]) -> dict[str, str]:
+    """The environment of one side's processes: base with bytecode read from
+    and written to cache_dir instead of the checkout."""
+    env = {k: v for k, v in base.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(cache_dir)
+    return env
+
+
+def warm_cache(checkout: Path, workload: str, env: dict[str, str]) -> None:
+    """Compile the checkout's sources, then the modules the benchmark imports,
+    into the side's cache."""
+    for cmd in ([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+                 "--setup-only"]):
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"{checkout}: {' '.join(cmd[1:])} exited {proc.returncode}\n"
+                             f"{proc.stderr}")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             env: dict[str, str]) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"{checkout}: benchmark exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -99,21 +126,22 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     sides = {"parent": args.parent, "change": args.change}
-    cached = {side: any((d / "src").rglob("__pycache__")) for side, d in sides.items()}
-    if len(set(cached.values())) > 1:
-        print(f"warning: bytecode caches under src/ differ ({cached}); setup_s and "
-              "peak_rss_mib compare different work", file=sys.stderr)
-    values: dict[str, dict[str, list[float]]] = {s: {m: [] for m in metrics} for s in sides}
-    failed = {s: 0 for s in sides}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side], args.workload, args.seed + i, spec["run_seconds"])
-            failed[side] += result["failed"] + (not result["correct"])
-            for m in metrics:
-                values[side][m].append(result["metrics"][m]["value"])
-            print(f"pair {i} {side}: " + " ".join(f"{m}={values[side][m][-1]:.4g}"
-                                                   for m in metrics), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
+        envs = {side: side_env(Path(tmp) / side, os.environ) for side in sides}
+        for side in sides:
+            warm_cache(sides[side], args.workload, envs[side])
+        values: dict[str, dict[str, list[float]]] = {s: {m: [] for m in metrics} for s in sides}
+        failed = {s: 0 for s in sides}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side], args.workload, args.seed + i,
+                                  spec["run_seconds"], envs[side])
+                failed[side] += result["failed"] + (not result["correct"])
+                for m in metrics:
+                    values[side][m].append(result["metrics"][m]["value"])
+                print(f"pair {i} {side}: " + " ".join(f"{m}={values[side][m][-1]:.4g}"
+                                                       for m in metrics), flush=True)
     print(f"failed or incorrect: parent {failed['parent']}, change {failed['change']}")
     for m, meta in metrics.items():
         p, c = values["parent"][m], values["change"][m]

@@ -102,10 +102,6 @@ def reduce_fully(h: Heap, policy="min", reps: dict | None = None) -> Heap:
     return rep
 
 
-def _precedes(h: Heap, p: int, q: int) -> bool:
-    return bool((h.below[q] >> p) & 1)
-
-
 def _cyclic_runs(support: set[int], n: int) -> list[list[int]]:
     """Maximal runs of consecutive supported labels around the cycle."""
     if len(support) == n:
@@ -126,6 +122,16 @@ def _cyclic_runs(support: set[int], n: int) -> list[list[int]]:
     return runs
 
 
+def _zigzag(h: Heap, tops: dict[int, int], labels) -> bool:
+    """Whether the tops of consecutive labels zigzag: the first label's top
+    lies above the second's, the second's below the third's, and so on."""
+    for j, (a, b) in enumerate(zip(labels, labels[1:])):
+        low, high = (tops[b], tops[a]) if j % 2 == 0 else (tops[a], tops[b])
+        if not (h.below[high] >> low) & 1:
+            return False
+    return True
+
+
 def is_irreducible_structural(h: Heap) -> bool:
     """Shape test for irreducibility, independent of the move search.
 
@@ -138,34 +144,9 @@ def is_irreducible_structural(h: Heap) -> bool:
     support = set(h.letters)
     tops = {s: h.last[s] for s in support}
     if len(support) == n:
-        if n % 2:
-            return False
-        for phase in (0, 1):
-            ok = True
-            for j in range(n):
-                a, b = (phase + j) % n, (phase + j + 1) % n
-                if j % 2 == 0:
-                    good = _precedes(h, tops[b], tops[a])
-                else:
-                    good = _precedes(h, tops[a], tops[b])
-                if not good:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-    for run in _cyclic_runs(support, n):
-        if len(run) % 2 == 0:
-            return False
-        for j in range(len(run) - 1):
-            a, b = run[j], run[j + 1]
-            if j % 2 == 0:
-                good = _precedes(h, tops[b], tops[a])
-            else:
-                good = _precedes(h, tops[a], tops[b])
-            if not good:
-                return False
-    return True
+        return n % 2 == 0 and any(
+            _zigzag(h, tops, [(phase + j) % n for j in range(n + 1)]) for phase in (0, 1))
+    return all(len(run) % 2 and _zigzag(h, tops, run) for run in _cyclic_runs(support, n))
 
 
 @dataclass(frozen=True)
@@ -179,11 +160,14 @@ class TopBottomSplit:
     bottom_word: tuple[int, ...]
     factor_count: int | None
 
-    @property
-    def factor_parity(self) -> str | None:
-        if self.factor_count is None:
-            return None
-        return "even" if self.factor_count % 2 == 0 else "odd"
+
+def _peel_maxima(g: CoxeterGraph, word) -> tuple[frozenset[int], list[int], list[int]]:
+    """The labels of the maximal elements of the word's heap, their letters
+    in word order, and the word with them removed."""
+    hh = Heap.from_word(g, word)
+    maxima = {hh.last[s] for s in hh.descents}
+    return (hh.descents, [c for p, c in enumerate(word) if p in maxima],
+            [c for p, c in enumerate(word) if p not in maxima])
 
 
 def split_top_bottom(h: Heap) -> TopBottomSplit:
@@ -197,30 +181,22 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     if not is_irreducible_structural(h):
         raise CellError("top/bottom split needs an irreducible heap")
     word = h.canonical_word
-    support = set(h.letters)
-    if len(support) != n:
-        hh = Heap.from_word(h.graph, word)
-        maxima = sorted(hh.last[s] for s in hh.descents)
-        top = tuple(word[p] for p in maxima)
-        bottom = tuple(c for p, c in enumerate(word) if p not in maxima)
-        return TopBottomSplit(top, bottom, None)
+    if len(set(word)) != n:
+        _labels, top, bottom = _peel_maxima(h.graph, word)
+        return TopBottomSplit(tuple(top), tuple(bottom), None)
     classes = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
     remaining = list(word)
     top: list[int] = []
     prev: frozenset[int] | None = None
     count = 0
     while remaining:
-        hh = Heap.from_word(h.graph, remaining)
-        maxima = sorted(hh.last[s] for s in hh.descents)
-        labels = hh.descents
-        if labels not in classes or len(maxima) != n // 2:
-            break
-        if prev is not None and labels == prev:
+        labels, layer, rest = _peel_maxima(h.graph, remaining)
+        if labels not in classes or labels == prev:
             break
         prev = labels
         count += 1
-        top.extend(remaining[p] for p in maxima)
-        remaining = [c for p, c in enumerate(remaining) if p not in set(maxima)]
+        top.extend(layer)
+        remaining = rest
     if count == 0:
         raise CellError("full-support irreducible heap peeled no parity layer")
     return TopBottomSplit(tuple(top), tuple(remaining), count)

@@ -15,8 +15,6 @@ FAMILIES = ("A", "B", "D", "affA", "affC", "affB", "affD")
 # minimal rank parameter per family; A:1 is the trivial one-point group
 _MIN_RANK = {"A": 1, "B": 2, "D": 2, "affA": 3, "affC": 2, "affB": 2, "affD": 2}
 
-FINITE_FAMILIES = ("A", "B", "D")
-
 
 class InvalidGroupError(ValueError):
     """Family/rank combination outside the supported table."""
@@ -213,32 +211,6 @@ def canonical_form(word, g: CoxeterGraph) -> tuple[int, ...]:
         last_layer[c] = lay
     order = sorted(range(len(w)), key=lambda p: (layers[p], w[p]))
     return tuple(w[p] for p in order)
-
-
-class CommutationClassOverflow(RuntimeError):
-    """The commutation class exceeded the requested cap."""
-
-
-def commutation_class(word, g: CoxeterGraph, cap: int = 10**6) -> set[tuple[int, ...]]:
-    """All words reachable by swapping adjacent commuting letters.
-
-    Raises CommutationClassOverflow if more than ``cap`` words appear.
-    """
-    w = check_word(word, g)
-    seen = {w}
-    stack = [w]
-    while stack:
-        cur = stack.pop()
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            if a != b and g.m[a][b] == 2:
-                nxt = cur[:i] + (b, a) + cur[i + 2:]
-                if nxt not in seen:
-                    if len(seen) >= cap:
-                        raise CommutationClassOverflow(f"commutation class larger than {cap}")
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return seen
 
 
 def realize_permutation(word, g: CoxeterGraph) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .coxeter import GroupType, InvalidGroupError
 from .qpoly import (PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial,
-                    qbinomial_column, qbinomial_rows, solve_triangular)
+                    qbinomial_column, solve_triangular)
 from .walks import WalkFamilySpec, family_poly
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
@@ -158,38 +158,50 @@ def card_involutions(family: str, n: int) -> int:
     raise InvalidGroupError(f"cardinality formula is for the finite families, not {family}")
 
 
+def _galois_numbers(mmax: int) -> list[TPoly]:
+    """G_m = sum_k [m; k] for m = 0..mmax, by the Goldman-Rota recurrence
+    G_(m+1) = 2 G_m + (q^m - 1) G_(m-1) from G_0 = 1, G_1 = 2."""
+    g = [TPoly.one(), TPoly([2])]
+    for m in range(1, mmax):
+        g.append(g[m].scale(2) + g[m - 1].shift(m) - g[m - 1])
+    return g[:mmax + 1]
+
+
 def maj_genfunc(family: str, n: int) -> TPoly:
-    """Major index polynomial of the involutions (finite families)."""
+    """Major index polynomial of the involutions (finite families).
+
+    The B and D sums run over the Galois numbers G_(h-1), the row sums of
+    the q-Pascal triangle, read from their Goldman-Rota recurrence, so no
+    triangle is built.  The odd-D column [m; (n-1)/2] comes from one
+    q-binomial column and the central entries from qbinomial.
+    """
     GroupType(family, n)
     if family == "A":
         return qbinomial(n, n // 2)
-    rows = qbinomial_rows(n + 1)
-
-    def layer(h: int) -> TPoly:
-        """Sum over i of the q-binomials [h-1; i] for i = 0..h-1."""
-        return sum(rows[h - 1], TPoly.zero())
-
+    galois = _galois_numbers(n - 1)
     if family == "B":
-        total = rows[n][n // 2]
+        total = qbinomial(n, n // 2)
         for h in range(1, n + 1):
-            total = total + layer(h).shift(h)
+            total = total + galois[h - 1].shift(h)
         return total.assert_nonnegative()
     if family == "D":
         p = TPoly.zero()
         for h in range(1, n):
-            p = p + layer(h).shift(h)
+            p = p + galois[h - 1].shift(h)
         bridge = TPoly([0] * n + [1, 1])    # q^n (1 + q)
         if n % 2 == 0:
-            p = p + (bridge * layer(n)).halve()
+            p = p + (bridge * galois[n - 1]).halve()
+            mid = qbinomial(n - 1, (n - 1) // 2)
         else:
             k = (n - 1) // 2
+            col = qbinomial_column(k, n - 1)
             for h in range(1, k + 1):
-                p = p + rows[n - h - 1][k].shift(n - h)
+                p = p + col[n - h - 1].shift(n - h)
             # the central column pairs with itself, keeping the half integral
-            p = p + (bridge * (layer(n) + rows[n - 1][k])).halve()
-        mid = rows[n - 1][(n - 1) // 2]
+            p = p + (bridge * (galois[n - 1] + col[n - 1])).halve()
+            mid = col[n - 1]
         total = p + TPoly.term(2 * n + 1) * mid - TPoly.term(n) * mid \
-            + rows[n + 1][(n + 1) // 2]
+            + qbinomial(n + 1, (n + 1) // 2)
         return total.assert_nonnegative()
     raise InvalidGroupError(f"major index is for the finite families, not {family}")
 

@@ -276,7 +276,7 @@ def _low_part_alternating(h: Heap, j: int) -> bool:
         cand = Heap.from_word(g, trimmed)
         if not (is_self_dual(cand) and _edge_chains_alternate(g, cand.letters)):
             continue
-        if any(_path_peak_at(cand, j2, j - 1) for j2 in range(1, j)):
+        if any(_peak_at(cand, j2, j - 1, j - 2) for j2 in range(1, j)):
             continue
         return True
     return False
@@ -290,9 +290,10 @@ def _chain_condition(h: Heap, j: int) -> bool:
     return seq in ((j - 1, j - 1), (j - 2, j - 1, j - 1, j - 2))
 
 
-def _path_peak_at(h: Heap, j: int, top: int) -> bool:
-    """Peak test at index j for the path on label positions 0..top."""
-    template = tuple(range(j - 1, top + 1)) + tuple(range(top - 1, j - 2, -1))
+def _peak_at(h: Heap, j: int, top: int, turn: int) -> bool:
+    """Peak test at index j: the labels j-1..top climb to top and come back
+    down from turn, then the chain and low-part conditions hold."""
+    template = tuple(range(j - 1, top + 1)) + tuple(range(turn, j - 2, -1))
     sub = h.restrict_word(range(j - 1, top + 1))
     if canonical_form(sub, h.graph) != canonical_form(template, h.graph):
         return False
@@ -301,15 +302,8 @@ def _path_peak_at(h: Heap, j: int, top: int) -> bool:
 
 def _right_peak_at(h: Heap, j: int) -> bool:
     """Peak test at index j (1-based generator subscript), families B and D."""
-    g = h.graph
-    n = g.group.n
-    if g.group.family == "B":
-        return _path_peak_at(h, j, n - 1)
-    high = range(j - 1, n + 1)
-    template = tuple(range(j - 1, n + 1)) + tuple(range(n - 2, j - 2, -1))
-    if canonical_form(h.restrict_word(high), g) != canonical_form(template, g):
-        return False
-    return _chain_condition(h, j) and _low_part_alternating(h, j)
+    n = h.graph.group.n
+    return _peak_at(h, j, n - 1 if h.graph.group.family == "B" else n, n - 2)
 
 
 @dataclass(frozen=True)

@@ -142,19 +142,6 @@ class TPoly:
             return self
         return _tpoly(list(self.coeffs), new)
 
-    def dilate(self, r: int) -> "TPoly":
-        """Substitute the variable by its r-th power."""
-        if r < 1:
-            raise ValueError("dilation factor must be >= 1")
-        cs = [0] * (r * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            cs[r * i] = c
-        cap = None if self.cap is None else self.cap  # cap bounds known degrees, not dilated ones
-        if self.cap is not None:
-            # knowledge up to cap maps to knowledge up to r*cap + r - 1
-            cap = r * self.cap + r - 1
-        return TPoly(cs, cap)
-
     def halve(self) -> "TPoly":
         """Exact division by 2; raises if any coefficient is odd."""
         for i, c in enumerate(self.coeffs):
@@ -218,10 +205,6 @@ class TPoly:
             out["truncated_at"] = self.cap
         return out
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TPoly":
-        return cls((int(c) for c in d["coeffs"]), d.get("truncated_at"))
-
     def __repr__(self) -> str:
         body = self.to_text()
         return f"TPoly({body!r}, cap={self.cap})" if self.cap is not None else f"TPoly({body!r})"
@@ -273,13 +256,6 @@ class Series:
     def one(cls, xmax: int, tmax: int) -> "Series":
         s = cls(xmax, tmax)
         s.coeffs[0] = TPoly.one(tmax)
-        return s
-
-    @classmethod
-    def x_power(cls, k: int, xmax: int, tmax: int, coeff: TPoly | None = None) -> "Series":
-        s = cls(xmax, tmax)
-        if k <= xmax:
-            s.coeffs[k] = (coeff if coeff is not None else TPoly.one()).truncate(tmax)
         return s
 
     def __getitem__(self, k: int) -> TPoly:
@@ -381,26 +357,6 @@ def solve_triangular(seed: Sequence[TPoly], known: Sequence[TPoly] | None, r: in
     return u
 
 
-def qbinomial_rows(nmax: int) -> list[list[TPoly]]:
-    """The q-Pascal triangle: rows[n][k] is the Gaussian binomial [n; k].
-
-    Built from the division-free recurrence [n;k] = [n-1;k-1] + q^k [n-1;k],
-    one addition per entry.
-
-    >>> [p.to_text("q") for p in qbinomial_rows(3)[3]]
-    ['1', '1 + q + q^2', '1 + q + q^2', '1']
-    """
-    rows = [[TPoly.one()]]
-    for n in range(1, nmax + 1):
-        prev = rows[-1]
-        row = [TPoly.one()]
-        for k in range(1, n):
-            row.append(prev[k - 1] + prev[k].shift(k))
-        row.append(TPoly.one())
-        rows.append(row)
-    return rows
-
-
 def qbinomial_column(k: int, nmax: int) -> list[TPoly]:
     """The column [n; k] of the q-Pascal triangle for n = 0..nmax.
 
@@ -438,7 +394,7 @@ def qbinomial(n: int, k: int) -> TPoly:
     """
     if k < 0 or k > n:
         return TPoly.zero()
-    return qbinomial_rows(n)[n][k]
+    return qbinomial_column(k, n)[n]
 
 
 @dataclass(frozen=True)

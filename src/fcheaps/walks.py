@@ -201,10 +201,7 @@ def _family_poly_from(starts: list[int], end, spec: WalkFamilySpec, tmax: int) -
         states = nxt
     out = TPoly.zero(tmax)
     for (h, touched), (acc, _low) in states.items():
-        if isinstance(end, int):
-            if h != end:
-                continue
-        elif not _height_ok(h, end):
+        if not _height_ok(h, end):
             continue
         if spec.require_touch and not touched:
             continue

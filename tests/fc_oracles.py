@@ -1,8 +1,12 @@
-"""The full commutativity test that the library replaced by a fold of extend.
+"""Test-only oracles for the full commutativity layer.
 
-It shares no code with extend or the normal-form walk, so the tests that
-check those use it as their reference.
+scan_is_reduced_fc is the full commutativity test that the library replaced
+by a fold of extend; commutation_class lists a word's commutation class by
+brute force.  Neither shares code with extend, the normal-form walk or
+canonical_form, so the tests that check those use them as their reference.
 """
+
+from fcheaps.coxeter import check_word
 
 
 def above_masks(h):
@@ -57,3 +61,29 @@ def scan_is_reduced_fc(h):
             if between & ~interior == 0:
                 return False
     return True
+
+
+class CommutationClassOverflow(RuntimeError):
+    """The commutation class exceeded the requested cap."""
+
+
+def commutation_class(word, g, cap: int = 10**6) -> set[tuple[int, ...]]:
+    """All words reachable by swapping adjacent commuting letters.
+
+    Raises CommutationClassOverflow if more than ``cap`` words appear.
+    """
+    w = check_word(word, g)
+    seen = {w}
+    stack = [w]
+    while stack:
+        cur = stack.pop()
+        for i in range(len(cur) - 1):
+            a, b = cur[i], cur[i + 1]
+            if a != b and g.m[a][b] == 2:
+                nxt = cur[:i] + (b, a) + cur[i + 2:]
+                if nxt not in seen:
+                    if len(seen) >= cap:
+                        raise CommutationClassOverflow(f"commutation class larger than {cap}")
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen

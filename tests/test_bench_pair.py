@@ -1,6 +1,10 @@
-"""The decision rules of scripts/bench_pair.py, on made-up run values."""
+"""The decision rules of scripts/bench_pair.py, on made-up run values, and
+the environment its benchmark processes run in."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,39 @@ def test_claim_needs_medians_apart_by_the_parent_iqr():
     assert bench_pair.pair_wins(PARENT, change, "lower") == (10, 0)
     assert not bench_pair.claim_holds(PARENT, change, "lower")
     assert not bench_pair.claim_holds(PARENT, change, "higher")
+
+
+def test_side_env_moves_bytecode_to_the_cache_dir(tmp_path):
+    base = {"PATH": "/bin", "PYTHONPATH": "lib", "PYTHONDONTWRITEBYTECODE": "1"}
+    env = bench_pair.side_env(tmp_path / "parent", base)
+    assert env == {"PATH": "/bin", "PYTHONPATH": "lib",
+                   "PYTHONPYCACHEPREFIX": str(tmp_path / "parent")}
+    assert base["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_side_env_writes_nothing_to_the_checkout(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    (checkout / "src" / "mod.py").write_text("X = 1\n")
+    env = bench_pair.side_env(tmp_path / "cache", os.environ)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=checkout, env=env,
+                   check=True)
+    assert not list(checkout.rglob("__pycache__"))
+    assert list((tmp_path / "cache").rglob("mod.*.pyc"))
+
+
+def test_warm_cache_compiles_then_imports_in_the_side_env(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **_kw):
+        calls.append((cmd[1:], cwd, env))
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    env = bench_pair.side_env(tmp_path / "cache", {})
+    bench_pair.warm_cache(tmp_path, "verify", env)
+    assert [c[0] for c in calls] == [
+        ["-m", "compileall", "-q", "src", "perfbench"],
+        ["perfbench/run.py", "--workload", "verify", "--seed", "0", "--setup-only"],
+    ]
+    assert all(cwd == tmp_path and e is env for _cmd, cwd, e in calls)

@@ -1,6 +1,7 @@
 import pytest
 
 from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.enumerator import walk_fc
 from fcheaps.heaps import Heap, is_self_dual
 from fcheaps.cells import (
     CellError, remove_top, reduction_moves, reduce_fully,
@@ -11,6 +12,7 @@ from fc_oracles import scan_is_reduced_fc
 C3 = build_graph(GroupType("affA", 3))
 C4 = build_graph(GroupType("affA", 4))
 C5 = build_graph(GroupType("affA", 5))
+C6 = build_graph(GroupType("affA", 6))
 
 
 def heap(g, *word):
@@ -55,10 +57,11 @@ class TestReduceFully:
         h = heap(C4, 0, 2, 1, 3)
         assert reduce_fully(h) == h
 
-    def test_policies_agree_on_small_range(self):
-        for _l, h in __import__("fcheaps.enumerator", fromlist=["iter_fc"]).iter_fc(C4, 6):
+    @pytest.mark.parametrize("g,max_length", [(C4, 6), (C6, 9)], ids=["affA4-L6", "affA6-L9"])
+    def test_policies_agree_on_small_range(self, g, max_length):
+        for h in walk_fc(g, max_length):
             reps = {reduce_fully(h, p).canonical_word for p in ("min", "max", 0, 1, 2)}
-            assert len(reps) == 1
+            assert len(reps) == 1, h
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

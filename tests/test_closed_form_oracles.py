@@ -2,19 +2,20 @@
 
 The oracles are the earlier implementations, kept here as test-only code:
 the fixed-point series solver, the geometric inverse by repeated series
-products, and q-binomials rebuilt per call and summed term by term.  The
-one-pass versions in ``fcheaps`` must agree with them exactly (coefficients
-and truncation caps).
+products, the q-Pascal triangle, and q-binomials rebuilt per call and summed
+term by term.  The one-pass versions in ``fcheaps`` must agree with them
+exactly (coefficients and truncation caps).
 """
 
 import pytest
 
-from fcheaps.genfunc import (SERIES_IDS, _even_shift_tail, length_bound, length_genfunc,
-                             maj_genfunc, maj_genfunc_by_descents, solve_series)
-from fcheaps.qpoly import Series, TPoly, qbinomial, qbinomial_column, qbinomial_rows
+from fcheaps.genfunc import (SERIES_IDS, _even_shift_tail, _galois_numbers, length_bound,
+                             length_genfunc, maj_genfunc, maj_genfunc_by_descents, solve_series)
+from fcheaps.qpoly import Series, TPoly, qbinomial, qbinomial_column
 
 WINDOWS = [(6, 20), (12, 40), (24, 120)]
 RANKS = range(2, 13)
+MAJ_RANKS = range(2, 26)
 
 
 def iterated_geom(s: Series) -> Series:
@@ -59,6 +60,17 @@ def fixed_point_series(series_id: str, xmax: int, tmax: int) -> Series:
         qo = qo_rhs(qo)
     assert qo == qo_rhs(qo)
     return qo
+
+
+def qbinomial_rows(nmax: int) -> list[list[TPoly]]:
+    """The q-Pascal triangle: rows[n][k] is [n; k], one addition per entry
+    by [n; k] = [n-1; k-1] + q^k [n-1; k]."""
+    rows = [[TPoly.one()]]
+    for n in range(1, nmax + 1):
+        prev = rows[-1]
+        rows.append([TPoly.one()] + [prev[k - 1] + prev[k].shift(k) for k in range(1, n)]
+                    + [TPoly.one()])
+    return rows
 
 
 def row_qbinomial(n: int, k: int) -> TPoly:
@@ -146,9 +158,9 @@ def test_geom_matches_iterated_products(xmax, tmax):
 
 
 def test_qbinomial_rows_match_per_call_sweep():
-    rows = qbinomial_rows(20)
-    assert [len(r) for r in rows] == list(range(1, 22))
-    for n in range(21):
+    rows = qbinomial_rows(30)
+    assert [len(r) for r in rows] == list(range(1, 32))
+    for n in range(31):
         assert qbinomial(n, -1) == qbinomial(n, n + 1) == row_qbinomial(n, n + 1)
         for k in range(n + 1):
             assert rows[n][k] == qbinomial(n, k) == row_qbinomial(n, k)
@@ -162,6 +174,12 @@ def test_qbinomial_column_matches_triangle():
             assert qbinomial_column(k, n) == want, (n, k)
 
 
+def test_galois_numbers_are_triangle_row_sums():
+    rows = qbinomial_rows(30)
+    assert _galois_numbers(30) == [sum(row, TPoly.zero()) for row in rows]
+    assert _galois_numbers(0) == [TPoly.one()]
+
+
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 def test_length_genfunc_matches_full_products(family):
     for n in RANKS:
@@ -170,7 +188,7 @@ def test_length_genfunc_matches_full_products(family):
 
 @pytest.mark.parametrize("family", ["A", "B", "D"])
 def test_maj_genfunc_matches_per_call_sums(family):
-    for n in RANKS:
+    for n in MAJ_RANKS:
         assert maj_genfunc(family, n) == oracle_maj_genfunc(family, n), n
 
 

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fcheaps.coxeter import (
-    GroupType, CoxeterGraph, InvalidGroupError, CommutationClassOverflow,
-    normalize_family, build_graph, check_word, canonical_form,
-    commutation_class, realize_permutation,
+    FAMILIES, _MIN_RANK, GroupType, CoxeterGraph, InvalidGroupError,
+    normalize_family, build_graph, check_word, canonical_form, realize_permutation,
 )
+from fc_oracles import CommutationClassOverflow, commutation_class
 
 
 def test_normalize_family_is_case_insensitive():
@@ -85,6 +85,17 @@ class TestGraphLayouts:
             g.index_of("s9")
 
 
+@st.composite
+def group_words(draw):
+    """A group of any family at its minimal rank plus 0..3, and a word of at
+    most 8 letters over its generators (A:1 has none)."""
+    fam = draw(st.sampled_from(FAMILIES))
+    g = build_graph(GroupType(fam, _MIN_RANK[fam] + draw(st.integers(0, 3))))
+    if not g.size:
+        return g, ()
+    return g, tuple(draw(st.lists(st.integers(0, g.size - 1), max_size=8)))
+
+
 class TestCanonicalForm:
     def test_commuting_swap_is_invisible(self):
         g = build_graph(GroupType("A", 4))
@@ -98,11 +109,12 @@ class TestCanonicalForm:
         g = build_graph(GroupType("A", 5))
         assert canonical_form((3, 0, 1), g) == (0, 3, 1)
 
-    def test_invariant_on_whole_commutation_class(self):
-        g = build_graph(GroupType("A", 5))
-        w = (1, 0, 2, 1, 3)
+    @given(group_words())
+    @example((build_graph(GroupType("A", 5)), (1, 0, 2, 1, 3)))
+    def test_invariant_on_whole_commutation_class(self, group_word):
+        g, w = group_word
         cls = commutation_class(w, g)
-        assert len({canonical_form(u, g) for u in cls}) == 1
+        assert {canonical_form(u, g) for u in cls} == {canonical_form(w, g)}
         assert canonical_form(w, g) in cls
 
     def test_rejects_bad_letters(self):

@@ -10,10 +10,9 @@ from fcheaps.enumerator import (
     iter_fc, walk_fc, enumerate_fc, length_profile, maj_profile,
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
-from fcheaps.coxeter import commutation_class
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
-from fc_oracles import scan_is_reduced_fc
+from fc_oracles import commutation_class, scan_is_reduced_fc
 from profiles import descent_profiles, filtered_heaps
 
 A4 = build_graph(GroupType("A", 4))

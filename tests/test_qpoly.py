@@ -39,9 +39,6 @@ class TestTPoly:
         assert a.scale(3).coeffs == (3, 3)
         assert a.shift(2).coeffs == (0, 0, 1, 1)
 
-    def test_dilate(self):
-        assert TPoly([1, 2, 3]).dilate(2).coeffs == (1, 0, 2, 0, 3)
-
     def test_halve_exact(self):
         assert TPoly([2, 4]).halve().coeffs == (1, 2)
         with pytest.raises(ValueError):
@@ -52,9 +49,10 @@ class TestTPoly:
         assert p(1) == 4
         assert p(3) == 16
 
-    def test_text_round_trip_json(self):
+    def test_to_json_dict(self):
         p = TPoly([1, 0, 5], cap=7)
-        assert TPoly.from_json_dict(p.to_json_dict()) == p
+        assert p.to_json_dict() == {"var": "t", "coeffs": ["1", "0", "5"], "truncated_at": 7}
+        assert TPoly([2]).to_json_dict("q") == {"var": "q", "coeffs": ["2"]}
 
     def test_to_text(self):
         assert TPoly([1, 1, 0, 2]).to_text("q") == "1 + q + 2*q^3"
