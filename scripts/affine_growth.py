@@ -12,8 +12,9 @@ should repeat with the printed period.
 import argparse
 
 from fcheaps.coxeter import GroupType, build_graph
-from fcheaps.enumerator import AFFINE_DEFAULT_WINDOW, length_profile
+from fcheaps.enumerator import AFFINE_DEFAULT_WINDOW, enumerate_fc
 from fcheaps.genfunc import affine_periodic_part, reconcile
+from fcheaps.qpoly import TPoly
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
     t = GroupType(args.family, args.rank)
     window = args.max_length or AFFINE_DEFAULT_WINDOW[args.family]
     g = build_graph(t)
-    counts = length_profile(g, window)
+    counts = TPoly(enumerate_fc(g, window, "involutions"), window)
     part, declared = affine_periodic_part(args.family, args.rank, window)
     remainder, report = reconcile(counts, part, declared)
 

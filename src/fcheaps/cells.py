@@ -187,13 +187,18 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     classes = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
     remaining = list(word)
     top: list[int] = []
-    prev: frozenset[int] | None = None
     count = 0
+    # A peeled class C never comes right back: on the cycle (two neighbours
+    # each, every m = 3) an FC heap has exactly one copy of each neighbour
+    # between consecutive copies of a generator (fewer leave a short braid
+    # convex, Stembridge 1996; two of one neighbour nest around the cycle
+    # back to the generator).  A copy of u in C left above the last copy of
+    # a neighbour v outside C would follow a peeled u with no v between, so
+    # v keeps a maximal top and the next layer is not C.
     while remaining:
         labels, layer, rest = _peel_maxima(h.graph, remaining)
-        if labels not in classes or labels == prev:
+        if labels not in classes:
             break
-        prev = labels
         count += 1
         top.extend(layer)
         remaining = rest

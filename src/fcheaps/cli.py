@@ -283,6 +283,8 @@ def walks_family(length: int, no_horiz: bool, touch: bool, start: str, end: str,
 def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str) -> None:
     """Check enumerated counts against every closed form for the group."""
     t = _group_type(family, rank)
+    if max_length is not None and not t.is_affine:
+        raise click.UsageError("--max-length applies to affine families only")
     if max_length is not None and max_length < 4:
         raise click.UsageError("--max-length must be >= 4")
     try:

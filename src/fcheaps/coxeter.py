@@ -88,15 +88,6 @@ class CoxeterGraph:
         """(i, j, m) with i < j over all bonds."""
         return list(self.bonds)
 
-    def name_of(self, i: int) -> str:
-        return self.names[i]
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise InvalidGroupError(f"no generator named {name!r}") from None
-
 
 def _sym_matrix(size: int, bonds: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
     m = [[2] * size for _ in range(size)]

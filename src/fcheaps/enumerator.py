@@ -83,31 +83,29 @@ def walk_fc(g: CoxeterGraph, max_length: int | None):
                 later = last[s]
 
 
-def _by_length(pairs, layer_cap: int) -> list[list]:
+def _by_length(pairs) -> list[list]:
     """The items of (length, item) pairs bucketed by length; MemoryGuardError
-    as soon as one length holds more than layer_cap items."""
+    as soon as one length holds more than LAYER_CAP items (read per call)."""
     buckets: list[list] = []
     for length, item in pairs:
         while len(buckets) <= length:
             buckets.append([])
         bucket = buckets[length]
-        if len(bucket) >= layer_cap:
-            raise MemoryGuardError(f"length {length} exceeds {layer_cap} heaps")
+        if len(bucket) >= LAYER_CAP:
+            raise MemoryGuardError(f"length {length} exceeds {LAYER_CAP} heaps")
         bucket.append(item)
     return buckets
 
 
-def iter_fc(g: CoxeterGraph, max_length: int | None,
-            layer_cap: int = LAYER_CAP):
+def iter_fc(g: CoxeterGraph, max_length: int | None):
     """Yield (length, heap) for every reduced FC heap, lengths ascending and
     canonical words sorted within a length.
 
     The heaps of walk_fc, bucketed by length, so every heap up to max_length
     is held before the first is yielded; MemoryGuardError, raised during the
-    walk, when a length holds more than layer_cap heaps.
+    walk, when a length holds more than LAYER_CAP heaps.
     """
-    buckets = _by_length(((len(h.letters), h) for h in walk_fc(g, max_length)),
-                         layer_cap)
+    buckets = _by_length((len(h.letters), h) for h in walk_fc(g, max_length))
     for length, bucket in enumerate(buckets):
         bucket.sort(key=lambda h: h.canonical_word)
         for h in bucket:
@@ -120,9 +118,8 @@ def listed_words(g: CoxeterGraph, max_length: int, mode: str) -> list[list[tuple
     Heaps are filtered during the walk and only their words are kept, so at
     most LAYER_CAP words per length; MemoryGuardError beyond that.
     """
-    buckets = _by_length(((len(h.letters), h.canonical_word)
-                          for h in walk_fc(g, max_length) if passes_filter(h, mode)),
-                         LAYER_CAP)
+    buckets = _by_length((len(h.letters), h.canonical_word)
+                         for h in walk_fc(g, max_length) if passes_filter(h, mode))
     for bucket in buckets:
         bucket.sort()
     return buckets
@@ -145,12 +142,6 @@ def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all") -> 
     if max_length is not None:
         counts.extend([0] * (max_length + 1 - len(counts)))
     return counts
-
-
-def length_profile(g: CoxeterGraph, max_length: int | None,
-                   mode: str = "involutions") -> TPoly:
-    """Counts-by-length as a polynomial; capped at max_length when given."""
-    return TPoly(enumerate_fc(g, max_length, mode), max_length)
 
 
 def _bump(counts: list[int], k: int) -> None:

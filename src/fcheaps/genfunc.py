@@ -91,7 +91,7 @@ def _even_shift_tail(xmax: int, tmax: int, x_offset: int) -> Series:
 
     x_offset 1 gives x t^2 / (1 - x t^2)   (terms x^k t^{2k}, k >= 1);
     x_offset 2 gives x^2 t^3 / (1 - x t^2) (terms x^{k+1} t^{2k+1})."""
-    s = Series.zero(xmax, tmax)
+    s = Series(xmax, tmax)
     for k in range(1, xmax + 1):
         xp = k + x_offset - 1
         tp = 2 * k + x_offset - 1
@@ -120,13 +120,11 @@ def _x_coeff(a: Series, b: Series, k: int) -> TPoly:
     return total
 
 
-def length_genfunc(family: str, n: int, tmax: int | None = None) -> TPoly:
-    """Length polynomial of the involutions, capped at a safe degree."""
-    t = GroupType(family, n)
-    if tmax is None:
-        tmax = length_bound(family, n)
-    if t.is_affine:
-        raise InvalidGroupError(f"length polynomial is for the finite families, not {family}")
+def length_genfunc(family: str, n: int) -> TPoly:
+    """Length polynomial of the involutions, capped at length_bound (which
+    refuses the affine families)."""
+    GroupType(family, n)
+    tmax = length_bound(family, n)
     xmax = n
     m = solve_series("M", xmax, tmax)
     # every family's polynomial is [x^n] of (numerator) / (1 - x M)

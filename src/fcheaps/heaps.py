@@ -117,9 +117,6 @@ class Heap:
         lab = set(labels)
         return [p for p, c in enumerate(self.letters) if c in lab]
 
-    def support(self) -> frozenset[int]:
-        return frozenset(self.letters)
-
     def restrict_word(self, labels) -> tuple[int, ...]:
         """Canonical word filtered to a label subset (the subheap's word)."""
         lab = set(labels)
@@ -140,11 +137,6 @@ def is_reduced_fc(h: Heap) -> bool:
         if cur is None:
             return False
     return True
-
-
-def dual(h: Heap) -> Heap:
-    """The heap with the order reversed (heap of the reversed word)."""
-    return Heap.from_word(h.graph, tuple(reversed(h.letters)))
 
 
 def is_self_dual(h: Heap) -> bool:

@@ -58,10 +58,10 @@ class TPoly:
         return cls((1,), cap)
 
     @classmethod
-    def term(cls, exponent: int, coeff: int = 1, cap: int | None = None) -> "TPoly":
+    def term(cls, exponent: int, cap: int | None = None) -> "TPoly":
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        return cls([0] * exponent + [coeff], cap)
+        return cls([0] * exponent + [1], cap)
 
     def degree(self) -> int:
         """Degree of the stored polynomial; -1 for zero."""
@@ -249,10 +249,6 @@ class Series:
         self.coeffs = cs
 
     @classmethod
-    def zero(cls, xmax: int, tmax: int) -> "Series":
-        return cls(xmax, tmax)
-
-    @classmethod
     def one(cls, xmax: int, tmax: int) -> "Series":
         s = cls(xmax, tmax)
         s.coeffs[0] = TPoly.one(tmax)
@@ -411,29 +407,27 @@ class PeriodReport:
     repeating_block: tuple[int, ...]
 
 
-def detect_period(seq: Sequence[int], min_repeats: int = 2) -> PeriodReport:
+def detect_period(seq: Sequence[int]) -> PeriodReport:
     """Find the smallest eventual period of ``seq``, then the smallest transient.
 
-    Requires at least ``min_repeats`` full periods after the transient;
-    raises PeriodError when no period satisfies that within the window.
+    Requires at least two full periods after the transient; raises
+    PeriodError when no period satisfies that within the window.
 
     >>> detect_period([5, 1, 2, 1, 2, 1, 2])
     PeriodReport(transient_start=1, period=2, repeating_block=(1, 2))
     >>> detect_period([1, 3, 0, 0, 0, 0])
     PeriodReport(transient_start=2, period=1, repeating_block=(0,))
     """
-    if min_repeats < 1:
-        raise ValueError("min_repeats must be >= 1")
     n = len(seq)
     if n < 4:
         raise PeriodError("sequence too short for period detection")
-    for p in range(1, n // min_repeats + 1):
+    for p in range(1, n // 2 + 1):
         tau = n - p
         while tau > 0 and seq[tau - 1] == seq[tau - 1 + p]:
             tau -= 1
-        if n - tau >= min_repeats * p:
+        if n - tau >= 2 * p:
             return PeriodReport(tau, p, tuple(seq[tau:tau + p]))
-    raise PeriodError(f"no period with {min_repeats} repeats in a window of {n} terms")
+    raise PeriodError(f"no period with 2 repeats in a window of {n} terms")
 
 
 def periodicize(block: TPoly, shift: int, modulus: int, cap: int) -> TPoly:

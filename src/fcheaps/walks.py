@@ -7,7 +7,7 @@ all points or excluding the start point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .coxeter import CoxeterGraph
@@ -104,8 +104,7 @@ class WalkFamilySpec:
 
     start is an exact height (int) or one of "any"/"even"/"odd"/"le1";
     end additionally accepts "eq-start".  require_touch demands a zero height
-    somewhere (start and end count); strictly_positive forbids any zero
-    height and is incompatible with horizontal steps and with require_touch.
+    somewhere (start and end count).
     """
 
     n: int
@@ -113,7 +112,6 @@ class WalkFamilySpec:
     start: object = 0
     end: object = "any"
     require_touch: bool = False
-    strictly_positive: bool = False
     weight: str = "all"
 
     def __post_init__(self):
@@ -131,77 +129,46 @@ class WalkFamilySpec:
             raise ValueError(f"bad end constraint {self.end!r}")
         if self.weight not in WEIGHT_CHOICES:
             raise ValueError(f"bad weight mode {self.weight!r}")
-        if self.strictly_positive and self.require_touch:
-            raise ValueError("strictly_positive walks cannot touch the axis")
-        if self.strictly_positive and self.allow_horiz:
-            raise ValueError("strictly_positive walks admit no horizontal steps")
-
-    def contains(self, w: Walk) -> bool:
-        if len(w) != self.n:
-            return False
-        hs = w.heights()
-        if not self.allow_horiz and FLAT in w.steps:
-            return False
-        if not _height_ok(w.start, self.start):
-            return False
-        if self.end == "eq-start":
-            if w.end != w.start:
-                return False
-        elif not _height_ok(w.end, self.end):
-            return False
-        if self.require_touch and 0 not in hs:
-            return False
-        if self.strictly_positive and 0 in hs:
-            return False
-        return True
 
 
 def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     """Total weight polynomial of the family, exact up to degree tmax.
 
+    One pass, seeded with every admissible start height; a state is the
+    height, whether the axis was touched, and the start height only when
+    the end is tied to it (None otherwise, so walks of all starts merge).
     A step whose every walk would weigh past the cap is pruned (in
     particular any counted point above height tmax), so no all-zero
     polynomial is built; with the exclude-start weight the (uncounted)
-    start may still sit at tmax + 1.  The walk polynomial is linear in its
-    start, so one pass seeded with every admissible start height sums them
-    all; only an end tied to the start needs one pass per start.
+    start may still sit at tmax + 1.
     """
-    lowest = 1 if spec.strictly_positive else 0
+    tied = spec.end == "eq-start"
     max_start = tmax + (1 if spec.weight == "exclude-start" else 0)
-    starts = [h0 for h0 in range(lowest, max_start + 1) if _height_ok(h0, spec.start)]
-    if spec.end != "eq-start":
-        return _family_poly_from(starts, spec.end, spec, tmax)
-    total = TPoly.zero(tmax)
-    for h0 in starts:
-        total = total + _family_poly_from([h0], h0, spec, tmax)
-    return total
-
-
-def _family_poly_from(starts: list[int], end, spec: WalkFamilySpec, tmax: int) -> TPoly:
-    lowest = 1 if spec.strictly_positive else 0
-    # state: (height, touched) -> (weight polynomial accumulated so far, its
-    # lowest degree); the coefficients count walks, so sums never cancel and
-    # a step to h2 leaves a term below the cap iff low + h2 <= tmax
-    states = {(h0, h0 == 0): (TPoly.one(tmax), 0) if spec.weight == "exclude-start"
-              else (TPoly.term(h0, cap=tmax), h0) for h0 in starts}
+    # state -> (weight polynomial accumulated so far, its lowest degree); the
+    # coefficients count walks, so sums never cancel and a step to h2 leaves
+    # a term below the cap iff low + h2 <= tmax
+    states = {(h0, h0 == 0, h0 if tied else None):
+              (TPoly.one(tmax), 0) if spec.weight == "exclude-start"
+              else (TPoly.term(h0, cap=tmax), h0)
+              for h0 in range(max_start + 1) if _height_ok(h0, spec.start)}
     for _ in range(spec.n):
-        nxt: dict[tuple[int, bool], tuple[TPoly, int]] = {}
-        for (h, touched), (acc, low) in states.items():
+        nxt: dict[tuple[int, bool, int | None], tuple[TPoly, int]] = {}
+        for (h, touched, h0), (acc, low) in states.items():
             moves = [h + UP, h + DOWN]
             if spec.allow_horiz and h == 0:
                 moves.append(0)
             for h2 in moves:
                 low2 = low + h2
-                if h2 < lowest or low2 > tmax:
+                if h2 < 0 or low2 > tmax:
                     continue
-                key = (h2, touched or h2 == 0)
+                key = (h2, touched or h2 == 0, h0)
                 add = acc.shift(h2).truncate(tmax)
                 old = nxt.get(key)
                 nxt[key] = (add, low2) if old is None else (old[0] + add, min(old[1], low2))
         states = nxt
     out = TPoly.zero(tmax)
-    for (h, touched), (acc, _low) in states.items():
-        if not _height_ok(h, end):
+    for (h, touched, h0), (acc, _low) in states.items():
+        if not (h == h0 if tied else _height_ok(h, spec.end)):
             continue
         if spec.require_touch and not touched:
             continue
@@ -317,10 +284,7 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
         while counts[order[live - 1]] <= k:
             live -= 1
         word += order[:live]
-    out = Heap.from_word(g, word)
-    if count_profile(out) != counts:
-        raise EncodingError("decoded heap lost occurrences")
-    return out
+    return Heap.from_word(g, word)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Test-side profiles and listings that no library code needs."""
 
-from fcheaps.enumerator import iter_fc, passes_filter, walk_fc
+from fcheaps.enumerator import enumerate_fc, iter_fc, passes_filter, walk_fc
 from fcheaps.heaps import major_index
 from fcheaps.qpoly import TPoly
 
@@ -17,6 +17,11 @@ def descent_profiles(g, mode="alternating"):
             counts.extend([0] * (m + 1 - len(counts)))
             counts[m] += 1
     return {k: TPoly(cs) for k, cs in sorted(acc.items())}
+
+
+def length_profile(g, max_length, mode="involutions"):
+    """Counts-by-length as a polynomial; capped at max_length when given."""
+    return TPoly(enumerate_fc(g, max_length, mode), max_length)
 
 
 def filtered_heaps(g, max_length, mode):

@@ -14,13 +14,14 @@ from functools import lru_cache
 from fcheaps.coxeter import GroupType, build_graph, realize_permutation
 from fcheaps.cells import (cells_report, involution_of, is_irreducible_structural,
                            reduce_fully, reduction_moves)
-from fcheaps.enumerator import (cross_validate, flats_up, iter_fc, length_profile,
-                                maj_profile, passes_filter, rsk_walk)
+from fcheaps.enumerator import (cross_validate, flats_up, iter_fc, maj_profile,
+                                passes_filter, rsk_walk)
 from fcheaps.genfunc import (affine_periodic_part, card_involutions, length_genfunc,
                              maj_genfunc, maj_genfunc_by_descents, solve_series)
 from fcheaps.heaps import is_alternating, is_self_dual
 from fcheaps.qpoly import Series, TPoly, qbinomial
 from fcheaps.walks import Walk, WalkFamilySpec, decode_walk, encode_walk, family_poly
+from profiles import length_profile
 
 FINITE_RANGES = [("A", range(2, 11)), ("B", range(2, 9)), ("D", range(2, 9))]
 

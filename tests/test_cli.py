@@ -259,6 +259,11 @@ class TestVerify:
         assert run("verify", "--type", "affA", "--rank", "4",
                    "--max-length", "2").exit_code == 2
 
+    def test_window_on_finite_family_rejected(self):
+        r = run("verify", "--type", "A", "--rank", "4", "--max-length", "5")
+        assert r.exit_code == 2
+        assert "--max-length applies to affine families only" in r.output
+
 
 class TestInconclusiveWindow:
     """A window shorter than two declared periods is inconclusive (exit 2),

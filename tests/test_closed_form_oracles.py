@@ -55,7 +55,7 @@ def fixed_point_series(series_id: str, xmax: int, tmax: int) -> Series:
 
     def qo_rhs(s):
         return base * (one + s.subst_x_times_t(2).shift_x(1).scale_poly(t * t))
-    qo = Series.zero(xmax, tmax)
+    qo = Series(xmax, tmax)
     for _ in range(xmax + 2):
         qo = qo_rhs(qo)
     assert qo == qo_rhs(qo)

@@ -77,13 +77,6 @@ class TestGraphLayouts:
         g = build_graph(GroupType("A", 1))
         assert g.size == 0
 
-    def test_name_index_round_trip(self):
-        g = build_graph(GroupType("B", 4))
-        for i in range(g.size):
-            assert g.index_of(g.name_of(i)) == i
-        with pytest.raises(InvalidGroupError):
-            g.index_of("s9")
-
 
 @st.composite
 def group_words(draw):

@@ -7,13 +7,13 @@ from fcheaps.qpoly import TPoly
 from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
     FILTERS, AFFINE_DEFAULT_WINDOW, MemoryGuardError, passes_filter,
-    iter_fc, walk_fc, enumerate_fc, length_profile, maj_profile,
+    iter_fc, walk_fc, enumerate_fc, maj_profile,
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
 from fc_oracles import commutation_class, scan_is_reduced_fc
-from profiles import descent_profiles, filtered_heaps
+from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -38,10 +38,11 @@ class TestIteration:
         total = sum(1 for _ in iter_fc(A4, None))
         assert total == 14
 
-    def test_layer_cap_trips(self):
+    def test_layer_cap_trips(self, monkeypatch):
+        monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", 3)
         g = build_graph(GroupType("A", 8))
         with pytest.raises(MemoryGuardError):
-            list(iter_fc(g, None, layer_cap=3))
+            list(iter_fc(g, None))
 
     def test_max_length_padding(self):
         counts = enumerate_fc(A4, 9, "all")
@@ -313,10 +314,12 @@ class TestDepthFirstWalk:
         assert cross_validate("A", 5).ok
         assert cross_validate("affC", 2, max_length=40).ok
 
-    def test_layer_cap_counts_one_length(self):
+    def test_layer_cap_counts_one_length(self, monkeypatch):
         g = build_graph(GroupType("A", 6))
         counts = enumerate_fc(g, None, "all")
         widest = max(counts)
-        assert sum(1 for _ in iter_fc(g, None, layer_cap=widest)) == sum(counts)
+        monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", widest)
+        assert sum(1 for _ in iter_fc(g, None)) == sum(counts)
+        monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", widest - 1)
         with pytest.raises(MemoryGuardError, match=f"exceeds {widest - 1} heaps"):
-            next(iter_fc(g, None, layer_cap=widest - 1))
+            next(iter_fc(g, None))

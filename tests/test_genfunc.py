@@ -7,12 +7,13 @@ from fcheaps.genfunc import (
     maj_genfunc, maj_genfunc_by_descents, ohat_poly, fhat_poly,
     affine_periodic_part, reconcile, ReconcileError,
 )
-from fcheaps.enumerator import length_profile, maj_profile
+from fcheaps.enumerator import maj_profile
 from fcheaps import genfunc
 from fcheaps.genfunc import ClosedFormError, InconclusiveWindowError, affine_period
 from fcheaps.coxeter import InvalidGroupError
 from fcheaps.enumerator import cross_validate
 from fcheaps.qpoly import Series
+from profiles import length_profile
 
 
 class TestSolveSeries:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
 from fcheaps.heaps import (
-    Heap, ClassificationError, is_reduced_fc, dual, is_self_dual,
+    Heap, ClassificationError, is_reduced_fc, is_self_dual,
     major_index, is_alternating, classify_involution, extend,
 )
 from fc_oracles import above_masks, scan_is_reduced_fc
@@ -20,6 +20,11 @@ AFFA3 = build_graph(GroupType("affA", 3))
 
 def heap(g, *word):
     return Heap.from_word(g, word)
+
+
+def dual(h):
+    """The heap with the order reversed (heap of the reversed word)."""
+    return Heap.from_word(h.graph, tuple(reversed(h.letters)))
 
 
 class TestHeapStructure:
@@ -41,7 +46,7 @@ class TestHeapStructure:
     def test_occurrences_and_support(self):
         h = heap(A4, 1, 0, 2, 1)
         assert len(h.chain((1,))) == 2
-        assert h.support() == frozenset({0, 1, 2})
+        assert set(h.letters) == {0, 1, 2}
 
     def test_restrict_word_keeps_order(self):
         h = heap(B3, 0, 1, 2, 1, 0)
