@@ -9,7 +9,6 @@ fiber when one exists.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .coxeter import CoxeterGraph, GroupType, build_graph
@@ -44,14 +43,14 @@ def reduction_moves(h: Heap) -> list[int]:
     descent iff last[u] >= 0 exceeds last[w] for every w bonded to u, so no
     heap is built.
     """
-    n = _require_cycle(h.graph)
+    _require_cycle(h.graph)
     adjacency = h.graph.adjacency
     last = list(h.last)
     out = []
     for s in sorted(h.descents):
         top = last[s]
         last[s] = h.prev[top]
-        for u in ((s - 1) % n, (s + 1) % n):
+        for u in adjacency[s]:
             lu = last[u]
             if lu >= 0 and all(last[w] < lu for w in adjacency[u]):
                 out.append(s)
@@ -60,52 +59,33 @@ def reduction_moves(h: Heap) -> list[int]:
     return out
 
 
-def reduce_fully(h: Heap, policy="min", reps: dict | None = None) -> Heap:
-    """Iterate reduction moves to a fixed point.
+def reduce_fully(h: Heap, reps: dict) -> Heap:
+    """Take the least reduction move until none is left.
 
-    policy picks among available moves: "min", "max", or an integer seed for
-    a reproducible random choice.  The result is policy-independent; the
-    test suite checks that rather than assuming it.
-
-    reps, when given with a deterministic policy, maps canonical words to
-    the representatives already found: the walk stops at the first heap it
+    The result does not depend on which move is taken; the test suite
+    checks that rather than assuming it.  reps maps canonical words to the
+    representatives already found: the walk stops at the first heap it
     holds, and every heap on the walk is added.  This is exact because the
-    moves and the removed element depend only on the heap.
+    moves and the removed element depend only on the heap.  Each move
+    deletes one element, so the walk ends.
     """
-    if not isinstance(policy, int) and policy not in ("min", "max"):
-        raise ValueError(f"unknown policy {policy!r}")
-    rng = random.Random(policy) if isinstance(policy, int) else None
     cur = h
     path = []
-    for _ in range(len(h) + 1):
-        if reps is not None:
-            key = cur.canonical_word
-            rep = reps.get(key)
-            if rep is not None:
-                break
-            path.append(key)
+    while (rep := reps.get(cur.canonical_word)) is None:
+        path.append(cur.canonical_word)
         moves = reduction_moves(cur)
         if not moves:
             rep = cur
             break
-        if rng is not None:
-            s = rng.choice(moves)
-        elif policy == "min":
-            s = moves[0]
-        else:
-            s = moves[-1]
-        cur = remove_top(cur, s)
-    else:
-        raise CellError("reduction failed to terminate within the size bound")
+        cur = remove_top(cur, moves[0])
     for key in path:
         reps[key] = rep
     return rep
 
 
 def _cyclic_runs(support: set[int], n: int) -> list[list[int]]:
-    """Maximal runs of consecutive supported labels around the cycle."""
-    if len(support) == n:
-        raise ValueError("full support has no runs")
+    """Maximal runs of consecutive supported labels around the cycle; the
+    support must leave a gap."""
     runs = []
     # start scanning right after a gap so runs never wrap past the start
     start = next(i for i in range(n) if i not in support)
@@ -122,9 +102,10 @@ def _cyclic_runs(support: set[int], n: int) -> list[list[int]]:
     return runs
 
 
-def _zigzag(h: Heap, tops: dict[int, int], labels) -> bool:
+def _zigzag(h: Heap, labels) -> bool:
     """Whether the tops of consecutive labels zigzag: the first label's top
     lies above the second's, the second's below the third's, and so on."""
+    tops = h.last
     for j, (a, b) in enumerate(zip(labels, labels[1:])):
         low, high = (tops[b], tops[a]) if j % 2 == 0 else (tops[a], tops[b])
         if not (h.below[high] >> low) & 1:
@@ -142,11 +123,10 @@ def is_irreducible_structural(h: Heap) -> bool:
     """
     n = _require_cycle(h.graph)
     support = set(h.letters)
-    tops = {s: h.last[s] for s in support}
     if len(support) == n:
         return n % 2 == 0 and any(
-            _zigzag(h, tops, [(phase + j) % n for j in range(n + 1)]) for phase in (0, 1))
-    return all(len(run) % 2 and _zigzag(h, tops, run) for run in _cyclic_runs(support, n))
+            _zigzag(h, [(phase + j) % n for j in range(n + 1)]) for phase in (0, 1))
+    return all(len(run) % 2 and _zigzag(h, run) for run in _cyclic_runs(support, n))
 
 
 @dataclass(frozen=True)
@@ -188,6 +168,10 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     remaining = list(word)
     top: list[int] = []
     count = 0
+    # The first peel matches a class, so count ends >= 1.  It takes the
+    # descents of h.  h passed is_irreducible_structural, so its tops zigzag
+    # around the even cycle; the labels whose top lies above both
+    # neighbours' tops are one parity class, and they are the descents.
     # A peeled class C never comes right back: on the cycle (two neighbours
     # each, every m = 3) an FC heap has exactly one copy of each neighbour
     # between consecutive copies of a generator (fewer leave a short braid
@@ -202,8 +186,6 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
         count += 1
         top.extend(layer)
         remaining = rest
-    if count == 0:
-        raise CellError("full-support irreducible heap peeled no parity layer")
     return TopBottomSplit(tuple(top), tuple(remaining), count)
 
 
@@ -243,7 +225,7 @@ def cells_report(n: int, max_length: int) -> dict:
     audit_irreducible = True
     reps: dict[tuple[int, ...], Heap] = {}
     for h in walk_fc(g, max_length):
-        rep = reduce_fully(h, reps=reps)
+        rep = reduce_fully(h, reps)
         key = rep.canonical_word
         rec = fibers.get(key)
         if rec is None:
@@ -262,9 +244,9 @@ def cells_report(n: int, max_length: int) -> dict:
         if not involutions and n % 2 == 1:
             audit_even = False
         rows.append({
-            "representative": _word_names(g, key),
+            "representative": g.spell(key),
             "members": rec["members"],
-            "involution": _word_names(g, min(involutions)[1]) if involutions else None,
+            "involution": g.spell(min(involutions)[1]) if involutions else None,
         })
     return {
         "rank": n,
@@ -277,7 +259,3 @@ def cells_report(n: int, max_length: int) -> dict:
             "representatives_irreducible_both_tests": audit_irreducible,
         },
     }
-
-
-def _word_names(g: CoxeterGraph, word: tuple[int, ...]) -> str:
-    return " ".join(g.names[c] for c in word) or "e"

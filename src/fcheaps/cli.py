@@ -131,7 +131,7 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         except MemoryGuardError as e:
             click.echo(f"Error: {e}; lower --max-length", err=True)
             sys.exit(2)
-        elements = ((length, " ".join(g.names[c] for c in word) or "e")
+        elements = ((length, g.spell(word))
                     for length, bucket in enumerate(words) for word in bucket)
         if fmt == "json":
             _emit_json_elements({"type": t.family, "rank": t.n, "max_length": max_length,
@@ -347,10 +347,7 @@ def cells_cmd(rank: int, max_length: int, fmt: str) -> None:
     """Reduce every FC heap of a cycle and report the fibers."""
     if max_length < 0:
         raise click.UsageError("--max-length must be >= 0")
-    try:
-        GroupType("affA", rank)
-    except InvalidGroupError as e:
-        raise click.UsageError(str(e))
+    _group_type("affA", rank)
     report = cells_report(rank, max_length)
     if fmt == "json":
         _emit_json(report)

@@ -81,6 +81,10 @@ class CoxeterGraph:
     def size(self) -> int:
         return len(self.names)
 
+    def spell(self, word) -> str:
+        """The word's generator names joined by spaces, "e" when empty."""
+        return " ".join(self.names[c] for c in word) or "e"
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.adjacency[i]
 

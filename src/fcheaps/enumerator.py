@@ -18,7 +18,7 @@ from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_pa
 from .heaps import (Heap, classify_involution, extend, is_alternating,
                     is_self_dual, major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
-from .walks import UP, DOWN, FLAT, Walk, encode_walk
+from .walks import UP, DOWN, FLAT, Walk
 
 FILTERS = ("all", "involutions", "alternating")
 
@@ -265,11 +265,10 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
                                          max(oracle_maj.degree(), formula_maj.degree(), 0)))
         formula_len = length_genfunc(family, n)
         report.length = oracle_len
-        good = (formula_len.cap is not None
-                and oracle_len.degree() <= formula_len.cap
+        good = (oracle_len.degree() <= formula_len.cap
                 and oracle_len.truncate(formula_len.cap) == formula_len)
         report._record("length", good,
-                       _first_divergence(oracle_len, formula_len, formula_len.cap or 0))
+                       _first_divergence(oracle_len, formula_len, formula_len.cap))
         if family == "B":
             alt = TPoly(alt_majs)
             by_desc = TPoly.zero()

@@ -106,8 +106,7 @@ class Heap:
         return hash((self.graph.group, self.canonical_word))
 
     def __repr__(self) -> str:
-        word = " ".join(self.graph.names[c] for c in self.canonical_word) or "e"
-        return f"Heap({self.graph.group}, {word})"
+        return f"Heap({self.graph.group}, {self.graph.spell(self.canonical_word)})"
 
     def chain(self, labels) -> list[int]:
         """Positions carrying any of the labels, in increasing position order.

@@ -190,7 +190,7 @@ class TPoly:
                 else:
                     body = f"{mag}*{power}"
             if not parts:
-                parts.append(body if c > 0 else ("-" + body if compact else "-" + body))
+                parts.append(body if c > 0 else "-" + body)
             else:
                 if compact:
                     parts.append(("+" if c > 0 else "-") + body)

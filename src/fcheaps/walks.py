@@ -93,9 +93,7 @@ def _height_ok(h: int, constraint) -> bool:
         return h % 2 == 0
     if constraint == "odd":
         return h % 2 == 1
-    if constraint == "le1":
-        return h <= 1
-    raise ValueError(f"unknown height constraint {constraint!r}")
+    return h <= 1  # "le1", the last choice WalkFamilySpec admits
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,13 @@ scan_is_reduced_fc is the full commutativity test that the library replaced
 by a fold of extend; commutation_class lists a word's commutation class by
 brute force.  Neither shares code with extend, the normal-form walk or
 canonical_form, so the tests that check those use them as their reference.
+reduce_choosing reduces a cycle heap by whichever move a chooser picks, so
+the tests can check that the cell representative does not depend on it.
 """
 
+import random
+
+from fcheaps.cells import reduction_moves, remove_top
 from fcheaps.coxeter import check_word
 
 
@@ -87,3 +92,16 @@ def commutation_class(word, g, cap: int = 10**6) -> set[tuple[int, ...]]:
                     seen.add(nxt)
                     stack.append(nxt)
     return seen
+
+
+def reduce_choosing(h, choose):
+    """Take the move choose(moves) until no reduction move is left."""
+    while moves := reduction_moves(h):
+        h = remove_top(h, choose(moves))
+    return h
+
+
+def move_choosers(*seeds):
+    """Choosers for reduce_choosing: the least move, the greatest move and,
+    per seed, a move drawn by a fresh random.Random(seed)."""
+    return [min, max, *(random.Random(seed).choice for seed in seeds)]

@@ -21,6 +21,7 @@ from fcheaps.genfunc import (affine_periodic_part, card_involutions, length_genf
 from fcheaps.heaps import is_alternating, is_self_dual
 from fcheaps.qpoly import Series, TPoly, qbinomial
 from fcheaps.walks import Walk, WalkFamilySpec, decode_walk, encode_walk, family_poly
+from fc_oracles import move_choosers, reduce_choosing
 from profiles import length_profile
 
 FINITE_RANGES = [("A", range(2, 11)), ("B", range(2, 9)), ("D", range(2, 9))]
@@ -291,12 +292,12 @@ def test_criterion_11_cells():
         g = _graph("affA", n)
         involutions_missing = 0
         for _length, h in iter_fc(g, 12):
-            reduced = {reduce_fully(h, p).canonical_word
-                       for p in ("min", "max", 1, 2, 3)}
-            if len(reduced) != 1:
-                failures.append(f"affA:{n} policies diverge on {h.canonical_word}")
+            rep = reduce_fully(h, {})
+            reduced = {reduce_choosing(h, c).canonical_word
+                       for c in move_choosers(1, 2, 3)}
+            if reduced != {rep.canonical_word}:
+                failures.append(f"affA:{n} move choices diverge on {h.canonical_word}")
                 break
-            rep = reduce_fully(h)
             if reduction_moves(rep):
                 failures.append(f"affA:{n} reduction left moves on {h.canonical_word}")
                 break
@@ -304,7 +305,7 @@ def test_criterion_11_cells():
                 failures.append(f"affA:{n} structural test disagrees "
                                 f"on {h.canonical_word}")
                 break
-            if is_self_dual(h) and involution_of(reduce_fully(h)) != h:
+            if is_self_dual(h) and involution_of(rep) != h:
                 failures.append(f"affA:{n} involution round trip broke "
                                 f"on {h.canonical_word}")
                 break

@@ -7,7 +7,7 @@ from fcheaps.cells import (
     CellError, remove_top, reduction_moves, reduce_fully,
     is_irreducible_structural, split_top_bottom, involution_of, cells_report,
 )
-from fc_oracles import scan_is_reduced_fc
+from fc_oracles import move_choosers, reduce_choosing, scan_is_reduced_fc
 
 C3 = build_graph(GroupType("affA", 3))
 C4 = build_graph(GroupType("affA", 4))
@@ -52,20 +52,23 @@ class TestRemoveTop:
 
 class TestReduceFully:
     def test_spec_chains(self):
-        assert reduce_fully(heap(C3, 0, 1)) == heap(C3, 0)
-        assert reduce_fully(heap(C3, 0)) == heap(C3, 0)
+        assert reduce_fully(heap(C3, 0, 1), {}) == heap(C3, 0)
+        assert reduce_fully(heap(C3, 0), {}) == heap(C3, 0)
         h = heap(C4, 0, 2, 1, 3)
-        assert reduce_fully(h) == h
+        assert reduce_fully(h, {}) == h
+
+    def test_map_stops_the_walk(self):
+        # a held word short-cuts the walk; every word on the walk is stored
+        h, rep = heap(C3, 0, 1, 2), heap(C3, 1)
+        reps = {(0, 1): rep}
+        assert reduce_fully(h, reps) is rep
+        assert reps == {(0, 1): rep, (0, 1, 2): rep}
 
     @pytest.mark.parametrize("g,max_length", [(C4, 6), (C6, 9)], ids=["affA4-L6", "affA6-L9"])
     def test_policies_agree_on_small_range(self, g, max_length):
         for h in walk_fc(g, max_length):
-            reps = {reduce_fully(h, p).canonical_word for p in ("min", "max", 0, 1, 2)}
-            assert len(reps) == 1, h
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            reduce_fully(heap(C3, 0), "median")
+            reps = {reduce_choosing(h, c).canonical_word for c in move_choosers(0, 1, 2)}
+            assert reps == {reduce_fully(h, {}).canonical_word}, h
 
 
 class TestStructuralIrreducibility:
@@ -111,13 +114,13 @@ class TestSplitAndInvolution:
         inv = involution_of(h)
         assert inv is not None
         assert is_self_dual(inv) and scan_is_reduced_fc(inv)
-        assert reduce_fully(inv) == h
+        assert reduce_fully(inv, {}) == h
 
     def test_round_trip_on_enumerated_involutions(self):
         from fcheaps.enumerator import iter_fc
         for _l, h in iter_fc(C4, 8):
             if is_self_dual(h):
-                back = involution_of(reduce_fully(h))
+                back = involution_of(reduce_fully(h, {}))
                 assert back == h
 
 

@@ -7,6 +7,7 @@ an imported name, or a part of a dotted string such as the benchmark
 tracer's targets.  Helpers only the tests use belong in tests/.  Exempt are
 the click commands, which the CLI group reaches through their decorators,
 and the paper's objects kept as a library without a command of their own.
+Every name a package module imports is read somewhere in that module.
 """
 
 import ast
@@ -96,3 +97,26 @@ def test_public_name_has_a_caller(qualname, path, first, last):
                if not (p == path and first <= line <= last)
                and (not cls or owner is None or owner == cls)]
     assert outside, f"{qualname} ({path.name}) is used only by tests; move it to tests/"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names the source imports (``__future__`` aside) but never reads."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\nimport os.path\nimport re as regex\n"
+              "from json import dumps, loads\nprint(os.sep, loads)\n")
+    assert _unused_imports(source) == ["dumps", "regex"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert _unused_imports(path.read_text()) == [], f"{path.name} imports names it never reads"

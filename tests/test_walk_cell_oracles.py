@@ -25,7 +25,7 @@ from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
                            is_alternating, is_self_dual)
 from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profile,
                            decode_walk, encode_walk)
-from fc_oracles import above_masks
+from fc_oracles import above_masks, move_choosers, reduce_choosing
 from test_acceptance import _random_heights, _scheme_cases
 
 
@@ -341,20 +341,13 @@ def old_reduction_moves(h):
     return out
 
 
-def old_reduce_fully(h, policy="min"):
-    rng = random.Random(policy) if isinstance(policy, int) else None
+def old_reduce_fully(h):
     cur = h
     for _ in range(len(h) + 1):
         moves = old_reduction_moves(cur)
         if not moves:
             return cur
-        if rng is not None:
-            s = rng.choice(moves)
-        elif policy == "min":
-            s = moves[0]
-        else:
-            s = moves[-1]
-        cur = old_remove_top(cur, s)
+        cur = old_remove_top(cur, moves[0])
     raise CellError("reduction failed to terminate within the size bound")
 
 
@@ -377,11 +370,14 @@ class TestReductionOracle:
 
     @pytest.mark.parametrize("n,window", CELL_GROUPS)
     def test_reduce_fully_every_policy(self, n, window):
+        """reduce_fully with a fresh map against the old walk, and the
+        reductions by the least, the greatest and a seeded random move
+        against both."""
         g = build_graph(GroupType("affA", n))
         for h in walk_fc(g, window):
-            for policy in ("min", "max", 1):
-                new = reduce_fully(h, policy)
-                assert new.canonical_word == old_reduce_fully(h, policy).canonical_word
+            old = old_reduce_fully(h).canonical_word
+            assert reduce_fully(h, {}).canonical_word == old, h
+            assert {reduce_choosing(h, c).canonical_word for c in move_choosers(1)} == {old}, h
 
     @pytest.mark.parametrize("n,window", CELL_GROUPS)
     def test_representative_map(self, n, window):
@@ -390,7 +386,7 @@ class TestReductionOracle:
         g = build_graph(GroupType("affA", n))
         reps = {}
         for h in walk_fc(g, window):
-            got = reduce_fully(h, reps=reps)
+            got = reduce_fully(h, reps)
             assert got.canonical_word == old_reduce_fully(h).canonical_word, h
         assert len(reps) > 0
         for key, rep in reps.items():
@@ -443,7 +439,7 @@ class TestSplitOracle:
         gapped_tops = 0
         reps, seen = {}, set()
         for h in walk_fc(g, window):
-            for k in {h, reduce_fully(h, reps=reps)} - seen:
+            for k in {h, reduce_fully(h, reps)} - seen:
                 seen.add(k)
                 new = _outcome(split_top_bottom, k)
                 assert new == _outcome(old_split_top_bottom, k), k
@@ -465,7 +461,7 @@ def old_cells_report(n, max_length):
     audit_even = True
     audit_irreducible = True
     for _length, h in iter_fc(g, max_length):
-        rep = cells.reduce_fully(h)
+        rep = cells.reduce_fully(h, {})
         key = rep.canonical_word
         rec = fibers.get(key)
         if rec is None:
@@ -522,8 +518,7 @@ class TestCellsReportOracle:
         g = build_graph(GroupType("affA", n))
         merged = Heap.from_word(g, (0, 1))
         monkeypatch.setattr(cells, "reduce_fully",
-                            lambda h, policy="min", reps=None:
-                            reduce_fully(h, policy, reps) if len(h) < 2 else merged)
+                            lambda h, reps: reduce_fully(h, reps) if len(h) < 2 else merged)
         new, old = cells_report(n, 8), old_cells_report(n, 8)
         assert _json(new) == _json(old)
         assert new["audits"]["at_most_one_involution_per_fiber"] is False
