@@ -1,15 +1,19 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input, an affine
-window too short for verify to decide, or an enumerate --stream length that
-outgrew the memory guard.
+Every output goes through one _emit (a JSON payload, or else CSV or text
+lines built only when asked for) except enumerate --stream's JSON listing,
+which is written in blocks.
+
+Exit codes: 0 success, 1 verification mismatch or failed cells audit (in
+every format), 2 invalid input, an affine window too short for verify to
+decide, or an enumerate --stream length that outgrew the memory guard.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import click
 
@@ -35,6 +39,17 @@ def _group_type(family: str, rank: int) -> GroupType:
 
 def _emit_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _emit(fmt: str, payload, csv_lines, text_lines) -> None:
+    """Write payload as JSON for fmt "json", else echo csv_lines or
+    text_lines.  The lines are iterables read only here, so a command that
+    passes generators builds only the rendering asked for."""
+    if fmt == "json":
+        _emit_json(payload)
+        return
+    for line in csv_lines if fmt == "csv" else text_lines:
+        click.echo(line)
 
 
 def _emit_json_elements(head: dict, elements) -> None:
@@ -78,33 +93,22 @@ def graph_show(family: str, rank: int, fmt: str) -> None:
     """Print the generators and bonds of a family graph."""
     t = _group_type(family, rank)
     g = build_graph(t)
-    if fmt == "json":
-        _emit_json({
-            "type": t.family,
-            "rank": t.n,
-            "generators": list(g.names),
-            "cyclic": g.cyclic,
-            "bonds": [{"a": g.names[i], "b": g.names[j], "m": m}
-                      for i, j, m in g.edges()],
-            "forks": [{"branches": [g.names[a], g.names[b]], "joint": g.names[j]}
-                      for a, b, j in g.forks],
-            "maj_weight": list(g.maj_weight) if g.maj_weight else None,
-        })
-        return
-    rows = [f"group {t.family}:{t.n}  generators {g.size}  "
-            f"{'cyclic' if g.cyclic else 'acyclic'}"]
-    rows.append("generators: " + " ".join(g.names))
-    for i, j, m in g.edges():
-        rows.append(f"bond {g.names[i]} -- {g.names[j]}  m={m}")
-    if g.maj_weight:
-        rows.append("weights: " + " ".join(f"{nm}={w}" for nm, w in zip(g.names, g.maj_weight)))
-    if fmt == "csv":
-        click.echo("a,b,m")
-        for i, j, m in g.edges():
-            click.echo(f"{g.names[i]},{g.names[j]},{m}")
-        return
-    for r in rows:
-        click.echo(r)
+    bonds = [(g.names[i], g.names[j], m) for i, j, m in g.edges()]
+    _emit(fmt, {
+        "type": t.family,
+        "rank": t.n,
+        "generators": list(g.names),
+        "cyclic": g.cyclic,
+        "bonds": [{"a": a, "b": b, "m": m} for a, b, m in bonds],
+        "forks": [{"branches": [g.names[a], g.names[b]], "joint": g.names[j]}
+                  for a, b, j in g.forks],
+        "maj_weight": list(g.maj_weight) if g.maj_weight else None,
+    }, chain(["a,b,m"], (f"{a},{b},{m}" for a, b, m in bonds)),
+          chain([f"group {t.family}:{t.n}  generators {g.size}  "
+                 f"{'cyclic' if g.cyclic else 'acyclic'}", "generators: " + " ".join(g.names)],
+                (f"bond {a} -- {b}  m={m}" for a, b, m in bonds),
+                ("weights: " + " ".join(f"{nm}={w}" for nm, w in zip(g.names, ws))
+                 for ws in [g.maj_weight] if ws)))
 
 
 @main.command("enumerate")
@@ -125,6 +129,7 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         raise click.UsageError("--max-length must be >= 0")
     t = _group_type(family, rank)
     g = build_graph(t)
+    head = {"type": t.family, "rank": t.n, "max_length": max_length, "filter": mode}
     if stream:
         try:
             words = listed_words(g, max_length, mode)
@@ -134,26 +139,15 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         elements = ((length, g.spell(word))
                     for length, bucket in enumerate(words) for word in bucket)
         if fmt == "json":
-            _emit_json_elements({"type": t.family, "rank": t.n, "max_length": max_length,
-                                 "filter": mode}, elements)
-        elif fmt == "csv":
-            click.echo("length,word")
-            for l, w in elements:
-                click.echo(f"{l},{w}")
+            _emit_json_elements(head, elements)
         else:
-            for _l, w in elements:
-                click.echo(w)
+            _emit(fmt, None, chain(["length,word"], (f"{l},{w}" for l, w in elements)),
+                  (w for _l, w in elements))
         return
     counts = enumerate_fc(g, max_length, mode)
-    if fmt == "json":
-        _emit_json({"type": t.family, "rank": t.n, "max_length": max_length,
-                    "filter": mode, "counts": counts})
-    elif fmt == "csv":
-        for length, c in enumerate(counts):
-            click.echo(f"{length},{c}")
-    else:
-        for length, c in enumerate(counts):
-            click.echo(f"{length}: {c}")
+    _emit(fmt, {**head, "counts": counts},
+          (f"{length},{c}" for length, c in enumerate(counts)),
+          (f"{length}: {c}" for length, c in enumerate(counts)))
 
 
 @main.command("genfunc")
@@ -170,40 +164,27 @@ def genfunc_cmd(stat: str, family: str, rank: int, descents: int | None, fmt: st
         raise click.UsageError(f"genfunc {stat} needs a finite family, got {t.family}")
     if descents is not None and (stat != "maj" or t.family != "B"):
         raise click.UsageError("--descents applies to 'maj' with --type B only")
+    meta = {"type": t.family, "rank": t.n, "stat": stat,
+            **({"descents": descents} if descents is not None else {})}
     try:
         if stat == "card":
             value = card_involutions(t.family, t.n)
-            if fmt == "json":
-                _emit_json({"type": t.family, "rank": t.n, "stat": "card", "value": value})
-            elif fmt == "csv":
-                click.echo("value")
-                click.echo(str(value))
-            else:
-                click.echo(str(value))
+            _emit(fmt, {**meta, "value": value}, ("value", value), (value,))
             return
         if stat == "maj":
             poly = (maj_genfunc_by_descents(t.n, descents) if descents is not None
                     else maj_genfunc(t.family, t.n))
-            var = "q"
         else:
             poly = length_genfunc(t.family, t.n)
-            var = "t"
     except (InvalidGroupError, ValueError) as e:
         raise click.UsageError(str(e))
-    _emit_poly(poly, var, fmt, {"type": t.family, "rank": t.n, "stat": stat,
-                                **({"descents": descents} if descents is not None else {})})
+    _emit_poly(poly, "q" if stat == "maj" else "t", fmt, meta)
 
 
 def _emit_poly(poly: TPoly, var: str, fmt: str, meta: dict) -> None:
-    if fmt == "json":
-        _emit_json({**meta, **poly.to_json_dict(var)})
-    elif fmt == "csv":
-        click.echo("exponent,coefficient")
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                click.echo(f"{k},{c}")
-    else:
-        click.echo(poly.to_text(var))
+    _emit(fmt, {**meta, **poly.to_json_dict(var)},
+          chain(["exponent,coefficient"], (f"{k},{c}" for k, c in enumerate(poly.coeffs) if c)),
+          map(poly.to_text, [var]))
 
 
 @main.command("series")
@@ -216,18 +197,11 @@ def series_cmd(series_id: str, xmax: int, tmax: int, fmt: str) -> None:
     if xmax < 0 or tmax < 0:
         raise click.UsageError("--xmax and --tmax must be >= 0")
     s = solve_series(series_id, xmax, tmax)
-    if fmt == "json":
-        _emit_json({"id": series_id, "xmax": xmax, "tmax": tmax,
-                    "coeffs": [[str(c) for c in p.coeffs] for p in s.coeffs]})
-    elif fmt == "csv":
-        click.echo("xpow,tpow,coefficient")
-        for k, p in enumerate(s.coeffs):
-            for e, c in enumerate(p.coeffs):
-                if c:
-                    click.echo(f"{k},{e},{c}")
-    else:
-        for k, p in enumerate(s.coeffs):
-            click.echo(f"[x^{k}] {p.to_text()}")
+    _emit(fmt, {"id": series_id, "xmax": xmax, "tmax": tmax,
+                "coeffs": [[str(c) for c in p.coeffs] for p in s.coeffs]},
+          chain(["xpow,tpow,coefficient"], (f"{k},{e},{c}" for k, p in enumerate(s.coeffs)
+                                            for e, c in enumerate(p.coeffs) if c)),
+          (f"[x^{k}] {p.to_text()}" for k, p in enumerate(s.coeffs)))
 
 
 @main.group()
@@ -291,50 +265,32 @@ def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str) -> None
         report = cross_validate(t.family, t.n, max_length)
     except InconclusiveWindowError as e:
         raise click.UsageError(str(e))
-    if fmt == "json":
-        payload = {
-            "type": t.family, "rank": t.n, "ok": report.ok,
-            "checks": report.checks, "failures": report.failures,
-            "notes": report.notes,
-        }
-        if report.card is not None:
-            payload["card"] = report.card
-        if report.maj is not None:
-            payload["maj"] = report.maj.to_json_dict("q")
-        if report.length is not None:
-            payload["length"] = report.length.to_json_dict("t")
-        if report.remainder is not None:
-            payload["remainder"] = report.remainder.to_json_dict("t")
-        if report.period is not None:
-            payload["period"] = {
-                "transient_start": report.period.transient_start,
-                "period": report.period.period,
-                "repeating_block": list(report.period.repeating_block),
-            }
-        _emit_json(payload)
-    else:
+    p = report.period
+    payload = {"type": t.family, "rank": t.n, "ok": report.ok, "checks": report.checks,
+               "failures": report.failures, "notes": report.notes}
+    if not t.is_affine:
+        payload.update(card=report.card, maj=report.maj.to_json_dict("q"),
+                       length=report.length.to_json_dict("t"))
+    elif p is not None:
+        payload.update(remainder=report.remainder.to_json_dict("t"), period={
+            "transient_start": p.transient_start, "period": p.period,
+            "repeating_block": list(p.repeating_block)})
+
+    def text_lines():
+        verdict = "all match" if report.ok else "MISMATCH"
         if not t.is_affine:
-            parts = []
-            if report.card is not None:
-                parts.append(f"card={report.card}")
-            if report.maj is not None:
-                parts.append(f"maj={report.maj.to_text('q', compact=True)}")
-            if report.length is not None:
-                parts.append(f"length={report.length.to_text('t', compact=True)}")
-            parts.append("all match" if report.ok else "MISMATCH")
-            click.echo(" ".join(parts))
+            yield (f"card={report.card} maj={report.maj.to_text('q', compact=True)} "
+                   f"length={report.length.to_text('t', compact=True)} {verdict}")
         else:
-            if report.remainder is not None:
-                click.echo(f"remainder={report.remainder.to_text('t', compact=True)}")
-            if report.period is not None:
-                block = ",".join(str(c) for c in report.period.repeating_block)
-                click.echo(f"period={report.period.period} "
-                           f"transient={report.period.transient_start} block={block}")
-            click.echo("all match" if report.ok else "MISMATCH")
-        for note in report.notes:
-            click.echo(f"note: {note}")
-        for f in report.failures:
-            click.echo(f"failure: {f}", err=False)
+            if p is not None:
+                yield f"remainder={report.remainder.to_text('t', compact=True)}"
+                yield (f"period={p.period} transient={p.transient_start} "
+                       f"block={','.join(map(str, p.repeating_block))}")
+            yield verdict
+        yield from (f"note: {note}" for note in report.notes)
+        yield from (f"failure: {f}" for f in report.failures)
+
+    _emit(fmt, payload, (), text_lines())
     if not report.ok:
         sys.exit(1)
 
@@ -349,23 +305,17 @@ def cells_cmd(rank: int, max_length: int, fmt: str) -> None:
         raise click.UsageError("--max-length must be >= 0")
     _group_type("affA", rank)
     report = cells_report(rank, max_length)
-    if fmt == "json":
-        _emit_json(report)
-        return
-    if fmt == "csv":
-        click.echo("representative,members,involution")
-        for row in report["fibers"]:
-            inv = row["involution"] or ""
-            click.echo(f"{row['representative']},{row['members']},{inv}")
-        return
-    click.echo(f"rank {report['rank']} max_length {report['max_length']} "
-               f"fibers {report['fiber_count']}")
-    for row in report["fibers"]:
-        inv = row["involution"] or "-"
-        click.echo(f"{row['representative']} | members {row['members']} | involution {inv}")
-    for name, ok in report["audits"].items():
-        click.echo(f"audit {name}: {'ok' if ok else 'FAILED'}")
-    if not all(report["audits"].values()):
+    fibers, audits = report["fibers"], report["audits"]
+    _emit(fmt, report,
+          chain(["representative,members,involution"],
+                (f"{r['representative']},{r['members']},{r['involution'] or ''}"
+                 for r in fibers)),
+          chain([f"rank {report['rank']} max_length {report['max_length']} "
+                 f"fibers {report['fiber_count']}"],
+                (f"{r['representative']} | members {r['members']} | "
+                 f"involution {r['involution'] or '-'}" for r in fibers),
+                (f"audit {name}: {'ok' if ok else 'FAILED'}" for name, ok in audits.items())))
+    if not all(audits.values()):
         sys.exit(1)
 
 

@@ -149,9 +149,8 @@ def card_involutions(family: str, n: int) -> int:
     if family == "D":
         if n % 2 == 0:
             return 2 ** n + comb(n + 1, n // 2) - 1
+        # n + 1 = 2k and C(2k, k) = 2 C(2k - 1, k - 1), so extra is even
         extra = 3 * comb(n + 1, (n + 1) // 2)
-        if extra % 2:
-            raise ClosedFormError(f"D:{n} central term {extra} is odd")
         return 2 ** n + extra // 2 - 1
     raise InvalidGroupError(f"cardinality formula is for the finite families, not {family}")
 

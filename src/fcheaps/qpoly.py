@@ -274,10 +274,6 @@ class Series:
         self._check(other)
         return Series(self.xmax, self.tmax, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "Series") -> "Series":
-        self._check(other)
-        return Series(self.xmax, self.tmax, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
         out = [TPoly((), self.tmax) for _ in range(self.xmax + 1)]

@@ -5,14 +5,21 @@ from itertools import product
 import pytest
 from click.testing import CliRunner
 
+from fcheaps.cells import cells_report
 from fcheaps.cli import main
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import ValidationReport, iter_fc, passes_filter
+from fcheaps.qpoly import PeriodReport, TPoly
 from fcheaps.walks import WalkFamilySpec, family_poly
 
 
 def run(*argv):
     return CliRunner().invoke(main, argv)
+
+
+def dumped(payload) -> str:
+    """The bytes the CLI writes for a JSON payload."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestGraphShow:
@@ -151,6 +158,18 @@ class TestGenfunc:
         r = run("genfunc", "length", "--type", "B", "--rank", "2", "--format", "csv")
         assert r.output == "exponent,coefficient\n0,1\n1,2\n3,2\n"
 
+    def test_card_json(self):
+        r = run("genfunc", "card", "--type", "D", "--rank", "5", "--format", "json")
+        assert r.exit_code == 0
+        assert r.output == dumped({"rank": 5, "stat": "card", "type": "D", "value": 61})
+
+    def test_length_json(self):
+        r = run("genfunc", "length", "--type", "B", "--rank", "3", "--format", "json")
+        assert r.exit_code == 0
+        assert r.output == dumped({"coeffs": ["1", "3", "1", "2", "1", "1", "1"], "rank": 3,
+                                   "stat": "length", "truncated_at": 10, "type": "B",
+                                   "var": "t"})
+
     def test_json_round_trip(self):
         r = run("genfunc", "maj", "--type", "D", "--rank", "4", "--format", "json")
         data = json.loads(r.output)
@@ -245,15 +264,70 @@ class TestVerify:
         assert set(data["checks"]) >= {"card", "maj", "length"}
 
     def test_mismatch_exits_one(self, monkeypatch):
-        bad = ValidationReport(group="B:2", ok=False, checks=["card"],
+        # cross_validate sets card, maj and length for every finite group
+        bad = ValidationReport(group=GroupType("B", 2), ok=False, checks=["maj", "length"],
                                failures=["card: expected 5 got 6"], notes=[],
-                               card=6, maj=None, length=None,
+                               card=6, maj=TPoly([1, 2, 2]), length=TPoly([1, 2, 0, 2]),
                                remainder=None, period=None)
         monkeypatch.setattr("fcheaps.cli.cross_validate", lambda *a, **k: bad)
         r = run("verify", "--type", "B", "--rank", "2")
         assert r.exit_code == 1
-        assert "MISMATCH" in r.output
-        assert "failure: card: expected 5 got 6" in r.output
+        assert r.output == ("card=6 maj=1+2q+2q^2 length=1+2t+2t^3 MISMATCH\n"
+                            "failure: card: expected 5 got 6\n")
+
+
+AFFINE_FAILURES = {
+    # reconciled, but the detected period does not divide the declared one
+    "period": ValidationReport(
+        group=GroupType("affC", 2), ok=False, checks=["reconcile"],
+        failures=["period-divides: detected 4, declared 6"], notes=["a note"],
+        remainder=TPoly([1, 3, 0, 4], 17),
+        period=PeriodReport(transient_start=1, period=4, repeating_block=(3, 1, 4, 1))),
+    # not reconciled: no remainder and no period
+    "reconcile": ValidationReport(
+        group=GroupType("affC", 2), ok=False, checks=[],
+        failures=["reconcile: remainder coefficient -1 at degree 3 is negative"],
+        notes=["first note", "second note"]),
+}
+
+
+class TestAffineFailureRendering:
+    """verify's affine renderings of a failed report, in both formats."""
+
+    @pytest.fixture(params=sorted(AFFINE_FAILURES))
+    def failing(self, request, monkeypatch):
+        report = AFFINE_FAILURES[request.param]
+        monkeypatch.setattr("fcheaps.cli.cross_validate", lambda *a, **k: report)
+        return request.param
+
+    def test_text(self, failing):
+        r = run("verify", "--type", "affC", "--rank", "2", "--max-length", "17")
+        assert r.exit_code == 1
+        assert r.output == {
+            "period": "remainder=1+3t+4t^3\nperiod=4 transient=1 block=3,1,4,1\nMISMATCH\n"
+                      "note: a note\nfailure: period-divides: detected 4, declared 6\n",
+            "reconcile": "MISMATCH\nnote: first note\nnote: second note\n"
+                         "failure: reconcile: remainder coefficient -1 at degree 3 is negative\n",
+        }[failing]
+
+    def test_json(self, failing):
+        r = run("verify", "--type", "affC", "--rank", "2", "--max-length", "17",
+                "--format", "json")
+        assert r.exit_code == 1
+        head = {"type": "affC", "rank": 2, "ok": False}
+        assert r.output == dumped({
+            "period": {**head, "checks": ["reconcile"],
+                       "failures": ["period-divides: detected 4, declared 6"],
+                       "notes": ["a note"],
+                       "remainder": {"coeffs": ["1", "3", "0", "4"], "truncated_at": 17,
+                                     "var": "t"},
+                       "period": {"period": 4, "repeating_block": [3, 1, 4, 1],
+                                  "transient_start": 1}},
+            "reconcile": {**head, "checks": [],
+                          "failures": ["reconcile: remainder coefficient -1 at degree 3 "
+                                       "is negative"],
+                          "notes": ["first note", "second note"]},
+        }[failing])
 
     def test_short_window_rejected(self):
         assert run("verify", "--type", "affA", "--rank", "4",
@@ -318,6 +392,26 @@ class TestCells:
 
     def test_rank_floor(self):
         assert run("cells", "--rank", "1", "--max-length", "4").exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_failed_audit_exits_one(self, monkeypatch, fmt):
+        good = cells_report(3, 3)
+        bad = {**good, "audits": {**good["audits"], "at_most_one_involution_per_fiber": False}}
+        monkeypatch.setattr("fcheaps.cli.cells_report", lambda n, max_length: bad)
+        r = run("cells", "--rank", "3", "--max-length", "3", "--format", fmt)
+        assert r.exit_code == 1
+        assert r.output == {
+            "text": "rank 3 max_length 3 fibers 4\n"
+                    "e | members 1 | involution e\n"
+                    "s0 | members 5 | involution s0\n"
+                    "s1 | members 5 | involution s1\n"
+                    "s2 | members 5 | involution s2\n"
+                    "audit at_most_one_involution_per_fiber: FAILED\n"
+                    "audit missing_involutions_only_on_even_cycles: ok\n"
+                    "audit representatives_irreducible_both_tests: ok\n",
+            "json": dumped(bad),
+            "csv": "representative,members,involution\ne,1,e\ns0,5,s0\ns1,5,s1\ns2,5,s2\n",
+        }[fmt]
 
 
 class TestUsageErrors:

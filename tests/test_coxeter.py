@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fcheaps.coxeter import (
-    FAMILIES, _MIN_RANK, GroupType, CoxeterGraph, InvalidGroupError,
+    FAMILIES, _MIN_RANK, GroupType, InvalidGroupError,
     normalize_family, build_graph, check_word, canonical_form, realize_permutation,
 )
 from fc_oracles import CommutationClassOverflow, commutation_class

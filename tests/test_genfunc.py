@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from fcheaps.coxeter import GroupType, build_graph
@@ -8,7 +10,6 @@ from fcheaps.genfunc import (
     affine_periodic_part, reconcile, ReconcileError,
 )
 from fcheaps.enumerator import maj_profile
-from fcheaps import genfunc
 from fcheaps.genfunc import ClosedFormError, InconclusiveWindowError, affine_period
 from fcheaps.coxeter import InvalidGroupError
 from fcheaps.enumerator import cross_validate
@@ -83,6 +84,11 @@ class TestCardinalities:
     def test_matches_length_polynomial(self, fam, rng):
         for n in rng:
             assert card_involutions(fam, n) == length_genfunc(fam, n)(1)
+
+    def test_odd_d_central_term_halves_exactly(self):
+        # for odd n, 3 C(n + 1, (n + 1) / 2) / 2 = 3 C(n, (n - 1) / 2)
+        for n in range(3, 42, 2):
+            assert card_involutions("D", n) == 2 ** n + 3 * comb(n, (n - 1) // 2) - 1
 
 
 class TestMajGenfunc:
@@ -205,8 +211,3 @@ class TestTypedConsistencyErrors:
         monkeypatch.setattr(Series, "__eq__", eq)
         with pytest.raises(ClosedFormError, match=f"^{sid} iteration"):
             solve_series(sid, 3, 6)
-
-    def test_odd_central_term_raises(self, monkeypatch):
-        monkeypatch.setattr(genfunc, "comb", lambda a, b: 1)
-        with pytest.raises(ClosedFormError):
-            card_involutions("D", 3)

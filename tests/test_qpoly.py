@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fcheaps.qpoly import (
-    TPoly, Series, TruncationError, PeriodError, PeriodReport,
+    TPoly, Series, TruncationError, PeriodError,
     qbinomial, detect_period, periodicize,
 )
 

@@ -9,8 +9,8 @@ from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.heaps import Heap, is_alternating, is_reduced_fc, is_self_dual, major_index
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
-    family_poly, count_profile, encode_walk, decode_walk,
-    FrobeniusSymbol, walk_to_frobenius, SCHEMES, _height_ok,
+    family_poly, encode_walk, decode_walk,
+    FrobeniusSymbol, walk_to_frobenius, _height_ok,
 )
 from fcheaps.qpoly import TPoly
 
