@@ -14,7 +14,10 @@ worse than the parent's by more than the bound, a share of the parent's
 median.  For --claim it also prints the pair wins and whether the claim
 holds: the change wins at least nine of every ten pairs (ties count for
 neither side) and the medians differ, the change's way, by more than the
-parent's interquartile range.  Nothing is written to either checkout.
+parent's interquartile range.  With --json PATH the same verdicts, every
+pair's values, each side's quartiles, the checkouts' commits and the host
+are also written to PATH as one JSON object.  Nothing is written to either
+checkout.
 
 setup_s and peak_rss_mib include importing fcheaps, which compiles its
 sources unless a bytecode cache holds them.  So that both sides do the same
@@ -30,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -80,6 +84,37 @@ def claim_holds(parent: list[float], change: list[float], better: str) -> bool:
     return 10 * wins >= 9 * len(parent) and gain > q3 - q1
 
 
+def summarize(metrics: dict[str, dict], values: dict[str, dict[str, list[float]]],
+              claim: str | None) -> dict:
+    """Per metric, both sides' values and quartiles and the bound verdict;
+    for the claimed metric, the pair wins and whether the claim holds."""
+    out: dict = {"metrics": {}}
+    for m, meta in metrics.items():
+        p, c = values["parent"][m], values["change"][m]
+        out["metrics"][m] = {
+            "unit": meta["unit"], "better": meta["better"], "bound": meta["bound"],
+            "parent": p, "change": c,
+            "parent_quartiles": list(quartiles(p)), "change_quartiles": list(quartiles(c)),
+            "worse_share": worse_share(statistics.median(p), statistics.median(c),
+                                       meta["better"]),
+            "exceeds_bound": exceeds_bound(p, c, meta["better"], meta["bound"]),
+        }
+    if claim is not None:
+        p, c = values["parent"][claim], values["change"][claim]
+        better = metrics[claim]["better"]
+        wins, losses = pair_wins(p, c, better)
+        out["claim"] = {"metric": claim, "pairs": len(p), "wins": wins, "losses": losses,
+                        "holds": claim_holds(p, c, better)}
+    return out
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's git HEAD, or None outside a git checkout."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def side_env(cache_dir: Path, base: dict[str, str]) -> dict[str, str]:
     """The environment of one side's processes: base with bytecode read from
     and written to cache_dir instead of the checkout."""
@@ -118,6 +153,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--claim", help="end-to-end metric the change claims to improve")
     ap.add_argument("--seed", type=int, default=9000, help="seed of the first pair")
+    ap.add_argument("--json", type=Path, help="also write the results to this file")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
@@ -143,22 +179,25 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: " + " ".join(f"{m}={values[side][m][-1]:.4g}"
                                                        for m in metrics), flush=True)
     print(f"failed or incorrect: parent {failed['parent']}, change {failed['change']}")
-    for m, meta in metrics.items():
-        p, c = values["parent"][m], values["change"][m]
-        cells = [f"{s} q1/med/q3 " + "/".join(f"{v:.4g}" for v in quartiles(values[s][m]))
+    summary = summarize(metrics, values, args.claim)
+    for m, row in summary["metrics"].items():
+        cells = [f"{s} q1/med/q3 " + "/".join(f"{v:.4g}" for v in row[f"{s}_quartiles"])
                  for s in sides]
-        share = worse_share(statistics.median(p), statistics.median(c), meta["better"])
-        verdict = "WORSE than bound" if exceeds_bound(p, c, meta["better"], meta["bound"]) \
-            else "within bound"
-        print(f"{m} [{meta['unit']}]: {'; '.join(cells)}; change worse by {share:+.1%}, "
-              f"bound {meta['bound']:.0%}: {verdict}")
+        verdict = "WORSE than bound" if row["exceeds_bound"] else "within bound"
+        print(f"{m} [{row['unit']}]: {'; '.join(cells)}; change worse by "
+              f"{row['worse_share']:+.1%}, bound {row['bound']:.0%}: {verdict}")
     if args.claim is not None:
-        meta = metrics[args.claim]
-        p, c = values["parent"][args.claim], values["change"][args.claim]
-        wins, losses = pair_wins(p, c, meta["better"])
-        holds = claim_holds(p, c, meta["better"])
-        print(f"claim {args.claim}: change won {wins} of {len(p)} pairs (lost {losses}); "
-              f"claim {'holds' if holds else 'NOT met'}")
+        claim = summary["claim"]
+        print(f"claim {args.claim}: change won {claim['wins']} of {claim['pairs']} pairs "
+              f"(lost {claim['losses']}); claim {'holds' if claim['holds'] else 'NOT met'}")
+    if args.json is not None:
+        record = {"workload": args.workload, "pairs": args.pairs, "seed": args.seed,
+                  "run_seconds": spec["run_seconds"], "failed": failed,
+                  "commits": {s: commit_of(sides[s]) for s in sides},
+                  "host": {"python": platform.python_version(), "machine": platform.machine(),
+                           "cpus": os.cpu_count()},
+                  **summary}
+        args.json.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

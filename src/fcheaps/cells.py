@@ -224,7 +224,7 @@ def cells_report(n: int, max_length: int) -> dict:
     audit_even = True
     audit_irreducible = True
     reps: dict[tuple[int, ...], Heap] = {}
-    for h in walk_fc(g, max_length):
+    for _length, h in walk_fc(g, max_length):
         rep = reduce_fully(h, reps)
         key = rep.canonical_word
         rec = fibers.get(key)

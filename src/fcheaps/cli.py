@@ -6,7 +6,8 @@ which is written in blocks.
 
 Exit codes: 0 success, 1 verification mismatch or failed cells audit (in
 every format), 2 invalid input, an affine window too short for verify to
-decide, or an enumerate --stream length that outgrew the memory guard.
+decide, an enumerate --stream length that outgrew the memory guard, or a
+series window (series, genfunc length, verify) beyond SERIES_CAP.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import chain, islice
+from typing import NoReturn
 
 import click
 
@@ -21,9 +23,9 @@ from .cells import cells_report
 from .coxeter import (FAMILIES, GroupType, InvalidGroupError, build_graph,
                       normalize_family)
 from .enumerator import MemoryGuardError, cross_validate, enumerate_fc, listed_words
-from .genfunc import (SERIES_IDS, InconclusiveWindowError, card_involutions,
-                      length_genfunc, maj_genfunc, maj_genfunc_by_descents,
-                      solve_series)
+from .genfunc import (SERIES_IDS, InconclusiveWindowError, SeriesLimitError,
+                      card_involutions, length_genfunc, maj_genfunc,
+                      maj_genfunc_by_descents, solve_series)
 from .qpoly import TPoly
 from .walks import END_CHOICES, START_CHOICES, WEIGHT_CHOICES, WalkFamilySpec, family_poly
 
@@ -35,6 +37,12 @@ def _group_type(family: str, rank: int) -> GroupType:
         return GroupType(normalize_family(family), rank)
     except InvalidGroupError as e:
         raise click.UsageError(str(e))
+
+
+def _exit_limit(message: str) -> NoReturn:
+    """A resource limit: one Error: line on stderr, then exit 2."""
+    click.echo(f"Error: {message}", err=True)
+    sys.exit(2)
 
 
 def _emit_json(payload) -> None:
@@ -134,8 +142,7 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         try:
             words = listed_words(g, max_length, mode)
         except MemoryGuardError as e:
-            click.echo(f"Error: {e}; lower --max-length", err=True)
-            sys.exit(2)
+            _exit_limit(f"{e}; lower --max-length")
         elements = ((length, g.spell(word))
                     for length, bucket in enumerate(words) for word in bucket)
         if fmt == "json":
@@ -178,6 +185,8 @@ def genfunc_cmd(stat: str, family: str, rank: int, descents: int | None, fmt: st
             poly = length_genfunc(t.family, t.n)
     except (InvalidGroupError, ValueError) as e:
         raise click.UsageError(str(e))
+    except SeriesLimitError as e:
+        _exit_limit(f"{e}; lower --rank")
     _emit_poly(poly, "q" if stat == "maj" else "t", fmt, meta)
 
 
@@ -196,7 +205,10 @@ def series_cmd(series_id: str, xmax: int, tmax: int, fmt: str) -> None:
     """Solve a walk functional equation on a truncated window."""
     if xmax < 0 or tmax < 0:
         raise click.UsageError("--xmax and --tmax must be >= 0")
-    s = solve_series(series_id, xmax, tmax)
+    try:
+        s = solve_series(series_id, xmax, tmax)
+    except SeriesLimitError as e:
+        _exit_limit(f"{e}; lower --xmax or --tmax")
     _emit(fmt, {"id": series_id, "xmax": xmax, "tmax": tmax,
                 "coeffs": [[str(c) for c in p.coeffs] for p in s.coeffs]},
           chain(["xpow,tpow,coefficient"], (f"{k},{e},{c}" for k, p in enumerate(s.coeffs)
@@ -265,6 +277,8 @@ def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str) -> None
         report = cross_validate(t.family, t.n, max_length)
     except InconclusiveWindowError as e:
         raise click.UsageError(str(e))
+    except SeriesLimitError as e:
+        _exit_limit(f"{e}; lower --rank")
     p = report.period
     payload = {"type": t.family, "rank": t.n, "ok": report.ok, "checks": report.checks,
                "failures": report.failures, "notes": report.notes}

@@ -2,8 +2,11 @@
 
 Heaps grow one maximal element at a time, and only along lexicographic
 normal forms of the trace monoid, so each FC element is generated exactly
-once and needs no deduplication.  Counting walks the normal-form tree in no
-set order.
+once and needs no deduplication.  walk_fc walks the normal-form tree in no
+set order on one mutable path and yields (length, heap) per element; it
+builds a Heap only where the filter can pass (every element under "all",
+else only where the descent labels equal the minimum labels, which every
+involution satisfies) and yields None for the rest.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
 from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
-from .heaps import (Heap, classify_involution, extend, is_alternating,
-                    is_self_dual, major_index)
+from .heaps import (Heap, _place, classify_involution, is_alternating, is_self_dual,
+                    major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
 from .walks import UP, DOWN, FLAT, Walk
 
@@ -45,42 +48,84 @@ def passes_filter(h: Heap, mode: str) -> bool:
     raise ValueError(f"unknown filter {mode!r}; expected one of {FILTERS}")
 
 
-def walk_fc(g: CoxeterGraph, max_length: int | None):
-    """Yield every reduced FC heap of length at most max_length once, in no
-    set order.
+def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
+    """Yield (length, heap) for every reduced FC element of length at most
+    max_length once, in no set order; heap is None when the element fails
+    the filter mode.
 
-    Every heap's letters are the lexicographically least word of its
-    commutation class (its Anisimov-Knuth normal form).  A heap is extended
-    by s only when every letter after the last position holding s or a
-    neighbor of s is smaller than s, which is exactly when the longer word is
-    again a normal form.  Normal forms are closed under prefixes, so the
-    normal forms make a tree and each FC element is generated once, from the
-    heap of its normal form minus the last letter.  The walk is depth-first
-    over that tree; its stack holds at most one heap per generator and depth.
+    The walk follows lexicographic (Anisimov-Knuth) normal forms, the least
+    word of each commutation class.  Normal forms are closed under prefixes, so they make
+    a tree and each FC element is reached once, from its normal form minus
+    the last letter.  A word may be followed by s iff no letter greater than
+    s comes after the last s or neighbor of s; the letters allowed after a
+    word ending in s are therefore s and its neighbors, plus the letters
+    above s allowed before it.  They are kept as a bitmask, as are the
+    descent and minimum labels; a descent is never appended, and _place
+    decides whether s closes a braid window.
 
-    max_length None runs until the group is exhausted (finite families).
+    The walk is depth-first on one mutable path (letters, below, layer, prev
+    and last, undone through prev on backtrack), and its stack holds plain
+    tuples, at most one per generator and depth.  A Heap is built from the
+    path for every element when mode is "all".  Under any other mode it is
+    built only when the descent labels equal the minimum labels, and
+    passes_filter decides on it.  That pre-test loses nothing: the maxima of
+    a heap's dual are the heap's minima, so a self-dual heap (every filter
+    but "all" asks for one) has equal descent and minimum labels; it is the
+    first test of is_self_dual.  max_length None runs until the group is
+    exhausted (finite families).
     """
     adjacency = g.adjacency
-    top = g.size - 1
-    stack = [Heap.empty(g)]
-    while stack:
-        h = stack.pop()
-        yield h
-        if max_length is not None and len(h.letters) >= max_length:
-            continue
-        last, descents = h.last, h.descents
-        later = -1  # last position of any letter greater than s
-        for s in range(top, -1, -1):
-            p = last[s]
-            for u in adjacency[s]:
-                if last[u] > p:
-                    p = last[u]
-            if later <= p and s not in descents:  # a descent cannot lengthen h
-                child = extend(h, s)
-                if child is not None:
-                    stack.append(child)
-            if last[s] > later:
-                later = last[s]
+    size = g.size
+    closed = [sum(1 << u for u in (s, *adjacency[s])) for s in range(size)]
+    higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
+    label_sets: dict[int, frozenset[int]] = {}
+
+    def labels(mask: int) -> frozenset[int]:
+        got = label_sets.get(mask)
+        if got is None:
+            got = label_sets[mask] = frozenset(s for s in range(size) if mask >> s & 1)
+        return got
+
+    letters: list[int] = []
+    below: list[int] = []
+    layer: list[int] = []
+    prev: list[int] = []
+    last = [-1] * size
+    allowed, descents, minima = (1 << size) - 1, 0, 0  # the empty heap
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
+    while True:
+        length = len(letters)
+        h = None
+        if mode == "all" or descents == minima:
+            h = Heap(g, tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
+                     labels(descents), labels(minima))
+            if mode != "all" and not passes_filter(h, mode):
+                h = None
+        yield length, h
+        if max_length is None or length < max_length:
+            free = allowed & ~descents
+            while free:  # greatest first, so the least is walked first
+                s = free.bit_length() - 1
+                free ^= 1 << s
+                placed = _place(g, last, prev, below, layer, s)
+                if placed is not None:
+                    below_s, layer_s = placed
+                    stack.append((length, s, below_s, layer_s,
+                                  closed[s] | (allowed & higher[s]),
+                                  (descents & ~closed[s]) | (1 << s),
+                                  minima if below_s else minima | (1 << s)))
+        if not stack:
+            return
+        parent, s, below_s, layer_s, allowed, descents, minima = stack.pop()
+        while len(letters) > parent:  # back up to the parent
+            last[letters.pop()] = prev.pop()
+            below.pop()
+            layer.pop()
+        letters.append(s)
+        below.append(below_s)
+        layer.append(layer_s)
+        prev.append(last[s])
+        last[s] = parent
 
 
 def _by_length(pairs) -> list[list]:
@@ -105,7 +150,7 @@ def iter_fc(g: CoxeterGraph, max_length: int | None):
     is held before the first is yielded; MemoryGuardError, raised during the
     walk, when a length holds more than LAYER_CAP heaps.
     """
-    buckets = _by_length((len(h.letters), h) for h in walk_fc(g, max_length))
+    buckets = _by_length(walk_fc(g, max_length))
     for length, bucket in enumerate(buckets):
         bucket.sort(key=lambda h: h.canonical_word)
         for h in bucket:
@@ -118,8 +163,8 @@ def listed_words(g: CoxeterGraph, max_length: int, mode: str) -> list[list[tuple
     Heaps are filtered during the walk and only their words are kept, so at
     most LAYER_CAP words per length; MemoryGuardError beyond that.
     """
-    buckets = _by_length((len(h.letters), h.canonical_word)
-                         for h in walk_fc(g, max_length) if passes_filter(h, mode))
+    buckets = _by_length((length, h.canonical_word)
+                         for length, h in walk_fc(g, max_length, mode) if h is not None)
     for bucket in buckets:
         bucket.sort()
     return buckets
@@ -133,11 +178,10 @@ def enumerate_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all") -> 
     given.  Counting holds no more than the walk's stack.
     """
     counts: list[int] = []
-    for h in walk_fc(g, max_length):
-        length = len(h.letters)
+    for length, h in walk_fc(g, max_length, mode):
         while len(counts) <= length:
             counts.append(0)
-        if passes_filter(h, mode):
+        if h is not None:
             counts[length] += 1
     if max_length is not None:
         counts.extend([0] * (max_length + 1 - len(counts)))
@@ -156,8 +200,8 @@ def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
     if g.group.is_affine:
         raise ValueError("major index profiles need a finite family")
     total = [0]
-    for h in walk_fc(g, None):
-        if passes_filter(h, mode):
+    for _length, h in walk_fc(g, None, mode):
+        if h is not None:
             _bump(total, major_index(h))
     return TPoly(total)
 
@@ -231,9 +275,10 @@ def _first_divergence(a: TPoly, b: TPoly, upto: int) -> str:
 def cross_validate(family: str, n: int, max_length: int | None = None) -> ValidationReport:
     """Compare enumeration against every closed form available for the family.
 
-    A finite group is enumerated in one pass: each heap is tested for
-    self-duality once, and every involution adds to the length counts, the
-    major index counts and, for B, the alternating-class major index counts.
+    A finite group is enumerated in one pass of walk_fc under "involutions",
+    and every involution adds to the length counts, the major index counts
+    and, for B, the alternating-class major index counts.  Its length
+    polynomial is solved first, so a SeriesLimitError comes before the walk.
     An affine window shorter than two declared periods raises
     InconclusiveWindowError before enumerating: reconciliation needs two
     periods of zero remainder below the cap, so such a window cannot decide.
@@ -242,12 +287,13 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
     g = build_graph(t)
     report = ValidationReport(group=t)
     if not t.is_affine:
+        formula_len = length_genfunc(family, n)
         counts, majs, alt_majs = [0], [0], [0]
-        for h in walk_fc(g, None):
-            if not is_self_dual(h):
+        for length, h in walk_fc(g, None, "involutions"):
+            if h is None:
                 continue
             m = major_index(h)
-            _bump(counts, len(h.letters))
+            _bump(counts, length)
             _bump(majs, m)
             if family == "B" and classify_involution(h).kind == "alternating":
                 _bump(alt_majs, m)
@@ -263,7 +309,6 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
         report._record("maj", oracle_maj == formula_maj,
                        _first_divergence(oracle_maj, formula_maj,
                                          max(oracle_maj.degree(), formula_maj.degree(), 0)))
-        formula_len = length_genfunc(family, n)
         report.length = oracle_len
         good = (oracle_len.degree() <= formula_len.cap
                 and oracle_len.truncate(formula_len.cap) == formula_len)

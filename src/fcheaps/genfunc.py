@@ -18,9 +18,15 @@ from .walks import WalkFamilySpec, family_poly
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
 
+SERIES_CAP = 10 ** 5  # most x^i t^j coefficients one series window holds
+
 
 class ClosedFormError(RuntimeError):
     """A series solution or closed form failed its own consistency check."""
+
+
+class SeriesLimitError(RuntimeError):
+    """A series window holds more coefficients than SERIES_CAP."""
 
 
 def _t() -> TPoly:
@@ -45,10 +51,14 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     and one triangular pass builds each series.  Each solution is then
     checked, independently of the recursion, to satisfy its functional
     equation on the truncated window with whole-series arithmetic
-    (ClosedFormError otherwise).
+    (ClosedFormError otherwise).  A window of more than SERIES_CAP (read per
+    call) coefficients raises SeriesLimitError before anything is allocated.
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
+    if (xmax + 1) * (tmax + 1) > SERIES_CAP:
+        raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
+                               f"exceeds {SERIES_CAP}")
     m = _solve_m(xmax, tmax)
     if series_id == "M":
         return m
@@ -122,7 +132,8 @@ def _x_coeff(a: Series, b: Series, k: int) -> TPoly:
 
 def length_genfunc(family: str, n: int) -> TPoly:
     """Length polynomial of the involutions, capped at length_bound (which
-    refuses the affine families)."""
+    refuses the affine families); SeriesLimitError when the series window
+    of n + 1 by length_bound + 1 coefficients exceeds SERIES_CAP."""
     GroupType(family, n)
     tmax = length_bound(family, n)
     xmax = n

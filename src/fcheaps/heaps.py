@@ -328,27 +328,24 @@ def classify_involution(h: Heap) -> Classification:
         f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")
 
 
-def extend(h: Heap, s: int) -> Heap | None:
-    """Append a maximal element labeled s if the result stays reduced FC.
+def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int] | None:
+    """Place a new maximal element labeled s on a reduced FC heap given by
+    its last, prev, below and layer sequences (tuples or lists).
 
-    Returns None when s is a right descent (the word would not lengthen) or
-    when the new element closes an alternating convex braid window.
-    Assumes h itself is a reduced FC heap.
+    Returns the new element's below mask and layer, or None when it closes
+    an alternating convex braid window (Stembridge's criterion: a heap is FC
+    iff it has no convex chain of m alternating s/t elements on a bond of
+    label m).  Does not test whether s is a right descent.
     """
-    g = h.graph
-    if s in h.descents:
-        return None
     nbrs = g.adjacency[s]
-    last, prev = h.last, h.prev
-    nu = len(h.letters)
     below_nu = 0
     lay = 0
     for u in (s, *nbrs):
         lp = last[u]
         if lp >= 0:
-            below_nu |= h.below[lp] | (1 << lp)
-            if h.layer[lp] > lay:
-                lay = h.layer[lp]
+            below_nu |= below[lp] | (1 << lp)
+            if layer[lp] > lay:
+                lay = layer[lp]
     for t in nbrs:
         # walk the s/t chain down from its top through last and prev: its
         # last m - 1 elements must alternate and end in t to close a window
@@ -368,13 +365,31 @@ def extend(h: Heap, s: int) -> Heap | None:
             rest = (below_nu & ~interior) >> (a + 1)
             while rest:
                 low = rest & -rest
-                if (h.below[a + low.bit_length()] >> a) & 1:
+                if (below[a + low.bit_length()] >> a) & 1:
                     break
                 rest ^= low
             else:
                 return None
+    return below_nu, lay + 1
+
+
+def extend(h: Heap, s: int) -> Heap | None:
+    """Append a maximal element labeled s if the result stays reduced FC.
+
+    Returns None when s is a right descent (the word would not lengthen) or
+    when the new element closes an alternating convex braid window.
+    Assumes h itself is a reduced FC heap.
+    """
+    g = h.graph
+    if s in h.descents:
+        return None
+    last, prev = h.last, h.prev
+    placed = _place(g, last, prev, h.below, h.layer, s)
+    if placed is None:
+        return None
+    below_nu, lay = placed
     new_last = list(last)
-    new_last[s] = nu
-    return Heap(g, h.letters + (s,), h.below + (below_nu,), h.layer + (lay + 1,),
-                tuple(new_last), prev + (last[s],), h.descents.difference(nbrs) | {s},
+    new_last[s] = len(h.letters)
+    return Heap(g, h.letters + (s,), h.below + (below_nu,), h.layer + (lay,),
+                tuple(new_last), prev + (last[s],), h.descents.difference(g.adjacency[s]) | {s},
                 h.minima if below_nu else h.minima | {s})

@@ -6,12 +6,15 @@ brute force.  Neither shares code with extend, the normal-form walk or
 canonical_form, so the tests that check those use them as their reference.
 reduce_choosing reduces a cycle heap by whichever move a chooser picks, so
 the tests can check that the cell representative does not depend on it.
+heap_walk is the normal-form walk that the mutable-path walk_fc replaced: it
+builds every node as a Heap through extend.
 """
 
 import random
 
 from fcheaps.cells import reduction_moves, remove_top
 from fcheaps.coxeter import check_word
+from fcheaps.heaps import Heap, extend
 
 
 def above_masks(h):
@@ -105,3 +108,34 @@ def move_choosers(*seeds):
     """Choosers for reduce_choosing: the least move, the greatest move and,
     per seed, a move drawn by a fresh random.Random(seed)."""
     return [min, max, *(random.Random(seed).choice for seed in seeds)]
+
+
+def heap_walk(g, max_length):
+    """Every reduced FC heap of length at most max_length once, depth-first
+    over lexicographic normal forms, one Heap per node made by extend.
+
+    A heap is extended by s only when every letter after the last position
+    holding s or a neighbor of s is smaller than s; its stack holds at most
+    one heap per generator and depth.
+    """
+    adjacency = g.adjacency
+    top = g.size - 1
+    stack = [Heap.empty(g)]
+    while stack:
+        h = stack.pop()
+        yield h
+        if max_length is not None and len(h.letters) >= max_length:
+            continue
+        last, descents = h.last, h.descents
+        later = -1  # last position of any letter greater than s
+        for s in range(top, -1, -1):
+            p = last[s]
+            for u in adjacency[s]:
+                if last[u] > p:
+                    p = last[u]
+            if later <= p and s not in descents:  # a descent cannot lengthen h
+                child = extend(h, s)
+                if child is not None:
+                    stack.append(child)
+            if last[s] > later:
+                later = last[s]

@@ -10,8 +10,8 @@ def descent_profiles(g, mode="alternating"):
     if g.group.is_affine:
         raise ValueError("descent profiles need a finite family")
     acc = {}
-    for h in walk_fc(g, None):
-        if passes_filter(h, mode):
+    for _length, h in walk_fc(g, None, mode):
+        if h is not None:
             counts = acc.setdefault(len(h.descents), [0])
             m = major_index(h)
             counts.extend([0] * (m + 1 - len(counts)))

@@ -2,6 +2,7 @@
 the environment its benchmark processes run in."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -96,3 +97,57 @@ def test_warm_cache_compiles_then_imports_in_the_side_env(tmp_path, monkeypatch)
         ["perfbench/run.py", "--workload", "verify", "--seed", "0", "--setup-only"],
     ]
     assert all(cwd == tmp_path and e is env for _cmd, cwd, e in calls)
+
+
+def test_json_record_matches_the_printed_verdicts(tmp_path, monkeypatch, capsys):
+    # made-up runs: the change is 30% faster on run_s and equal elsewhere
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mib", "unit": "MiB", "better": "lower",
+                        "bound": 0.1}]}))
+    parent_dir = tmp_path / "parent"
+    parent_dir.mkdir()
+
+    def fake_run_once(checkout, workload, seed, seconds, env):
+        run_s = PARENT[seed - 100] * (1.0 if checkout == parent_dir else 0.7)
+        return {"failed": 0, "correct": True,
+                "metrics": {"run_s": {"value": run_s}, "peak_rss_mib": {"value": 25.0}}}
+
+    monkeypatch.setattr(bench_pair, "warm_cache", lambda *_a: None)
+    monkeypatch.setattr(bench_pair, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    bench_pair.main(["--parent", str(parent_dir), "--change", str(tmp_path), "--workload",
+                     "verify", "--pairs", "10", "--claim", "run_s", "--seed", "100",
+                     "--json", str(out)])
+    record = json.loads(out.read_text())
+    printed = capsys.readouterr().out.splitlines()
+    assert record["workload"] == "verify" and record["pairs"] == 10 and record["seed"] == 100
+    assert record["failed"] == {"parent": 0, "change": 0}
+    assert record["commits"] == {"parent": None, "change": None}  # not git checkouts
+    assert set(record["host"]) == {"python", "machine", "cpus"}
+    run_s = record["metrics"]["run_s"]
+    assert run_s["parent"] == PARENT
+    assert run_s["parent_quartiles"] == list(bench_pair.quartiles(PARENT))
+    assert run_s["exceeds_bound"] is False
+    assert record["metrics"]["peak_rss_mib"]["worse_share"] == 0.0
+    assert printed[-1] == (f"claim run_s: change won {record['claim']['wins']} of 10 pairs "
+                           f"(lost {record['claim']['losses']}); claim "
+                           f"{'holds' if record['claim']['holds'] else 'NOT met'}")
+    assert printed[-3].startswith("run_s [s]: parent q1/med/q3 ")
+    assert printed[-2].endswith("change worse by +0.0%, bound 10%: within bound")
+
+
+def test_summarize_on_made_up_values():
+    metrics = {"run_s": {"unit": "s", "better": "lower", "bound": 0.25}}
+    values = {"parent": {"run_s": PARENT}, "change": {"run_s": [p * 0.7 for p in PARENT]}}
+    summary = bench_pair.summarize(metrics, values, "run_s")
+    row = summary["metrics"]["run_s"]
+    assert row["worse_share"] == pytest.approx(-0.3)
+    assert row["change_quartiles"] == list(bench_pair.quartiles(values["change"]["run_s"]))
+    assert not row["exceeds_bound"]
+    assert summary["claim"] == {"metric": "run_s", "pairs": 10, "wins": 10, "losses": 0,
+                                "holds": True}
+    slower = {"parent": values["change"], "change": {"run_s": PARENT}}
+    summary = bench_pair.summarize(metrics, slower, None)
+    assert summary["metrics"]["run_s"]["exceeds_bound"] and "claim" not in summary

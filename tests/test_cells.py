@@ -66,7 +66,7 @@ class TestReduceFully:
 
     @pytest.mark.parametrize("g,max_length", [(C4, 6), (C6, 9)], ids=["affA4-L6", "affA6-L9"])
     def test_policies_agree_on_small_range(self, g, max_length):
-        for h in walk_fc(g, max_length):
+        for _length, h in walk_fc(g, max_length):
             reps = {reduce_choosing(h, c).canonical_word for c in move_choosers(0, 1, 2)}
             assert reps == {reduce_fully(h, {}).canonical_word}, h
 

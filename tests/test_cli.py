@@ -370,6 +370,45 @@ class TestInconclusiveWindow:
         assert "all match" in r.output
 
 
+class TestSeriesLimit:
+    """A series window beyond SERIES_CAP exits 2 with one Error: line and no
+    stdout.  Cap 30: M at 5 x 6 and B:2's length window, 3 x 8, fit; 5 x 7
+    and B:3's 4 x 11 do not."""
+
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 30)
+
+    @staticmethod
+    def assert_limit(r, window, advice):
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == (f"Error: series window of {window} coefficients exceeds 30; "
+                            f"{advice}\n")
+
+    def test_series(self):
+        assert run("series", "--id", "M", "--xmax", "4", "--tmax", "5").exit_code == 0
+        self.assert_limit(run("series", "--id", "M", "--xmax", "4", "--tmax", "6"),
+                          "5 x 7", "lower --xmax or --tmax")
+
+    def test_genfunc_length(self):
+        assert run("genfunc", "length", "--type", "B", "--rank", "2").exit_code == 0
+        self.assert_limit(run("genfunc", "length", "--type", "B", "--rank", "3"),
+                          "4 x 11", "lower --rank")
+        # maj and card solve no series
+        assert run("genfunc", "maj", "--type", "B", "--rank", "3").exit_code == 0
+        assert run("genfunc", "card", "--type", "B", "--rank", "3").exit_code == 0
+
+    def test_verify_trips_before_enumerating(self, monkeypatch):
+        assert run("verify", "--type", "B", "--rank", "2").exit_code == 0
+
+        def refuse(*_a, **_k):
+            raise AssertionError("enumerated past the series limit")
+
+        monkeypatch.setattr("fcheaps.enumerator.walk_fc", refuse)
+        self.assert_limit(run("verify", "--type", "B", "--rank", "3"), "4 x 11", "lower --rank")
+
+
 class TestCells:
     def test_text_report(self):
         r = run("cells", "--rank", "3", "--max-length", "6")

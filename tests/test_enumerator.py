@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,7 @@ from fcheaps.enumerator import (
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import extend
-from fc_oracles import commutation_class, scan_is_reduced_fc
+from fc_oracles import commutation_class, heap_walk, scan_is_reduced_fc
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -231,7 +234,7 @@ DFS_GROUPS = [("A", 5, None), ("B", 4, None), ("D", 4, None), ("affA", 4, 12),
 
 
 def walk_keys(g, max_length):
-    return [(len(h), h.canonical_word) for h in walk_fc(g, max_length)]
+    return [(length, h.canonical_word) for length, h in walk_fc(g, max_length)]
 
 
 def word_bfs(g, max_length):
@@ -250,6 +253,34 @@ def word_bfs(g, max_length):
         layer = sorted(nxt)
         out += [(length, w) for w in layer]
     return out
+
+
+def peak_pending(walk):
+    """The most entries the generator walk holds in its local "stack" at a
+    yield, and the greatest length it yields."""
+    peak = depth = 0
+    for length, _h in walk:
+        peak = max(peak, len(walk.gi_frame.f_locals["stack"]))
+        depth = max(depth, length)
+    return peak, depth
+
+
+def layered_walk(g, max_length):
+    """Every reduced FC heap once, a length at a time: while one length is
+    yielded, stack gathers the heaps one letter longer."""
+    layer = [Heap.empty(g)]
+    length = 0
+    while layer:
+        stack = {}
+        for h in layer:
+            yield length, h
+            if max_length is None or length < max_length:
+                for s in range(g.size):
+                    child = extend(h, s)
+                    if child is not None:
+                        stack.setdefault(child.canonical_word, child)
+        layer = list(stack.values())
+        length += 1
 
 
 class TestDepthFirstWalk:
@@ -280,27 +311,17 @@ class TestDepthFirstWalk:
         assert len(set(got)) == len(got)
         assert sorted(got) == word_bfs(g, max_length)
 
-    def test_pending_heaps_stay_within_depth_times_rank(self, monkeypatch):
-        # a heap is pending from its creation by extend until walk_fc yields
-        # it; the depth-first stack bounds that, where a length layer does not
+    def test_pending_entries_stay_within_depth_times_rank(self):
+        # the depth-first stack holds at most one entry per generator and
+        # depth, where a walk a length layer at a time holds a whole layer
         g = build_graph(GroupType("A", 9))
-        created = [1]  # the empty heap
-
-        def counting_extend(h, s):
-            child = extend(h, s)
-            created[0] += child is not None
-            return child
-
-        monkeypatch.setattr("fcheaps.enumerator.extend", counting_extend)
-        yielded = peak = depth = 0
-        for h in walk_fc(g, None):
-            yielded += 1
-            peak = max(peak, created[0] - yielded)
-            depth = max(depth, len(h))
+        peak, depth = peak_pending(walk_fc(g, None))
         bound = g.size * (depth + 1)
         assert peak <= bound
         counts = enumerate_fc(g, None, "all")
         assert max(counts) > bound
+        layered_peak, layered_depth = peak_pending(layered_walk(g, None))
+        assert layered_depth == depth and layered_peak > bound
 
     def test_counting_never_sorts_or_reads_canonical_words(self, monkeypatch):
         def refuse(*_a, **_k):
@@ -309,7 +330,9 @@ class TestDepthFirstWalk:
         monkeypatch.setattr("fcheaps.enumerator.iter_fc", refuse)
         monkeypatch.setattr(Heap, "canonical_word", property(refuse))
         assert length_profile(A4, None).coeffs == (1, 3, 1, 0, 1)
-        assert sum(enumerate_fc(A5, None, "all")) == 42  # Catalan(5)
+        for n in range(2, 11):  # FC elements of A:n number Catalan(n)
+            g = build_graph(GroupType("A", n))
+            assert sum(enumerate_fc(g, None, "all")) == comb(2 * n, n) // (n + 1)
         assert maj_profile(A4).coeffs == (1, 1, 2, 1, 1)
         assert cross_validate("A", 5).ok
         assert cross_validate("affC", 2, max_length=40).ok
@@ -323,3 +346,62 @@ class TestDepthFirstWalk:
         monkeypatch.setattr("fcheaps.enumerator.LAYER_CAP", widest - 1)
         with pytest.raises(MemoryGuardError, match=f"exceeds {widest - 1} heaps"):
             next(iter_fc(g, None))
+
+
+VERIFY_GROUPS = [("A", 9, None), ("B", 7, None), ("D", 7, None), ("affA", 3, 24),
+                 ("affA", 4, 40), ("affA", 6, 40), ("affB", 2, 150), ("affB", 3, 150),
+                 ("affC", 2, 60), ("affC", 3, 60), ("affD", 2, 60), ("affD", 3, 60)]
+
+HEAP_FIELDS = ("letters", "below", "layer", "last", "prev", "descents", "minima")
+
+
+def check_against_heap_walk(g, max_length, mode):
+    """walk_fc under mode yields what heap_walk's heaps give through
+    passes_filter: the same multiset of (length, canonical word of a passing
+    heap or None).  With the same check under "all", where every heap
+    passes, this fixes the multiset of (length, canonical word, passes).
+    Each heap walk_fc builds has the fields of heap_walk's heap."""
+    old = list(heap_walk(g, max_length))
+    by_word = {h.canonical_word: h for h in old}
+    want = Counter((len(h), h.canonical_word if passes_filter(h, mode) else None)
+                   for h in old)
+    got = Counter()
+    for length, h in walk_fc(g, max_length, mode):
+        if h is None:
+            got[length, None] += 1
+            continue
+        w = h.canonical_word
+        got[length, w] += 1
+        assert len(h) == length
+        for name in HEAP_FIELDS:
+            assert getattr(h, name) == getattr(by_word[w], name), (w, name)
+    assert got == want
+
+
+class TestMutablePathWalk:
+    """walk_fc against heap_walk, the walk it replaced, which builds every
+    node through extend."""
+
+    @pytest.mark.parametrize("mode", FILTERS)
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
+    def test_matches_heap_walk(self, fam, n, max_length, mode):
+        check_against_heap_walk(build_graph(GroupType(fam, n)), max_length, mode)
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(0, 10),
+           st.sampled_from(FILTERS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_heap_walk_anywhere(self, fam, extra_rank, max_length, mode):
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank))
+        check_against_heap_walk(g, max_length, mode)
+
+    @pytest.mark.parametrize("mode", FILTERS)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_node_totals_are_catalan(self, n, mode):
+        # fully commutative elements of A:n are the 321-avoiding permutations
+        # of n points (Billey, Jockusch and Stanley), Catalan(n) of them
+        g = build_graph(GroupType("A", n))
+        assert sum(1 for _ in walk_fc(g, None, mode)) == comb(2 * n, n) // (n + 1)
+
+    def test_unknown_mode_raises_on_the_root(self):
+        with pytest.raises(ValueError, match="unknown filter"):
+            next(walk_fc(A4, None, "evens"))

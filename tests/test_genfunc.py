@@ -10,7 +10,8 @@ from fcheaps.genfunc import (
     affine_periodic_part, reconcile, ReconcileError,
 )
 from fcheaps.enumerator import maj_profile
-from fcheaps.genfunc import ClosedFormError, InconclusiveWindowError, affine_period
+from fcheaps.genfunc import (ClosedFormError, InconclusiveWindowError, SeriesLimitError,
+                             affine_period)
 from fcheaps.coxeter import InvalidGroupError
 from fcheaps.enumerator import cross_validate
 from fcheaps.qpoly import Series
@@ -54,6 +55,17 @@ class TestSolveSeries:
         for n in range(8):
             spec = WalkFamilySpec(n, allow_horiz=False, start=0, end=0)
             assert m.coeffs[n].padded(30) == family_poly(spec, 30).padded(30)
+
+
+class TestSeriesLimit:
+    def test_cap_is_read_per_call(self, monkeypatch):
+        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 30)
+        assert (solve_series("Mstar", 4, 5).xmax, solve_series("M", 4, 5).tmax) == (4, 5)
+        with pytest.raises(SeriesLimitError, match="5 x 7 coefficients exceeds 30"):
+            solve_series("Mstar", 4, 6)
+        assert length_genfunc("B", 2).coeffs == (1, 2, 0, 2)
+        with pytest.raises(SeriesLimitError, match="4 x 11 coefficients"):
+            length_genfunc("B", 3)
 
 
 class TestLengthGenfunc:

@@ -267,7 +267,7 @@ class TestDerivedFields:
     def test_every_enumerated_heap(self, fam, n, max_length):
         from fcheaps.enumerator import walk_fc
         g = build_graph(GroupType(fam, n))
-        for h in walk_fc(g, max_length):
+        for _length, h in walk_fc(g, max_length):
             check_derived_fields(h)
 
     def test_seeded_arbitrary_words(self, fam, n, max_length):

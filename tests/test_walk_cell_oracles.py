@@ -360,7 +360,7 @@ class TestReductionOracle:
         """FC heaps, then heaps of random words that need not be reduced."""
         g = build_graph(GroupType("affA", n))
         words = (Heap.from_word(g, w) for w in _random_words(g, 500, n))
-        for h in (*walk_fc(g, window), *words):
+        for h in (*(h for _l, h in walk_fc(g, window)), *words):
             assert reduction_moves(h) == old_reduction_moves(h), h
             for s in range(n):
                 new, old = _outcome(remove_top, h, s), _outcome(old_remove_top, h, s)
@@ -374,7 +374,7 @@ class TestReductionOracle:
         reductions by the least, the greatest and a seeded random move
         against both."""
         g = build_graph(GroupType("affA", n))
-        for h in walk_fc(g, window):
+        for _length, h in walk_fc(g, window):
             old = old_reduce_fully(h).canonical_word
             assert reduce_fully(h, {}).canonical_word == old, h
             assert {reduce_choosing(h, c).canonical_word for c in move_choosers(1)} == {old}, h
@@ -385,7 +385,7 @@ class TestReductionOracle:
         and so does every entry the map collects."""
         g = build_graph(GroupType("affA", n))
         reps = {}
-        for h in walk_fc(g, window):
+        for _length, h in walk_fc(g, window):
             got = reduce_fully(h, reps)
             assert got.canonical_word == old_reduce_fully(h).canonical_word, h
         assert len(reps) > 0
@@ -438,7 +438,7 @@ class TestSplitOracle:
         g = build_graph(GroupType("affA", n))
         gapped_tops = 0
         reps, seen = {}, set()
-        for h in walk_fc(g, window):
+        for _length, h in walk_fc(g, window):
             for k in {h, reduce_fully(h, reps)} - seen:
                 seen.add(k)
                 new = _outcome(split_top_bottom, k)
