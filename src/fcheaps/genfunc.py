@@ -18,7 +18,13 @@ from .walks import WalkFamilySpec, family_poly
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
 
-SERIES_CAP = 10 ** 5  # most x^i t^j coefficients one series window holds
+# Most (xmax + 1)^2 (tmax + 1)^2 one series window may cost.  The solver
+# multiplies series of truncated polynomials, so its time grows up to the
+# square of the window's coefficient count.  On a 2-CPU x86_64 host, Mstar
+# at 100 x 220 and at 200 x 110 (cost 0.50e9) took 6.0 s, Qo at 148 x 148
+# (0.49e9) 3.8 s and Mstar at 100 x 300 (0.92e9) 10.3 s: at most about 12 ns
+# per unit, so no window under the cap solves for much more than 6 s.
+SERIES_CAP = 5 * 10 ** 8
 
 
 class ClosedFormError(RuntimeError):
@@ -26,7 +32,7 @@ class ClosedFormError(RuntimeError):
 
 
 class SeriesLimitError(RuntimeError):
-    """A series window holds more coefficients than SERIES_CAP."""
+    """A series window would cost more than SERIES_CAP."""
 
 
 def _t() -> TPoly:
@@ -51,14 +57,16 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     and one triangular pass builds each series.  Each solution is then
     checked, independently of the recursion, to satisfy its functional
     equation on the truncated window with whole-series arithmetic
-    (ClosedFormError otherwise).  A window of more than SERIES_CAP (read per
-    call) coefficients raises SeriesLimitError before anything is allocated.
+    (ClosedFormError otherwise).  A window whose cost (xmax + 1)^2 (tmax + 1)^2
+    exceeds SERIES_CAP (read per call) raises SeriesLimitError before
+    anything is allocated.
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    if (xmax + 1) * (tmax + 1) > SERIES_CAP:
+    cost = ((xmax + 1) * (tmax + 1)) ** 2
+    if cost > SERIES_CAP:
         raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
-                               f"exceeds {SERIES_CAP}")
+                               f"costs {cost}, more than {SERIES_CAP}")
     m = _solve_m(xmax, tmax)
     if series_id == "M":
         return m
@@ -133,7 +141,7 @@ def _x_coeff(a: Series, b: Series, k: int) -> TPoly:
 def length_genfunc(family: str, n: int) -> TPoly:
     """Length polynomial of the involutions, capped at length_bound (which
     refuses the affine families); SeriesLimitError when the series window
-    of n + 1 by length_bound + 1 coefficients exceeds SERIES_CAP."""
+    of n + 1 by length_bound + 1 coefficients costs more than SERIES_CAP."""
     GroupType(family, n)
     tmax = length_bound(family, n)
     xmax = n

@@ -371,30 +371,30 @@ class TestInconclusiveWindow:
 
 
 class TestSeriesLimit:
-    """A series window beyond SERIES_CAP exits 2 with one Error: line and no
-    stdout.  Cap 30: M at 5 x 6 and B:2's length window, 3 x 8, fit; 5 x 7
-    and B:3's 4 x 11 do not."""
+    """A series window costing more than SERIES_CAP exits 2 with one Error:
+    line and no stdout.  Cap 1000: M at 5 x 6 (cost 900) and B:2's length
+    window, 3 x 8 (576), fit; 5 x 7 (1225) and B:3's 4 x 11 (1936) do not."""
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 30)
+        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 1000)
 
     @staticmethod
-    def assert_limit(r, window, advice):
+    def assert_limit(r, window, cost, advice):
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert r.stderr == (f"Error: series window of {window} coefficients exceeds 30; "
-                            f"{advice}\n")
+        assert r.stderr == (f"Error: series window of {window} coefficients costs {cost}, "
+                            f"more than 1000; {advice}\n")
 
     def test_series(self):
         assert run("series", "--id", "M", "--xmax", "4", "--tmax", "5").exit_code == 0
         self.assert_limit(run("series", "--id", "M", "--xmax", "4", "--tmax", "6"),
-                          "5 x 7", "lower --xmax or --tmax")
+                          "5 x 7", 1225, "lower --xmax or --tmax")
 
     def test_genfunc_length(self):
         assert run("genfunc", "length", "--type", "B", "--rank", "2").exit_code == 0
         self.assert_limit(run("genfunc", "length", "--type", "B", "--rank", "3"),
-                          "4 x 11", "lower --rank")
+                          "4 x 11", 1936, "lower --rank")
         # maj and card solve no series
         assert run("genfunc", "maj", "--type", "B", "--rank", "3").exit_code == 0
         assert run("genfunc", "card", "--type", "B", "--rank", "3").exit_code == 0
@@ -406,7 +406,7 @@ class TestSeriesLimit:
             raise AssertionError("enumerated past the series limit")
 
         monkeypatch.setattr("fcheaps.enumerator.walk_fc", refuse)
-        self.assert_limit(run("verify", "--type", "B", "--rank", "3"), "4 x 11", "lower --rank")
+        self.assert_limit(run("verify", "--type", "B", "--rank", "3"), "4 x 11", 1936, "lower --rank")
 
 
 class TestCells:

@@ -59,13 +59,21 @@ class TestSolveSeries:
 
 class TestSeriesLimit:
     def test_cap_is_read_per_call(self, monkeypatch):
-        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 30)
+        # the cost is the square of the coefficient count: 5 x 6 costs 900
+        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 1000)
         assert (solve_series("Mstar", 4, 5).xmax, solve_series("M", 4, 5).tmax) == (4, 5)
-        with pytest.raises(SeriesLimitError, match="5 x 7 coefficients exceeds 30"):
+        with pytest.raises(SeriesLimitError, match="5 x 7 coefficients costs 1225, more than 1000"):
             solve_series("Mstar", 4, 6)
         assert length_genfunc("B", 2).coeffs == (1, 2, 0, 2)
-        with pytest.raises(SeriesLimitError, match="4 x 11 coefficients"):
+        with pytest.raises(SeriesLimitError, match="4 x 11 coefficients costs 1936"):
             length_genfunc("B", 3)
+
+    @pytest.mark.parametrize("solve", [lambda: solve_series("Mstar", 315, 315),
+                                       lambda: solve_series("Mstar", 100, 300),
+                                       lambda: length_genfunc("D", 55)])
+    def test_default_cap_refuses_windows_that_solve_for_minutes(self, solve):
+        with pytest.raises(SeriesLimitError):
+            solve()
 
 
 class TestLengthGenfunc:
