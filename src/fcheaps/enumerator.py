@@ -78,6 +78,8 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     size = g.size
     closed = [sum(1 << u for u in (s, *adjacency[s])) for s in range(size)]
     higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
+    # one frozenset per distinct mask: a fresh pair per node made the walk
+    # under "all" (every node a Heap) slower than building heaps by extend
     label_sets: dict[int, frozenset[int]] = {}
 
     def labels(mask: int) -> frozenset[int]:
