@@ -67,6 +67,9 @@ class CoxeterGraph:
     # computed once from m; the hot loops read these directly
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     bonds: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+    # per generator s: s and its neighbors; (t, m - 2) for each bond s-t
+    closed: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    braids: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         size = len(self.names)
@@ -76,6 +79,9 @@ class CoxeterGraph:
                       for j in adjacency[i] if j > i)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "bonds", bonds)
+        object.__setattr__(self, "closed", tuple((i, *adjacency[i]) for i in range(size)))
+        object.__setattr__(self, "braids", tuple(tuple((j, self.m[i][j] - 2) for j in adjacency[i])
+                                                 for i in range(size)))
 
     @property
     def size(self) -> int:

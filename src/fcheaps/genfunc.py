@@ -63,26 +63,30 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    cost = ((xmax + 1) * (tmax + 1)) ** 2
-    if cost > SERIES_CAP:
-        raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
-                               f"costs {cost}, more than {SERIES_CAP}")
-    m = _solve_m(xmax, tmax)
+    m, mm = _solve_m(xmax, tmax)
     if series_id == "M":
         return m
     if series_id == "Mstar":
         return m * m.shift_x(1).geom()
     if series_id == "Q":
         return _solve_q(m)
-    return _solve_qo(m)
+    return _solve_qo(mm)
 
 
-def _solve_m(xmax: int, tmax: int) -> Series:
+def _solve_m(xmax: int, tmax: int) -> tuple[Series, Series]:
+    """M and the product M(x) M(tx) its check forms, which Qo and the peak
+    terms of the length polynomials reuse; SeriesLimitError first when the
+    window costs more than SERIES_CAP."""
+    cost = ((xmax + 1) * (tmax + 1)) ** 2
+    if cost > SERIES_CAP:
+        raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
+                               f"costs {cost}, more than {SERIES_CAP}")
     one = Series.one(xmax, tmax)
     m = Series(xmax, tmax, solve_triangular(one.coeffs, None, 1, 2, tmax))
-    if m != one + (m * m.subst_x_times_t(1)).shift_x(2).scale_poly(_t()):
+    mm = m * m.subst_x_times_t(1)
+    if m != one + mm.shift_x(2).scale_poly(_t()):
         raise ClosedFormError("M iteration did not converge")
-    return m
+    return m, mm
 
 
 def _solve_q(m: Series) -> Series:
@@ -93,12 +97,12 @@ def _solve_q(m: Series) -> Series:
     return q
 
 
-def _solve_qo(m: Series) -> Series:
-    """Qo from an already solved and checked M on the same window."""
+def _solve_qo(mm: Series) -> Series:
+    """Qo from M(x) M(tx), M already solved and checked, on the same window."""
     t = _t()
-    base = (m * m.subst_x_times_t(1)).shift_x(1).scale_poly(t)
-    qo = Series(m.xmax, m.tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, m.tmax))
-    if qo != base * (Series.one(m.xmax, m.tmax)
+    base = mm.shift_x(1).scale_poly(t)
+    qo = Series(mm.xmax, mm.tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, mm.tmax))
+    if qo != base * (Series.one(mm.xmax, mm.tmax)
                      + qo.subst_x_times_t(2).shift_x(1).scale_poly(t * t)):
         raise ClosedFormError("Qo iteration did not converge")
     return qo
@@ -145,16 +149,15 @@ def length_genfunc(family: str, n: int) -> TPoly:
     GroupType(family, n)
     tmax = length_bound(family, n)
     xmax = n
-    m = solve_series("M", xmax, tmax)
+    m, mm = _solve_m(xmax, tmax)
     # every family's polynomial is [x^n] of (numerator) / (1 - x M)
     if family == "A":
         num = m
     elif family == "B":
-        peak = _even_shift_tail(xmax, tmax, 2) * m * m.subst_x_times_t(1)
-        num = _solve_q(m) + peak
+        num = _solve_q(m) + _even_shift_tail(xmax, tmax, 2) * mm
     else:
-        peak = _even_shift_tail(xmax, tmax, 1) * m * m.subst_x_times_t(1)
-        num = _solve_qo(m).scale_poly(TPoly([2])) + m + peak
+        num = (_solve_qo(mm).scale_poly(TPoly([2])) + m
+               + _even_shift_tail(xmax, tmax, 1) * mm)
     return _x_coeff(num, m.shift_x(1).geom(), n)
 
 

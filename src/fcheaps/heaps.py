@@ -283,10 +283,13 @@ def _chain_condition(h: Heap, j: int) -> bool:
 
 def _peak_at(h: Heap, j: int, top: int, turn: int) -> bool:
     """Peak test at index j: the labels j-1..top climb to top and come back
-    down from turn, then the chain and low-part conditions hold."""
+    down from turn, then the chain and low-part conditions hold.  Words of
+    different lengths fail before either is put in canonical form, which
+    keeps the length."""
     template = tuple(range(j - 1, top + 1)) + tuple(range(turn, j - 2, -1))
     sub = h.restrict_word(range(j - 1, top + 1))
-    if canonical_form(sub, h.graph) != canonical_form(template, h.graph):
+    if len(sub) != len(template) or \
+            canonical_form(sub, h.graph) != canonical_form(template, h.graph):
         return False
     return _chain_condition(h, j) and _low_part_alternating(h, j)
 
@@ -336,40 +339,65 @@ def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int]
     an alternating convex braid window (Stembridge's criterion: a heap is FC
     iff it has no convex chain of m alternating s/t elements on a bond of
     label m).  Does not test whether s is a right descent.
+
+    The windows are tested first, and the below mask is built only when none
+    closes.  A window ending in the new s holds the last s (m >= 3), so it
+    needs last[s] >= 0 and a neighbor t of s after it; any other neighbor u
+    of s after the last s lies strictly between that s and the new one,
+    outside the window, so a window can close only when t is the one such
+    neighbor.  For m = 3 it then closes iff no t lies between the last s and
+    last[t], i.e. prev[last[t]] < last[s]: an element x strictly between the
+    last s and the new s lies on a maximal chain between them whose first
+    cover above the last s and last cover below the new s are labeled by
+    neighbors of s, and with t the only neighbor after the last s both are
+    the one t, so x is that t.  For m >= 4 the s/t chain is walked down from
+    last[t] and the positions strictly between its bottom and the new s are
+    scanned.
     """
-    nbrs = g.adjacency[s]
+    ls = last[s]
+    window = None  # the bond (t, m - 2) of the one neighbor t after the last s
+    if ls >= 0:
+        for bond in g.braids[s]:
+            if last[bond[0]] > ls:
+                if window is not None:
+                    window = None
+                    break
+                window = bond
+    if window is not None:
+        t, steps = window
+        if steps == 1 and prev[last[t]] < ls:
+            return None
     below_nu = 0
     lay = 0
-    for u in (s, *nbrs):
+    for u in g.closed[s]:
         lp = last[u]
         if lp >= 0:
             below_nu |= below[lp] | (1 << lp)
             if layer[lp] > lay:
                 lay = layer[lp]
-    for t in nbrs:
+    if window is not None and steps > 1:
         # walk the s/t chain down from its top through last and prev: its
         # last m - 1 elements must alternate and end in t to close a window
-        a, b = last[t], last[s]
+        a, b = last[t], ls
         interior = 0
-        for _ in range(g.m[s][t] - 2):
+        for _ in range(steps):
             if a <= b:
                 break
             interior |= 1 << a
             a, b = b, prev[a]
         else:
-            if a < 0:
-                continue
-            # the window closes unless some element outside it lies strictly
-            # between a and the new element: a position after a, below the
-            # new element, with a below it
-            rest = (below_nu & ~interior) >> (a + 1)
-            while rest:
-                low = rest & -rest
-                if (below[a + low.bit_length()] >> a) & 1:
-                    break
-                rest ^= low
-            else:
-                return None
+            if a >= 0:
+                # the window closes unless some element outside it lies
+                # strictly between a and the new element: a position after
+                # a, below the new element, with a below it
+                rest = (below_nu & ~interior) >> (a + 1)
+                while rest:
+                    low = rest & -rest
+                    if (below[a + low.bit_length()] >> a) & 1:
+                        break
+                    rest ^= low
+                else:
+                    return None
     return below_nu, lay + 1
 
 

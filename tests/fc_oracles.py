@@ -7,7 +7,9 @@ canonical_form, so the tests that check those use them as their reference.
 reduce_choosing reduces a cycle heap by whichever move a chooser picks, so
 the tests can check that the cell representative does not depend on it.
 heap_walk is the normal-form walk that the mutable-path walk_fc replaced: it
-builds every node as a Heap through extend.
+builds every node as a Heap through extend.  old_place is the placement that
+heaps._place replaced: it builds the below mask first and tests every bond's
+window by walking its chain and scanning the positions inside it.
 """
 
 import random
@@ -139,3 +141,41 @@ def heap_walk(g, max_length):
                     stack.append(child)
             if last[s] > later:
                 later = last[s]
+
+
+def old_place(g, last, prev, below, layer, s):
+    """The new maximal element's (below mask, layer) on a reduced FC heap, or
+    None when it closes an alternating convex braid window; s is not tested
+    for being a right descent.  For every bond s-t, the s/t chain is walked
+    down from its top, and a window of m alternating elements ending in the
+    new s closes unless a position strictly between its bottom and the new s
+    lies outside it."""
+    nbrs = g.adjacency[s]
+    below_nu = 0
+    lay = 0
+    for u in (s, *nbrs):
+        lp = last[u]
+        if lp >= 0:
+            below_nu |= below[lp] | (1 << lp)
+            if layer[lp] > lay:
+                lay = layer[lp]
+    for t in nbrs:
+        a, b = last[t], last[s]
+        interior = 0
+        for _ in range(g.m[s][t] - 2):
+            if a <= b:
+                break
+            interior |= 1 << a
+            a, b = b, prev[a]
+        else:
+            if a < 0:
+                continue
+            rest = (below_nu & ~interior) >> (a + 1)
+            while rest:
+                low = rest & -rest
+                if (below[a + low.bit_length()] >> a) & 1:
+                    break
+                rest ^= low
+            else:
+                return None
+    return below_nu, lay + 1

@@ -168,6 +168,8 @@ class TestAdjacencyCache:
                 continue
             for i in range(g.size):
                 assert g.neighbors(i) == tuple(j for j in range(g.size) if g.m[i][j] >= 3)
+                assert g.closed[i] == (i, *g.neighbors(i))
+                assert g.braids[i] == tuple((j, g.m[i][j] - 2) for j in g.neighbors(i))
             assert g.edges() == [(i, j, g.m[i][j]) for i in range(g.size)
                                  for j in range(i + 1, g.size) if g.m[i][j] >= 3]
 
@@ -176,4 +178,4 @@ class TestAdjacencyCache:
         g1 = build_graph(GroupType(fam, n))
         g2 = build_graph(GroupType(fam, n))
         assert g1 == g2 and hash(g1) == hash(g2)
-        assert "adjacency" not in repr(g1) and "bonds" not in repr(g1)
+        assert all(name not in repr(g1) for name in ("adjacency", "bonds", "closed", "braids"))

@@ -14,8 +14,8 @@ from fcheaps.enumerator import (
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
-from fcheaps.heaps import extend
-from fc_oracles import commutation_class, heap_walk, scan_is_reduced_fc
+from fcheaps.heaps import _place, extend
+from fc_oracles import commutation_class, heap_walk, old_place, scan_is_reduced_fc
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -401,6 +401,23 @@ class TestMutablePathWalk:
         # of n points (Billey, Jockusch and Stanley), Catalan(n) of them
         g = build_graph(GroupType("A", n))
         assert sum(1 for _ in walk_fc(g, None, mode)) == comb(2 * n, n) // (n + 1)
+
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
+    def test_every_placement_matches_old_place(self, fam, n, max_length, monkeypatch):
+        # _place tests the windows before building the below mask; each
+        # placement the walk attempts must give what old_place gives
+        attempts = []
+
+        def both(g, last, prev, below, layer, s):
+            got = _place(g, last, prev, below, layer, s)
+            assert got == old_place(g, last, prev, below, layer, s), (list(last), s)
+            attempts.append(got is None)
+            return got
+
+        monkeypatch.setattr("fcheaps.enumerator._place", both)
+        g = build_graph(GroupType(fam, n))
+        assert sum(1 for _ in walk_fc(g, max_length)) > 1
+        assert 0 < sum(attempts) < len(attempts)
 
     def test_unknown_mode_raises_on_the_root(self):
         with pytest.raises(ValueError, match="unknown filter"):

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
 from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, is_self_dual,
-    major_index, is_alternating, classify_involution, extend,
+    major_index, is_alternating, classify_involution, extend, _place,
 )
-from fc_oracles import above_masks, scan_is_reduced_fc
+from fc_oracles import above_masks, old_place, scan_is_reduced_fc
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
 B2 = build_graph(GroupType("B", 2))
 B3 = build_graph(GroupType("B", 3))
 D3 = build_graph(GroupType("D", 3))
+D4 = build_graph(GroupType("D", 4))
 AFFA3 = build_graph(GroupType("affA", 3))
 
 
@@ -238,6 +239,60 @@ class TestExtend:
                 h = grown
             else:
                 assert grown is None
+
+
+def place(h, s):
+    return _place(h.graph, h.last, h.prev, h.below, h.layer, s)
+
+
+class TestPlaceWindows:
+    """Each branch of the label-3 window rule in _place, against extend's
+    verdict, the convex-chain scan and the placement _place replaced."""
+
+    def check(self, g, word, s, closes):
+        h = heap(g, *word)
+        assert scan_is_reduced_fc(h)
+        assert (place(h, s) is None) == closes
+        assert place(h, s) == old_place(g, h.last, h.prev, h.below, h.layer, s)
+        assert (extend(h, s) is None) == closes
+        assert scan_is_reduced_fc(heap(g, *word, s)) != closes
+
+    def test_s1_s2_s1_closes(self):
+        self.check(A4, (0, 1), 0, True)
+
+    def test_other_neighbor_after_the_last_s_keeps_it_open(self):
+        # s2 s1 s3 s2: s1 and s3 both follow the last s2
+        self.check(A4, (1, 0, 2), 1, False)
+
+    def test_t_between_the_last_s_and_the_last_t_keeps_it_open(self):
+        # s1 s2 s3 s2 + s1 on B:3 and s4 s3 s2 s5 s3 + s4 on D:4: the
+        # first t lies between the last s and the last t
+        self.check(B3, (0, 1, 2, 1), 0, False)
+        self.check(D4, (3, 2, 1, 4, 2), 3, False)
+
+    def test_triangle(self):
+        # every pair of affA:3 is bonded: the third letter opens the window
+        # when it follows the last s, and not when it precedes it
+        self.check(AFFA3, (0, 1), 0, True)
+        self.check(AFFA3, (2, 0, 1), 0, True)
+        self.check(AFFA3, (0, 1, 2), 0, False)
+
+    def test_double_bond_window_still_scanned(self):
+        self.check(B2, (0, 1, 0), 1, True)
+        self.check(B3, (1, 2, 0, 1), 2, False)
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_old_place_on_random_fc_heaps(self, fam, extra_rank, data):
+        # the heaps are reduced FC: each drawn letter is kept when it extends
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
+        word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=16))
+        h = Heap.empty(g)
+        for s in word:
+            for u in range(g.size):
+                assert place(h, u) == old_place(g, h.last, h.prev, h.below, h.layer, u), \
+                    (h.letters, u)
+            h = extend(h, s) or h
 
 
 class TestCanonicalWordIsHeapInvariant:
