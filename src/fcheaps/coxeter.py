@@ -70,6 +70,9 @@ class CoxeterGraph:
     # per generator s: s and its neighbors; (t, m - 2) for each bond s-t
     closed: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     braids: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
+    # per generator c: (d, every generator but c and d as bytes) per bond c-d, d > c
+    drops: tuple[tuple[tuple[int, bytes | None], ...], ...] = field(init=False, compare=False,
+                                                                   repr=False)
 
     def __post_init__(self):
         size = len(self.names)
@@ -82,6 +85,10 @@ class CoxeterGraph:
         object.__setattr__(self, "closed", tuple((i, *adjacency[i]) for i in range(size)))
         object.__setattr__(self, "braids", tuple(tuple((j, self.m[i][j] - 2) for j in adjacency[i])
                                                  for i in range(size)))
+        every = bytes(range(size)) if size <= 256 else None
+        object.__setattr__(self, "drops", tuple(tuple(  # None past 256 generators
+            (j, every and every.translate(None, bytes((i, j)))) for j in adjacency[i] if j > i)
+            for i in range(size)))
 
     @property
     def size(self) -> int:

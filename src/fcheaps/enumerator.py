@@ -18,7 +18,7 @@ from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
 from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
-from .heaps import (Heap, _place, classify_involution, is_alternating, is_self_dual,
+from .heaps import (Heap, _down, _place, classify_involution, is_alternating, is_self_dual,
                     major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
 from .walks import UP, DOWN, FLAT, Walk
@@ -60,8 +60,16 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     s comes after the last s or neighbor of s; the letters allowed after a
     word ending in s are therefore s and its neighbors, plus the letters
     above s allowed before it.  They are kept as a bitmask, as are the
-    descent and minimum labels; a descent is never appended, and _place
-    decides whether s closes a braid window.
+    descent and minimum labels; a descent is never appended.
+
+    The mask once holds the labels s with last[s] >= 0 followed by exactly
+    one element whose label is a neighbor of s.  Appending s (no descent)
+    leaves s followed by none and a neighbor u by one more, so u is in once
+    afterwards iff it was a descent (followed by none):
+    once' = (once & ~closed[s]) | (descents & closed[s]).  A letter whose
+    bonds all have label 3 closes a braid window iff it is in once (see
+    _place), so these simple letters in once are pruned with the descents
+    and the others placed by _down; _place decides for the rest.
 
     The walk is depth-first on one mutable path (letters, below, layer, prev
     and last, undone through prev on backtrack), and its stack holds plain
@@ -77,6 +85,7 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     size = g.size
     closed = [sum(1 << u for u in g.closed[s]) for s in range(size)]
     higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
+    simple = sum(1 << s for s in range(size) if all(steps == 1 for _t, steps in g.braids[s]))
     # one frozenset per distinct mask: a fresh pair per node made the walk
     # under "all" (every node a Heap) slower than building heaps by extend
     label_sets: dict[int, frozenset[int]] = {}
@@ -92,8 +101,8 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     layer: list[int] = []
     prev: list[int] = []
     last = [-1] * size
-    allowed, descents, minima = (1 << size) - 1, 0, 0  # the empty heap
-    stack: list[tuple[int, int, int, int, int, int, int]] = []
+    allowed, descents, once, minima = (1 << size) - 1, 0, 0, 0  # the empty heap
+    stack: list[tuple[int, int, int, int, int, int, int, int]] = []
     while True:
         length = len(letters)
         h = None
@@ -104,20 +113,22 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
                 h = None
         yield length, h
         if max_length is None or length < max_length:
-            free = allowed & ~descents
+            free = allowed & ~(descents | (once & simple))
             while free:  # greatest first, so the least is walked first
                 s = free.bit_length() - 1
                 free ^= 1 << s
-                placed = _place(g, last, prev, below, layer, s)
-                if placed is not None:
-                    below_s, layer_s = placed
-                    stack.append((length, s, below_s, layer_s,
-                                  closed[s] | (allowed & higher[s]),
-                                  (descents & ~closed[s]) | (1 << s),
-                                  minima if below_s else minima | (1 << s)))
+                placed = (_down(g, last, below, layer, s) if simple >> s & 1
+                          else _place(g, last, prev, below, layer, s))
+                if placed is None:
+                    continue
+                below_s, layer_s = placed
+                cs = closed[s]
+                stack.append((length, s, below_s, layer_s, cs | (allowed & higher[s]),
+                              (descents & ~cs) | (1 << s), (once & ~cs) | (descents & cs),
+                              minima if below_s else minima | (1 << s)))
         if not stack:
             return
-        parent, s, below_s, layer_s, allowed, descents, minima = stack.pop()
+        parent, s, below_s, layer_s, allowed, descents, once, minima = stack.pop()
         while len(letters) > parent:  # back up to the parent
             last[letters.pop()] = prev.pop()
             below.pop()

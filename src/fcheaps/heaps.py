@@ -151,32 +151,28 @@ def is_self_dual(h: Heap) -> bool:
 def _self_dual(h: Heap) -> bool:
     """The self-duality test behind is_self_dual.
 
-    One backward pass gives each position its co-layer, one plus the longest
-    chain strictly above it.  The heap is self-dual iff the (letter, layer)
-    pairs and the (letter, co-layer) pairs form the same set.  This is exact:
-    the Cartier-Foata layers of a heap determine it (the canonical word lists
-    each layer's letters in turn), and the co-layers are the layers of the
-    heap of the reversed word, i.e. of the dual.  Equal letters are
-    comparable, so each set has one pair per position, and the pass can stop
-    at the first co-layer pair missing from the layer pairs.  Before that,
-    the dual's maxima are the heap's minima, so a self-dual heap has the same
-    labels on its maximal and its minimal elements; most heaps fail there.
+    A heap is the trace of its word and its dual that of the reversed word.
+    By the projection lemma for traces (Diekert and Rozenberg, The Book of
+    Traces, 1995), two traces are equal iff their projections onto every
+    pair of dependent letters are equal words, so the heap is self-dual iff
+    its word projected onto each bond c-d (the word as bytes with every other
+    letter deleted) is a palindrome; this holds for any word, FC or not.  A
+    bond with an end absent projects to a power of one letter and is skipped.
+    First, the dual's maxima are the heap's minima, so a self-dual heap has
+    the same labels on its maximal and minimal elements; most heaps fail here.
     """
     if h.descents != h.minima:
         return False
-    letters = h.letters
-    adjacency = h.graph.adjacency
-    pairs = set(zip(letters, h.layer))
-    depth = [0] * h.graph.size  # deepest co-layer seen per generator
-    for c in reversed(letters):
-        lay = depth[c]
-        for u in adjacency[c]:
-            if depth[u] > lay:
-                lay = depth[u]
-        lay += 1
-        if (c, lay) not in pairs:
-            return False
-        depth[c] = lay
+    letters, last = h.letters, h.last
+    # bytes hold labels below 256 only; past that a list scan projects
+    word = bytes(letters) if h.graph.size <= 256 else None
+    for c in set(letters):
+        for d, drop in h.graph.drops[c]:
+            if last[d] >= 0:
+                p = (word.translate(None, drop) if word is not None
+                     else [x for x in letters if x == c or x == d])
+                if p != p[::-1]:
+                    return False
     return True
 
 
@@ -273,31 +269,20 @@ def _low_part_alternating(h: Heap, j: int) -> bool:
     return False
 
 
-def _chain_condition(h: Heap, j: int) -> bool:
-    """The peak meets the lower labels in one of two fixed chain shapes."""
-    if j < 2:
-        return True
-    seq = tuple(h.letters[p] for p in h.chain((j - 2, j - 1)))
-    return seq in ((j - 1, j - 1), (j - 2, j - 1, j - 1, j - 2))
-
-
 def _peak_at(h: Heap, j: int, top: int, turn: int) -> bool:
     """Peak test at index j: the labels j-1..top climb to top and come back
-    down from turn, then the chain and low-part conditions hold.  Words of
-    different lengths fail before either is put in canonical form, which
-    keeps the length."""
+    down from turn, the peak meets the lower labels in one of two fixed chain
+    shapes, and the low-part condition holds.  Words of different lengths
+    fail before either is put in canonical form, which keeps the length."""
     template = tuple(range(j - 1, top + 1)) + tuple(range(turn, j - 2, -1))
     sub = h.restrict_word(range(j - 1, top + 1))
     if len(sub) != len(template) or \
             canonical_form(sub, h.graph) != canonical_form(template, h.graph):
         return False
-    return _chain_condition(h, j) and _low_part_alternating(h, j)
-
-
-def _right_peak_at(h: Heap, j: int) -> bool:
-    """Peak test at index j (1-based generator subscript), families B and D."""
-    n = h.graph.group.n
-    return _peak_at(h, j, n - 1 if h.graph.group.family == "B" else n, n - 2)
+    if j >= 2 and tuple(h.letters[p] for p in h.chain((j - 2, j - 1))) not in \
+            ((j - 1, j - 1), (j - 2, j - 1, j - 1, j - 2)):
+        return False
+    return _low_part_alternating(h, j)
 
 
 @dataclass(frozen=True)
@@ -319,8 +304,8 @@ def classify_involution(h: Heap) -> Classification:
         raise ValueError(f"classification is defined for families B and D, not {fam}")
     if not is_self_dual(h):
         raise ClassificationError("heap is not self-dual")
-    n = g.group.n
-    peaks = [j for j in range(1, n) if _right_peak_at(h, j)]
+    n = g.group.n  # right peaks at 1-based subscripts j climb to n - 1 on B, n on D
+    peaks = [j for j in range(1, n) if _peak_at(h, j, n - 1 if fam == "B" else n, n - 2)]
     if len(peaks) > 1:
         raise ClassificationError(f"multiple right-peak indices {peaks}")
     if peaks:
@@ -350,9 +335,11 @@ def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int]
     last s and the new s lies on a maximal chain between them whose first
     cover above the last s and last cover below the new s are labeled by
     neighbors of s, and with t the only neighbor after the last s both are
-    the one t, so x is that t.  For m >= 4 the s/t chain is walked down from
-    last[t] and the positions strictly between its bottom and the new s are
-    scanned.
+    the one t, so x is that t.  So if every bond of s has label 3, s closes a
+    window iff exactly one element labeled by a neighbor of s follows the
+    last s (walk_fc's once mask).  For m >= 4 the s/t chain is walked down
+    from last[t] and the positions strictly between its bottom and the new s
+    are scanned.
     """
     ls = last[s]
     window = None  # the bond (t, m - 2) of the one neighbor t after the last s
@@ -367,14 +354,7 @@ def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int]
         t, steps = window
         if steps == 1 and prev[last[t]] < ls:
             return None
-    below_nu = 0
-    lay = 0
-    for u in g.closed[s]:
-        lp = last[u]
-        if lp >= 0:
-            below_nu |= below[lp] | (1 << lp)
-            if layer[lp] > lay:
-                lay = layer[lp]
+    below_nu, lay = _down(g, last, below, layer, s)
     if window is not None and steps > 1:
         # walk the s/t chain down from its top through last and prev: its
         # last m - 1 elements must alternate and end in t to close a window
@@ -398,6 +378,19 @@ def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int]
                     rest ^= low
                 else:
                     return None
+    return below_nu, lay
+
+
+def _down(g: CoxeterGraph, last, below, layer, s: int) -> tuple[int, int]:
+    """Below mask and layer of a new maximal s, above the last of each of s's closed neighbors."""
+    below_nu = 0
+    lay = 0
+    for u in g.closed[s]:
+        lp = last[u]
+        if lp >= 0:
+            below_nu |= below[lp] | (1 << lp)
+            if layer[lp] > lay:
+                lay = layer[lp]
     return below_nu, lay + 1
 
 

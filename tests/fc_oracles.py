@@ -10,6 +10,9 @@ heap_walk is the normal-form walk that the mutable-path walk_fc replaced: it
 builds every node as a Heap through extend.  old_place is the placement that
 heaps._place replaced: it builds the below mask first and tests every bond's
 window by walking its chain and scanning the positions inside it.
+colayer_self_dual is the self-duality test that the palindromic bond
+projections of heaps._self_dual replaced: it compares each position's layer
+with its co-layer.
 """
 
 import random
@@ -179,3 +182,33 @@ def old_place(g, last, prev, below, layer, s):
             else:
                 return None
     return below_nu, lay + 1
+
+
+def colayer_self_dual(h):
+    """Whether the heap equals its dual, by layers.
+
+    One backward pass gives each position its co-layer, one plus the longest
+    chain strictly above it.  The heap is self-dual iff the (letter, layer)
+    pairs and the (letter, co-layer) pairs form the same set: the
+    Cartier-Foata layers of a heap determine it, and the co-layers are the
+    layers of the heap of the reversed word, i.e. of the dual.  Equal letters
+    are comparable, so each set has one pair per position, and the pass can
+    stop at the first co-layer pair missing from the layer pairs.  A
+    self-dual heap has the same labels on its maximal and its minimal
+    elements, which is tested first.
+    """
+    if h.descents != h.minima:
+        return False
+    adjacency = h.graph.adjacency
+    pairs = set(zip(h.letters, h.layer))
+    depth = [0] * h.graph.size  # deepest co-layer seen per generator
+    for c in reversed(h.letters):
+        lay = depth[c]
+        for u in adjacency[c]:
+            if depth[u] > lay:
+                lay = depth[u]
+        lay += 1
+        if (c, lay) not in pairs:
+            return False
+        depth[c] = lay
+    return True

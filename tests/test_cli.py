@@ -67,6 +67,13 @@ class TestEnumerate:
         assert data["counts"] == [1, 3, 1, 0, 1, 0, 0]
         assert data["filter"] == "involutions"
 
+    def test_more_generators_than_bytes_hold(self):
+        # A:300 has 299 generators; its length-2 involutions are the
+        # commuting pairs, C(299, 2) - 298 of them
+        r = run("enumerate", "--type", "A", "--rank", "300", "--max-length", "2", "--involutions")
+        assert r.exit_code == 0
+        assert r.output == "0: 1\n1: 299\n2: 44253\n"
+
     def test_stream_words(self):
         r = run("enumerate", "--type", "A", "--rank", "3",
                 "--max-length", "3", "--stream")

@@ -14,7 +14,7 @@ from fcheaps.enumerator import (
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
-from fcheaps.heaps import _place, extend
+from fcheaps.heaps import _down, _place, extend
 from fc_oracles import commutation_class, heap_walk, old_place, scan_is_reduced_fc
 from profiles import descent_profiles, filtered_heaps, length_profile
 
@@ -378,6 +378,70 @@ def check_against_heap_walk(g, max_length, mode):
     assert got == want
 
 
+def simple_labels(g):
+    """The labels whose bonds all have label 3, as a bitmask."""
+    return sum(1 << s for s in range(g.size) if all(g.m[s][t] == 3 for t in g.adjacency[s]))
+
+
+def once_labels(g, letters, last):
+    """The labels s with last[s] >= 0 followed by exactly one element whose
+    label is a neighbor of s, as a bitmask, counted from the word."""
+    return sum(1 << s for s in range(g.size) if last[s] >= 0 and
+               sum(c in g.adjacency[s] for c in letters[last[s] + 1:]) == 1)
+
+
+def bits(mask):
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+
+
+def check_decisions_against_old_place(g, max_length):
+    """At every node walk_fc yields, each letter in allowed & ~descents must
+    get old_place's decision: pruned by the once mask (simple letters only)
+    or rejected by _place where old_place gives None, else placed by _down or
+    _place with old_place's (below, layer).  The walk's once mask must equal
+    its definition, counted from the word.  The walk's locals are read at each
+    yield, and its calls to _down and _place until the next yield are the
+    decisions for that node.  Returns the tally of decisions."""
+    simple = simple_labels(g)
+    calls = {}
+
+    def recorded(fn):
+        def wrapped(*args):
+            got = calls[args[-1]] = fn(*args)
+            return got
+        return wrapped
+
+    tally = Counter()
+    want = {}
+
+    def settle():
+        assert calls.keys() <= want.keys()
+        for s, placed in want.items():
+            if s in calls:
+                assert calls[s] == placed, s
+                tally["placed" if placed is not None else "rejected"] += 1
+            else:
+                assert placed is None and simple >> s & 1, s
+                tally["pruned"] += 1
+        calls.clear()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fcheaps.enumerator._down", recorded(_down))
+        mp.setattr("fcheaps.enumerator._place", recorded(_place))
+        walk = walk_fc(g, max_length)
+        for length, _h in walk:
+            settle()
+            f = walk.gi_frame.f_locals
+            letters, last = f["letters"], f["last"]
+            assert f["once"] == once_labels(g, letters, last), letters
+            want = {}
+            if max_length is None or length < max_length:
+                want = {s: old_place(g, last, f["prev"], f["below"], f["layer"], s)
+                        for s in bits(f["allowed"] & ~f["descents"])}
+        settle()
+    return tally
+
+
 class TestMutablePathWalk:
     """walk_fc against heap_walk, the walk it replaced, which builds every
     node through extend."""
@@ -403,21 +467,20 @@ class TestMutablePathWalk:
         assert sum(1 for _ in walk_fc(g, None, mode)) == comb(2 * n, n) // (n + 1)
 
     @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
-    def test_every_placement_matches_old_place(self, fam, n, max_length, monkeypatch):
-        # _place tests the windows before building the below mask; each
-        # placement the walk attempts must give what old_place gives
-        attempts = []
-
-        def both(g, last, prev, below, layer, s):
-            got = _place(g, last, prev, below, layer, s)
-            assert got == old_place(g, last, prev, below, layer, s), (list(last), s)
-            attempts.append(got is None)
-            return got
-
-        monkeypatch.setattr("fcheaps.enumerator._place", both)
+    def test_every_placement_matches_old_place(self, fam, n, max_length):
+        # every letter the walk may append at every node is pruned by the
+        # once mask, rejected by _place or placed, as old_place decides
         g = build_graph(GroupType(fam, n))
-        assert sum(1 for _ in walk_fc(g, max_length)) > 1
-        assert 0 < sum(attempts) < len(attempts)
+        tally = check_decisions_against_old_place(g, max_length)
+        assert tally["placed"] > 0
+        assert (tally["pruned"] > 0) == (simple_labels(g) != 0)
+        assert (tally["rejected"] > 0) == (simple_labels(g) != (1 << g.size) - 1)
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_every_placement_matches_old_place_anywhere(self, fam, extra_rank, max_length):
+        check_decisions_against_old_place(
+            build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank)), max_length)
 
     def test_unknown_mode_raises_on_the_root(self):
         with pytest.raises(ValueError, match="unknown filter"):

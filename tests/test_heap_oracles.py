@@ -3,19 +3,25 @@
 The oracles below are the earlier implementations: self-duality by comparing
 the canonical form of the reversed word, the canonical word sorted through a
 per-position key, and `extend` finding each braid window by sorting all
-occurrences of the two bonded letters.
+occurrences of the two bonded letters.  The self-duality test by palindromic
+bond projections is also checked against `fc_oracles.colayer_self_dual`, the
+layer/co-layer pass it replaced.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcheaps import heaps as heaps_mod
-from fcheaps.coxeter import GroupType, build_graph, canonical_form
-from fcheaps.enumerator import iter_fc
-from fcheaps.heaps import Heap, extend, is_alternating, is_self_dual
-from fc_oracles import above_masks
+from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
+from fcheaps.enumerator import iter_fc, walk_fc
+from fcheaps.heaps import Heap, _self_dual, extend, is_alternating, is_self_dual
+from fcheaps.walks import Walk, decode_walk
+from fc_oracles import above_masks, colayer_self_dual
+from test_acceptance import _graph, _random_heights
+from test_enumerator import DFS_GROUPS, VERIFY_GROUPS
 
 GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12),
           ("affC", 3, 12), ("affB", 3, 14), ("affD", 4, 10)]
@@ -190,3 +196,92 @@ def test_cached_verdicts(fam, n, max_length, monkeypatch):
         verdicts.add(tuple(got))
     # the two verdicts disagree on some heaps, so a shared slot would show
     assert any(a != b for a, b in verdicts)
+
+
+class TestProjectionSelfDual:
+    """heaps._self_dual (palindromic bond projections) against the co-layer
+    pass it replaced, on FC heaps, decoded walks and arbitrary words."""
+
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
+    def test_every_walk_heap(self, fam, n, max_length):
+        g = build_graph(GroupType(fam, n))
+        verdicts = Counter()
+        for _length, h in walk_fc(g, max_length):
+            got = _self_dual(h)
+            assert got == colayer_self_dual(h), h.letters
+            verdicts[got] += 1
+        assert verdicts[True] > 1 and verdicts[False] > 0
+
+    def test_criterion_07_decoded_walks(self):
+        # the first 1,000 walks per scheme drawn as criterion 07 draws them
+        # (they decode to self-dual heaps); each decoded word less its last
+        # letter, which mostly is not self-dual; and each decoded word with
+        # its middle-most adjacent bonded pair swapped, which changes the
+        # projection onto that bond only
+        rng = random.Random(20260816)
+        verdicts = Counter()
+        for scheme in ("linear", "typeA", "typeB", "affineA"):
+            for _ in range(1000):
+                if scheme == "linear":
+                    g = _graph("A", rng.randint(9, 30))
+                    heights = _random_heights(rng, g.size)
+                elif scheme == "typeA":
+                    g = _graph("A", rng.randint(9, 30))
+                    heights = _random_heights(rng, g.size + 2, zero_start=True, zero_end=True)
+                elif scheme == "typeB":
+                    g = _graph("B", rng.randint(8, 30))
+                    heights = _random_heights(rng, g.size + 1, zero_start=True)
+                else:
+                    g = _graph("affA", rng.randint(8, 30))
+                    heights = _random_heights(rng, g.size + 1, closed=True, need_touch=True)
+                h = decode_walk(Walk.from_heights(heights), scheme, g)
+                word = list(h.letters)
+                swaps = [i for i in range(len(word) - 1) if word[i + 1] in g.adjacency[word[i]]]
+                if swaps:
+                    i = min(swaps, key=lambda i: abs(2 * i + 1 - len(word)))
+                    word[i], word[i + 1] = word[i + 1], word[i]
+                for k in (h, Heap.from_word(g, h.letters[:-1]), Heap.from_word(g, word)):
+                    got = _self_dual(k)
+                    assert got == colayer_self_dual(k), (scheme, heights)
+                    verdicts[got] += 1
+        assert verdicts[True] > 4000 and verdicts[False] > 4000
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3),
+           st.sampled_from(("plain", "palindrome", "swap")), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_arbitrary_words(self, fam, extra_rank, shape, data):
+        # words need not be reduced or FC; palindromes are self-dual, and a
+        # palindrome with two neighboring letters swapped is so iff they commute
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
+        word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=16))
+        if shape != "plain":
+            word = word + data.draw(st.lists(st.integers(0, g.size - 1), max_size=1)) + word[::-1]
+        commute = True
+        if shape == "swap" and len(word) > 1:
+            i = data.draw(st.integers(0, len(word) - 2))
+            word[i], word[i + 1] = word[i + 1], word[i]
+            commute = g.m[word[i]][word[i + 1]] <= 2
+        h = Heap.from_word(g, word)
+        assert _self_dual(h) == colayer_self_dual(h), word
+        if shape != "plain":
+            assert _self_dual(h) == commute, word
+
+    @pytest.mark.parametrize("n", [257, 258, 300])
+    def test_about_256_generators(self, n):
+        # A:257 has 256 generators, the most bytes hold; past that the
+        # projections are list scans
+        g = build_graph(GroupType("A", n))
+        rng = random.Random(n)
+        letters = (0, 1, 2, 254, 255, g.size - 2, g.size - 1)
+        verdicts = Counter()
+        for _ in range(300):
+            half = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+            word = half + half[::-1]
+            if rng.random() < 0.7 and len(word) > 1:
+                i = rng.randrange(len(word) - 1)
+                word[i], word[i + 1] = word[i + 1], word[i]
+            h = Heap.from_word(g, word)
+            got = _self_dual(h)
+            assert got == colayer_self_dual(h), word
+            verdicts[got] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
