@@ -163,11 +163,11 @@ def _self_dual(h: Heap) -> bool:
     """
     if h.descents != h.minima:
         return False
-    letters, last = h.letters, h.last
+    letters, last, drops = h.letters, h.last, h.graph.drops
     # bytes hold labels below 256 only; past that a list scan projects
     word = bytes(letters) if h.graph.size <= 256 else None
     for c in set(letters):
-        for d, drop in h.graph.drops[c]:
+        for d, drop in drops[c]:
             if last[d] >= 0:
                 p = (word.translate(None, drop) if word is not None
                      else [x for x in letters if x == c or x == d])
