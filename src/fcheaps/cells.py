@@ -43,11 +43,11 @@ def reduction_moves(h: Heap) -> list[int]:
     descent iff last[u] >= 0 exceeds last[w] for every w bonded to u, so no
     heap is built.
     """
-    _require_cycle(h.graph)
+    n = _require_cycle(h.graph)
     adjacency = h.graph.adjacency
     last = list(h.last)
     out = []
-    for s in sorted(h.descents):
+    for s in [d for d in range(n) if h.descents >> d & 1]:
         top = last[s]
         last[s] = h.prev[top]
         for u in adjacency[s]:
@@ -141,11 +141,11 @@ class TopBottomSplit:
     factor_count: int | None
 
 
-def _peel_maxima(g: CoxeterGraph, word) -> tuple[frozenset[int], list[int], list[int]]:
-    """The labels of the maximal elements of the word's heap, their letters
-    in word order, and the word with them removed."""
+def _peel_maxima(g: CoxeterGraph, word) -> tuple[int, list[int], list[int]]:
+    """The labels of the maximal elements of the word's heap as a bitmask,
+    their letters in word order, and the word with them removed."""
     hh = Heap.from_word(g, word)
-    maxima = {hh.last[s] for s in hh.descents}
+    maxima = {hh.last[s] for s in range(g.size) if hh.descents >> s & 1}
     return (hh.descents, [c for p, c in enumerate(word) if p in maxima],
             [c for p, c in enumerate(word) if p not in maxima])
 
@@ -164,7 +164,7 @@ def split_top_bottom(h: Heap) -> TopBottomSplit:
     if len(set(word)) != n:
         _labels, top, bottom = _peel_maxima(h.graph, word)
         return TopBottomSplit(tuple(top), tuple(bottom), None)
-    classes = (frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
+    classes = tuple(sum(1 << s for s in range(i, n, 2)) for i in (0, 1))
     remaining = list(word)
     top: list[int] = []
     count = 0

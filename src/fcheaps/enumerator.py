@@ -60,7 +60,8 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     s comes after the last s or neighbor of s; the letters allowed after a
     word ending in s are therefore s and its neighbors, plus the letters
     above s allowed before it.  They are kept as a bitmask, as are the
-    descent and minimum labels; a descent is never appended.
+    descent and minimum labels (a Heap takes those two masks as they are);
+    a descent is never appended.
 
     The mask once holds the labels s with last[s] >= 0 followed by exactly
     one element whose label is a neighbor of s.  Appending s (no descent)
@@ -80,22 +81,14 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     a heap's dual are the heap's minima, so a self-dual heap (every filter
     but "all" asks for one) has equal descent and minimum labels; it is the
     first test of is_self_dual.  max_length None runs until the group is
-    exhausted (finite families).
+    exhausted, so it raises ValueError on an affine (infinite) group.
     """
+    if max_length is None and g.group.is_affine:
+        raise ValueError(f"{g.group} is infinite: walking it needs a max_length")
     size = g.size
-    closed = [sum(1 << u for u in g.closed[s]) for s in range(size)]
+    closed = g.closed_mask
     higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
     simple = sum(1 << s for s in range(size) if all(steps == 1 for _t, steps in g.braids[s]))
-    # one frozenset per distinct mask: a fresh pair per node made the walk
-    # under "all" (every node a Heap) slower than building heaps by extend
-    label_sets: dict[int, frozenset[int]] = {}
-
-    def labels(mask: int) -> frozenset[int]:
-        got = label_sets.get(mask)
-        if got is None:
-            got = label_sets[mask] = frozenset(s for s in range(size) if mask >> s & 1)
-        return got
-
     letters: list[int] = []
     below: list[int] = []
     layer: list[int] = []
@@ -108,7 +101,7 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
         h = None
         if mode == "all" or descents == minima:
             h = Heap(g, tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
-                     labels(descents), labels(minima))
+                     descents, minima)
             if mode != "all" and not passes_filter(h, mode):
                 h = None
         yield length, h

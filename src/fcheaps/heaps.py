@@ -3,13 +3,13 @@
 A heap is the word's positions partially ordered by: p precedes q when p < q
 and their letters are equal or bonded.  We store, per position, a bitmask of
 the positions strictly below it, plus a layer number used for the canonical
-linear extension.
+linear extension; the labels of the maximal and of the minimal elements are
+bitmasks over generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 from .coxeter import CoxeterGraph, canonical_form, check_word
 
@@ -26,7 +26,8 @@ class Heap:
     same letter as p (-1 if none), so with last it threads each letter's
     occurrences from the top down and a bond's chain can be read backward
     without scanning the word.  descents and minima are the labels of the
-    maximal and of the minimal elements.  All fields are immutable, so
+    maximal and of the minimal elements as bitmasks over generators (bit s
+    for label s).  All fields are immutable, so
     extensions share parent data.  The canonical word and the is_self_dual
     and is_alternating verdicts are computed on first request and kept on
     the heap, so they live exactly as long as it does.
@@ -42,8 +43,8 @@ class Heap:
         self.layer = layer
         self.last = last            # last occurrence position per generator, -1 if absent
         self.prev = prev            # previous occurrence of the same letter, -1 if none
-        self.descents = descents    # labels of maximal elements, frozenset
-        self.minima = minima        # labels of minimal elements, frozenset
+        self.descents = descents    # labels of maximal elements, bitmask over generators
+        self.minima = minima        # labels of minimal elements, bitmask over generators
         self._canon = None
         self._self_dual = None
         self._alternating = None
@@ -51,14 +52,12 @@ class Heap:
     @classmethod
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
         w = check_word(word, g)
-        adjacency = g.adjacency
-        size = g.size
-        last = [-1] * size
-        # top[c]: no bonded letter after the last c so far, i.e. c is a descent
-        top = [False] * size
+        adjacency, closed_mask = g.adjacency, g.closed_mask
+        last = [-1] * g.size
         below = []
         layer = []
         prev = []
+        descents = minima = 0
         for p, c in enumerate(w):
             q = last[c]
             prev.append(q)
@@ -68,19 +67,18 @@ class Heap:
             else:
                 b = lay = 0
             for u in adjacency[c]:
-                top[u] = False
                 lp = last[u]
                 if lp >= 0:
                     b |= below[lp] | (1 << lp)
                     if layer[lp] > lay:
                         lay = layer[lp]
-            top[c] = True
             below.append(b)
             layer.append(lay + 1)
             last[c] = p
-        minima = frozenset(c for c, b in zip(w, below) if b == 0)
-        return cls(g, w, tuple(below), tuple(layer), tuple(last), tuple(prev),
-                   frozenset(compress(range(size), top)), minima)
+            descents = (descents & ~closed_mask[c]) | (1 << c)
+            if not b:
+                minima |= 1 << c
+        return cls(g, w, tuple(below), tuple(layer), tuple(last), tuple(prev), descents, minima)
 
     @classmethod
     def empty(cls, g: CoxeterGraph) -> "Heap":
@@ -181,7 +179,7 @@ def major_index(h: Heap) -> int:
     g = h.graph
     if g.maj_weight is None:
         raise ValueError(f"major index is not defined for family {g.group.family}")
-    return sum(g.maj_weight[s] for s in h.descents)
+    return sum(weight for s, weight in enumerate(g.maj_weight) if h.descents >> s & 1)
 
 
 def _fork_merged_alternating(h: Heap, strict: bool = False) -> bool:
@@ -402,7 +400,7 @@ def extend(h: Heap, s: int) -> Heap | None:
     Assumes h itself is a reduced FC heap.
     """
     g = h.graph
-    if s in h.descents:
+    if h.descents >> s & 1:
         return None
     last, prev = h.last, h.prev
     placed = _place(g, last, prev, h.below, h.layer, s)
@@ -412,5 +410,5 @@ def extend(h: Heap, s: int) -> Heap | None:
     new_last = list(last)
     new_last[s] = len(h.letters)
     return Heap(g, h.letters + (s,), h.below + (below_nu,), h.layer + (lay,),
-                tuple(new_last), prev + (last[s],), h.descents.difference(g.adjacency[s]) | {s},
-                h.minima if below_nu else h.minima | {s})
+                tuple(new_last), prev + (last[s],), (h.descents & ~g.closed_mask[s]) | (1 << s),
+                h.minima if below_nu else h.minima | (1 << s))

@@ -12,7 +12,9 @@ heaps._place replaced: it builds the below mask first and tests every bond's
 window by walking its chain and scanning the positions inside it.
 colayer_self_dual is the self-duality test that the palindromic bond
 projections of heaps._self_dual replaced: it compares each position's layer
-with its co-layer.
+with its co-layer.  maximal_labels and minimal_labels read a heap's descent
+and minimum labels off the above and below masks, and mask_of turns a label
+set into the bitmask form a Heap stores.
 """
 
 import random
@@ -37,6 +39,21 @@ def above_masks(h):
         above[p] = a
         nxt[c] = p
     return tuple(above)
+
+
+def mask_of(labels):
+    """The bitmask over generators with bit s set for each label s."""
+    return sum(1 << s for s in set(labels))
+
+
+def maximal_labels(h):
+    """Labels of the maximal elements, read off the above masks."""
+    return {c for c, a in zip(h.letters, above_masks(h)) if a == 0}
+
+
+def minimal_labels(h):
+    """Labels of the minimal elements, read off the below masks."""
+    return {c for c, b in zip(h.letters, h.below) if b == 0}
 
 
 def scan_is_reduced_fc(h):
@@ -138,7 +155,7 @@ def heap_walk(g, max_length):
             for u in adjacency[s]:
                 if last[u] > p:
                     p = last[u]
-            if later <= p and s not in descents:  # a descent cannot lengthen h
+            if later <= p and not descents >> s & 1:  # a descent cannot lengthen h
                 child = extend(h, s)
                 if child is not None:
                     stack.append(child)

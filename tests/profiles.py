@@ -12,7 +12,7 @@ def descent_profiles(g, mode="alternating"):
     acc = {}
     for _length, h in walk_fc(g, None, mode):
         if h is not None:
-            counts = acc.setdefault(len(h.descents), [0])
+            counts = acc.setdefault(h.descents.bit_count(), [0])
             m = major_index(h)
             counts.extend([0] * (m + 1 - len(counts)))
             counts[m] += 1

@@ -7,7 +7,7 @@ from fcheaps.cells import (
     CellError, remove_top, reduction_moves, reduce_fully,
     is_irreducible_structural, split_top_bottom, involution_of, cells_report,
 )
-from fc_oracles import move_choosers, reduce_choosing, scan_is_reduced_fc
+from fc_oracles import maximal_labels, move_choosers, reduce_choosing, scan_is_reduced_fc
 
 C3 = build_graph(GroupType("affA", 3))
 C4 = build_graph(GroupType("affA", 4))
@@ -33,7 +33,7 @@ class TestReductionMoves:
     def test_moves_are_descents(self):
         h = heap(C4, 0, 1, 2)
         for s in reduction_moves(h):
-            assert s in h.descents
+            assert s in maximal_labels(h)
 
     def test_wraparound_neighbor_counts(self):
         # removing s0 exposes s3 across the cycle edge

@@ -74,6 +74,13 @@ class TestEnumerate:
         assert r.exit_code == 0
         assert r.output == "0: 1\n1: 299\n2: 44253\n"
 
+    def test_wide_graph_under_all(self):
+        # every node builds a Heap: the C(299, 2) - 298 commuting pairs and
+        # both orders of the 298 bonded pairs
+        r = run("enumerate", "--type", "A", "--rank", "300", "--max-length", "2")
+        assert r.exit_code == 0
+        assert r.output == "0: 1\n1: 299\n2: 44849\n"
+
     def test_stream_words(self):
         r = run("enumerate", "--type", "A", "--rank", "3",
                 "--max-length", "3", "--stream")

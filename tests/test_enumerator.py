@@ -482,6 +482,14 @@ class TestMutablePathWalk:
         check_decisions_against_old_place(
             build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank)), max_length)
 
+    def test_affine_group_needs_a_max_length(self):
+        # an affine group is infinite: the walk would never return
+        g = build_graph(GroupType("affA", 3))
+        with pytest.raises(ValueError, match="affA:3"):
+            enumerate_fc(g, None, "involutions")
+        with pytest.raises(ValueError, match="affA:3"):
+            next(iter_fc(g, None))
+
     def test_unknown_mode_raises_on_the_root(self):
         with pytest.raises(ValueError, match="unknown filter"):
             next(walk_fc(A4, None, "evens"))

@@ -19,7 +19,7 @@ from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonic
 from fcheaps.enumerator import iter_fc, walk_fc
 from fcheaps.heaps import Heap, _self_dual, extend, is_alternating, is_self_dual
 from fcheaps.walks import Walk, decode_walk
-from fc_oracles import above_masks, colayer_self_dual
+from fc_oracles import above_masks, colayer_self_dual, mask_of, maximal_labels
 from test_acceptance import _graph, _random_heights
 from test_enumerator import DFS_GROUPS, VERIFY_GROUPS
 
@@ -40,7 +40,7 @@ def old_is_self_dual(h):
 def old_extend(h, s):
     """Fields of the extension by s, or None; braid windows by occurrence scan."""
     g = h.graph
-    if s in h.descents:
+    if s in maximal_labels(h):
         return None
     nbrs = g.adjacency[s]
     nu = len(h.letters)
@@ -77,8 +77,9 @@ def old_extend(h, s):
             above[p] |= 1 << nu
     last = list(h.last)
     last[s] = nu
-    return (h.letters + (s,), h.below + (below_nu,), tuple(above) + (0,),
-            h.layer + (lay + 1,), tuple(last), h.descents.difference(nbrs) | {s})
+    letters, above = h.letters + (s,), tuple(above) + (0,)
+    return (letters, h.below + (below_nu,), above, h.layer + (lay + 1,), tuple(last),
+            mask_of(c for c, a in zip(letters, above) if a == 0))
 
 
 def fields(h):
@@ -114,7 +115,7 @@ class TestAgainstReplacedCode:
                 if got is not None:
                     assert fields(got) == want
                     assert got.prev == h.prev + (h.last[s],)
-                elif s not in h.descents:
+                elif s not in maximal_labels(h):
                     window_rejects += 1
         assert window_rejects > 0
 

@@ -8,7 +8,8 @@ from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, is_self_dual,
     major_index, is_alternating, classify_involution, extend, _place,
 )
-from fc_oracles import above_masks, old_place, scan_is_reduced_fc
+from fc_oracles import (above_masks, mask_of, maximal_labels, minimal_labels, old_place,
+                        scan_is_reduced_fc)
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -33,7 +34,7 @@ class TestHeapStructure:
         h = Heap.empty(A4)
         assert len(h) == 0
         assert h.canonical_word == ()
-        assert h.descents == frozenset()
+        assert h.descents == h.minima == 0
 
     def test_equality_is_up_to_commutation(self):
         assert heap(A4, 0, 2) == heap(A4, 2, 0)
@@ -106,13 +107,13 @@ class TestDuality:
 class TestDescentsAndMaj:
     def test_descents_are_maximal_labels(self):
         h = heap(A4, 1, 0, 2, 1)
-        assert h.descents == frozenset({1})
-        assert h.minima == frozenset({1})
+        assert h.descents == mask_of({1})
+        assert h.minima == mask_of({1})
 
     def test_one_sided_word(self):
         h = heap(A4, 0, 1)
-        assert h.descents == frozenset({1})
-        assert h.minima == frozenset({0})
+        assert h.descents == mask_of({1})
+        assert h.minima == mask_of({0})
 
     def test_major_index_weights(self):
         assert major_index(heap(A4, 1, 0, 2, 1)) == 2
@@ -308,10 +309,10 @@ DERIVED_GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12
 
 
 def check_derived_fields(h):
-    above = above_masks(h)
-    assert h.descents == frozenset(c for c, a in zip(h.letters, above) if a == 0)
-    assert sorted(h.last[s] for s in h.descents) == [p for p, a in enumerate(above) if a == 0]
-    assert h.minima == frozenset(c for c, b in zip(h.letters, h.below) if b == 0)
+    tops = maximal_labels(h)
+    assert h.descents == mask_of(tops)
+    assert sorted(h.last[s] for s in tops) == [p for p, a in enumerate(above_masks(h)) if a == 0]
+    assert h.minima == mask_of(minimal_labels(h))
 
 
 @pytest.mark.parametrize("fam,n,max_length", DERIVED_GROUPS)

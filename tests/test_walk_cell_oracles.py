@@ -25,7 +25,7 @@ from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
                            is_alternating, is_self_dual)
 from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profile,
                            decode_walk, encode_walk)
-from fc_oracles import above_masks, move_choosers, reduce_choosing
+from fc_oracles import above_masks, maximal_labels, move_choosers, reduce_choosing
 from test_acceptance import _random_heights, _scheme_cases
 
 
@@ -334,9 +334,9 @@ def old_remove_top(h, s):
 def old_reduction_moves(h):
     n = h.graph.size
     out = []
-    for s in sorted(h.descents):
+    for s in sorted(maximal_labels(h)):
         rest = old_remove_top(h, s)
-        if ((s - 1) % n) in rest.descents or ((s + 1) % n) in rest.descents:
+        if {(s - 1) % n, (s + 1) % n} & maximal_labels(rest):
             out.append(s)
     return out
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.enumerator import listed_words
 from fcheaps.heaps import Heap, is_alternating, is_reduced_fc, is_self_dual, major_index
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
@@ -210,6 +211,55 @@ class TestSchemesProperty:
         h = decode_walk(w, "linear", g)
         assert encode_walk(h, "linear") == w
         assert len(h) == w.weight("all")
+
+
+def closed_walks(n, max_weight, flats=True):
+    """Every walk of n steps that ends at its start height and weighs at most
+    max_weight with the start excluded; flat steps (on the axis) when flats."""
+    out = []
+
+    def grow(heights, weight):
+        h, left = heights[-1], n + 1 - len(heights)
+        if not left:
+            if h == heights[0]:
+                out.append(Walk.from_heights(heights))
+            return
+        for step in (UP, DOWN, FLAT) if flats and h == 0 else (UP, DOWN):
+            h2 = h + step
+            # the walk must still get back to its start in the steps left
+            if h2 >= 0 and weight + h2 <= max_weight and abs(h2 - heights[0]) < left:
+                grow(heights + [h2], weight + h2)
+
+    for h0 in range(max_weight + 1):
+        grow([h0], 0)
+    return out
+
+
+def decoded_words(walks, g):
+    return [decode_walk(w, "affineA", g).canonical_word for w in walks]
+
+
+class TestAffineABijection:
+    """The affineA scheme as a bijection of sets: closed walks of n steps,
+    flat steps allowed on the axis, onto the alternating FC involutions of
+    affA:n.  A closed walk's weight with the start excluded is the sum of
+    the counts, the heap's length."""
+
+    @pytest.mark.parametrize("n,max_weight", [(3, 30), (4, 30), (5, 30), (6, 30), (7, 30),
+                                              (8, 24)])
+    def test_walks_decode_onto_alternating_involutions(self, n, max_weight):
+        g = build_graph(GroupType("affA", n))
+        words = decoded_words(closed_walks(n, max_weight), g)
+        assert len(set(words)) == len(words)
+        assert set(words) == {w for bucket in listed_words(g, max_weight, "alternating")
+                              for w in bucket}
+
+    def test_axis_flats_are_needed(self):
+        g = build_graph(GroupType("affA", 4))
+        every = set(decoded_words(closed_walks(4, 30), g))
+        flatless = set(decoded_words(closed_walks(4, 30, flats=False), g))
+        assert flatless < every
+        assert (len(every - flatless), len(every)) == (5, 49)
 
 
 class TestFrobenius:
