@@ -27,10 +27,10 @@ class Heap:
     occurrences from the top down and a bond's chain can be read backward
     without scanning the word.  descents and minima are the labels of the
     maximal and of the minimal elements as bitmasks over generators (bit s
-    for label s).  All fields are immutable, so
-    extensions share parent data.  The canonical word and the is_self_dual
-    and is_alternating verdicts are computed on first request and kept on
-    the heap, so they live exactly as long as it does.
+    for label s).  All fields are immutable, so extensions share parent
+    data.  The canonical word and the is_self_dual and is_alternating
+    verdicts are computed on first request and kept on the heap, so they
+    live exactly as long as it does.
     """
 
     __slots__ = ("graph", "letters", "below", "layer", "last", "prev",
