@@ -9,12 +9,15 @@ Each pair runs `perfbench/run.py --trace 0` once in each checkout, with its
 own seed (--seed, --seed + 1, ...); the side that runs first alternates from
 pair to pair.  The run length and the end-to-end metrics with their bounds
 come from the change checkout's BENCHMARK.json.  For each metric the script
-prints both sides' median and quartiles and whether the change's median is
-worse than the parent's by more than the bound, a share of the parent's
-median.  For --claim it also prints the pair wins and whether the claim
-holds: the change wins at least nine of every ten pairs (ties count for
-neither side) and the medians differ, the change's way, by more than the
-parent's interquartile range.  With --json PATH the same verdicts, every
+prints both sides' median and quartiles and a verdict: "WORSE than bound"
+when the change's median is worse than the parent's by more than the bound,
+a share of the parent's median; "unresolved" when it is not, but the
+parent's own interquartile range, as a share of its median, exceeds the
+bound, so the runs spread too widely to tell, unless every run of the change
+beats every run of the parent; "within bound" otherwise.  For --claim it
+also prints the pair wins and whether the claim holds: the change wins at
+least nine of every ten pairs (ties count for neither side) and the medians
+differ, the change's way, by more than the parent's interquartile range.  With --json PATH the same verdicts, every
 pair's values, each side's quartiles, the checkouts' commits and the host
 are also written to PATH as one JSON object.  Nothing is written to either
 checkout.
@@ -61,6 +64,24 @@ def exceeds_bound(parent: list[float], change: list[float], better: str, bound: 
     return worse_share(statistics.median(parent), statistics.median(change), better) > bound
 
 
+def every_run_better(parent: list[float], change: list[float], better: str) -> bool:
+    """Whether every run of the change beats every run of the parent."""
+    if better == "lower":
+        return max(change) < min(parent)
+    return min(change) > max(parent)
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """"WORSE than bound", "unresolved" or "within bound" (see the module
+    docstring)."""
+    if exceeds_bound(parent, change, better, bound):
+        return "WORSE than bound"
+    q1, med, q3 = quartiles(parent)
+    if q3 - q1 > bound * med and not every_run_better(parent, change, better):
+        return "unresolved"
+    return "within bound"
+
+
 def pair_wins(parent: list[float], change: list[float], better: str) -> tuple[int, int]:
     """Pairs the change wins and pairs it loses; ties count for neither."""
     wins = losses = 0
@@ -86,7 +107,7 @@ def claim_holds(parent: list[float], change: list[float], better: str) -> bool:
 
 def summarize(metrics: dict[str, dict], values: dict[str, dict[str, list[float]]],
               claim: str | None) -> dict:
-    """Per metric, both sides' values and quartiles and the bound verdict;
+    """Per metric, both sides' values and quartiles and the bound verdicts;
     for the claimed metric, the pair wins and whether the claim holds."""
     out: dict = {"metrics": {}}
     for m, meta in metrics.items():
@@ -98,6 +119,7 @@ def summarize(metrics: dict[str, dict], values: dict[str, dict[str, list[float]]
             "worse_share": worse_share(statistics.median(p), statistics.median(c),
                                        meta["better"]),
             "exceeds_bound": exceeds_bound(p, c, meta["better"], meta["bound"]),
+            "verdict": verdict(p, c, meta["better"], meta["bound"]),
         }
     if claim is not None:
         p, c = values["parent"][claim], values["change"][claim]
@@ -183,9 +205,8 @@ def main(argv=None) -> int:
     for m, row in summary["metrics"].items():
         cells = [f"{s} q1/med/q3 " + "/".join(f"{v:.4g}" for v in row[f"{s}_quartiles"])
                  for s in sides]
-        verdict = "WORSE than bound" if row["exceeds_bound"] else "within bound"
         print(f"{m} [{row['unit']}]: {'; '.join(cells)}; change worse by "
-              f"{row['worse_share']:+.1%}, bound {row['bound']:.0%}: {verdict}")
+              f"{row['worse_share']:+.1%}, bound {row['bound']:.0%}: {row['verdict']}")
     if args.claim is not None:
         claim = summary["claim"]
         print(f"claim {args.claim}: change won {claim['wins']} of {claim['pairs']} pairs "

@@ -7,7 +7,8 @@ which is written in blocks.
 Exit codes: 0 success, 1 verification mismatch or failed cells audit (in
 every format), 2 invalid input, an affine window too short for verify to
 decide, an enumerate --stream length that outgrew the memory guard, or a
-series window (series, genfunc length, verify) beyond SERIES_CAP.
+window beyond SERIES_CAP (series, genfunc length, verify) or FAMILY_CAP
+(walks family).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .genfunc import (SERIES_IDS, InconclusiveWindowError, SeriesLimitError,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, solve_series)
 from .qpoly import TPoly
-from .walks import END_CHOICES, START_CHOICES, WEIGHT_CHOICES, WalkFamilySpec, family_poly
+from .walks import WEIGHT_CHOICES, FamilyLimitError, WalkFamilySpec, family_poly
 
 FORMATS = ("text", "json", "csv")
 
@@ -221,15 +222,9 @@ def walks() -> None:
     """Weighted walk families."""
 
 
-def _parse_height(value: str, choices) -> object:
-    if value.lstrip("-").isdigit():
-        h = int(value)
-        if h < 0:
-            raise click.UsageError("height constraints must be >= 0")
-        return h
-    if value in choices:
-        return value
-    raise click.UsageError(f"bad constraint {value!r}; want an integer or one of {choices}")
+def _parse_height(value: str) -> object:
+    """An integer height, else the token as given; WalkFamilySpec checks both."""
+    return int(value) if value.lstrip("-").isdigit() else value
 
 
 @walks.command("family")
@@ -248,12 +243,14 @@ def walks_family(length: int, no_horiz: bool, touch: bool, start: str, end: str,
         raise click.UsageError("--n and --tmax must be >= 0")
     try:
         spec = WalkFamilySpec(n=length, allow_horiz=not no_horiz,
-                              start=_parse_height(start, START_CHOICES),
-                              end=_parse_height(end, END_CHOICES),
+                              start=_parse_height(start), end=_parse_height(end),
                               require_touch=touch, weight=weight)
     except ValueError as e:
         raise click.UsageError(str(e))
-    poly = family_poly(spec, tmax)
+    try:
+        poly = family_poly(spec, tmax)
+    except FamilyLimitError as e:
+        _exit_limit(f"{e}; lower --tmax")
     _emit_poly(poly, "t", fmt, {"n": length, "allow_horiz": not no_horiz,
                                 "touch": touch, "start": start, "end": end,
                                 "weight": weight, "tmax": tmax})

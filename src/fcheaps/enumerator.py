@@ -5,8 +5,7 @@ normal forms of the trace monoid, so each FC element is generated exactly
 once and needs no deduplication.  walk_fc walks the normal-form tree in no
 set order on one mutable path and yields (length, heap) per element; it
 builds a Heap only where the filter can pass (every element under "all",
-else only where the descent labels equal the minimum labels, which every
-involution satisfies) and yields None for the rest.
+else only where the path is self-dual) and yields None for the rest.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
 from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
-from .heaps import (Heap, _down, _place, classify_involution, is_alternating, is_self_dual,
-                    major_index)
+from .heaps import (Heap, _down, _palindromic, _place, classify_involution, is_alternating,
+                    is_self_dual, major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
 from .walks import UP, DOWN, FLAT, Walk
 
@@ -54,11 +53,11 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     the filter mode.
 
     The walk follows lexicographic (Anisimov-Knuth) normal forms, the least
-    word of each commutation class.  Normal forms are closed under prefixes, so they make
-    a tree and each FC element is reached once, from its normal form minus
-    the last letter.  A word may be followed by s iff no letter greater than
-    s comes after the last s or neighbor of s; the letters allowed after a
-    word ending in s are therefore s and its neighbors, plus the letters
+    word of each commutation class.  They are closed under prefixes, so they
+    make a tree and each FC element is reached once, from its normal form
+    minus the last letter.  A word may be followed by s iff no letter greater
+    than s comes after the last s or neighbor of s; the letters allowed after
+    a word ending in s are therefore s and its neighbors, plus the letters
     above s allowed before it.  They are kept as a bitmask, as are the
     descent and minimum labels (a Heap takes those two masks as they are);
     a descent is never appended.
@@ -74,14 +73,13 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
 
     The walk is depth-first on one mutable path (letters, below, layer, prev
     and last, undone through prev on backtrack), and its stack holds plain
-    tuples, at most one per generator and depth.  A Heap is built from the
-    path for every element when mode is "all".  Under any other mode it is
-    built only when the descent labels equal the minimum labels, and
-    passes_filter decides on it.  That pre-test loses nothing: the maxima of
-    a heap's dual are the heap's minima, so a self-dual heap (every filter
-    but "all" asks for one) has equal descent and minimum labels; it is the
-    first test of is_self_dual.  max_length None runs until the group is
-    exhausted, so it raises ValueError on an affine (infinite) group.
+    tuples, at most one per generator and depth.  Under "all" a Heap is built
+    from the path for every element.  Every other mode asks for a self-dual
+    heap, decided on the path by is_self_dual's tests (equal descent and
+    minimum labels, then heaps._palindromic on letters and last); a Heap is
+    built only where both pass, the verdict kept on it, and passes_filter
+    decides on it under "alternating".  max_length None runs until the group
+    is exhausted, so it raises ValueError on an affine (infinite) group.
     """
     if max_length is None and g.group.is_affine:
         raise ValueError(f"{g.group} is infinite: walking it needs a max_length")
@@ -89,23 +87,26 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     closed = g.closed_mask
     higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
     simple = sum(1 << s for s in range(size) if all(steps == 1 for _t, steps in g.braids[s]))
+    bound = max_length if max_length is not None else 1 << 62  # past any finite group
     letters: list[int] = []
     below: list[int] = []
     layer: list[int] = []
     prev: list[int] = []
     last = [-1] * size
-    allowed, descents, once, minima = (1 << size) - 1, 0, 0, 0  # the empty heap
+    allowed, descents, once, minima, length = (1 << size) - 1, 0, 0, 0, 0  # the empty heap
     stack: list[tuple[int, int, int, int, int, int, int, int]] = []
+    push, pop = stack.append, stack.pop
     while True:
-        length = len(letters)
         h = None
-        if mode == "all" or descents == minima:
+        if mode == "all" or descents == minima and _palindromic(g, letters, last):
             h = Heap(g, tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
                      descents, minima)
-            if mode != "all" and not passes_filter(h, mode):
-                h = None
+            if mode != "all":
+                h._self_dual = True
+                if mode != "involutions" and not passes_filter(h, mode):
+                    h = None
         yield length, h
-        if max_length is None or length < max_length:
+        if length < bound:
             free = allowed & ~(descents | (once & simple))
             while free:  # greatest first, so the least is walked first
                 s = free.bit_length() - 1
@@ -116,21 +117,23 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
                     continue
                 below_s, layer_s = placed
                 cs = closed[s]
-                stack.append((length, s, below_s, layer_s, cs | (allowed & higher[s]),
-                              (descents & ~cs) | (1 << s), (once & ~cs) | (descents & cs),
-                              minima if below_s else minima | (1 << s)))
+                push((length, s, below_s, layer_s, cs | (allowed & higher[s]),
+                      (descents & ~cs) | (1 << s), (once & ~cs) | (descents & cs),
+                      minima if below_s else minima | (1 << s)))
         if not stack:
             return
-        parent, s, below_s, layer_s, allowed, descents, once, minima = stack.pop()
-        while len(letters) > parent:  # back up to the parent
+        parent, s, below_s, layer_s, allowed, descents, once, minima = pop()
+        while length > parent:  # back up to the parent
             last[letters.pop()] = prev.pop()
             below.pop()
             layer.pop()
+            length -= 1
         letters.append(s)
         below.append(below_s)
         layer.append(layer_s)
         prev.append(last[s])
         last[s] = parent
+        length += 1
 
 
 def _by_length(pairs) -> list[list]:
@@ -321,14 +324,9 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
                        _first_divergence(oracle_len, formula_len, formula_len.cap))
         if family == "B":
             alt = TPoly(alt_majs)
-            by_desc = TPoly.zero()
-            k = 0
-            while True:
-                piece = maj_genfunc_by_descents(n, k)
-                if k > 0 and piece.is_zero():
-                    break
-                by_desc = by_desc + piece
-                k += 1
+            # the piece of k descents is empty once n < 2k - 1
+            by_desc = sum((maj_genfunc_by_descents(n, k) for k in range((n + 1) // 2 + 1)),
+                          TPoly.zero())
             report._record("maj-by-descents", by_desc == alt,
                            _first_divergence(by_desc, alt,
                                              max(by_desc.degree(), alt.degree(), 0)))

@@ -147,25 +147,26 @@ def is_self_dual(h: Heap) -> bool:
 
 
 def _self_dual(h: Heap) -> bool:
-    """The self-duality test behind is_self_dual.
+    """is_self_dual's test: equal descent and minimum labels (the dual's
+    maxima are the heap's minima; most heaps fail here), then _palindromic."""
+    return h.descents == h.minima and _palindromic(h.graph, h.letters, h.last)
 
-    A heap is the trace of its word and its dual that of the reversed word.
-    By the projection lemma for traces (Diekert and Rozenberg, The Book of
-    Traces, 1995), two traces are equal iff their projections onto every
-    pair of dependent letters are equal words, so the heap is self-dual iff
-    its word projected onto each bond c-d (the word as bytes with every other
-    letter deleted) is a palindrome; this holds for any word, FC or not.  A
-    bond with an end absent projects to a power of one letter and is skipped.
-    First, the dual's maxima are the heap's minima, so a self-dual heap has
-    the same labels on its maximal and minimal elements; most heaps fail here.
+
+def _palindromic(g: CoxeterGraph, letters, last) -> bool:
+    """Whether the heap of letters (a tuple or list; last[s] is the last
+    position of s, -1 if absent) is self-dual.  A heap is the trace of its
+    word and its dual that of the reversed word.  By the projection lemma for
+    traces (Diekert and Rozenberg, The Book of Traces, 1995), two traces are
+    equal iff their projections onto every pair of dependent letters are
+    equal words, so the heap is self-dual iff its word projected onto each
+    bond c-d (the word as bytes with every other letter deleted) is a
+    palindrome; this holds for any word, FC or not.  A bond with an end
+    absent projects to a power of one letter and is skipped.
     """
-    if h.descents != h.minima:
-        return False
-    letters, last, drops = h.letters, h.last, h.graph.drops
     # bytes hold labels below 256 only; past that a list scan projects
-    word = bytes(letters) if h.graph.size <= 256 else None
+    word = bytes(letters) if g.size <= 256 else None
     for c in set(letters):
-        for d, drop in drops[c]:
+        for d, drop in g.drops[c]:
             if last[d] >= 0:
                 p = (word.translate(None, drop) if word is not None
                      else [x for x in letters if x == c or x == d])

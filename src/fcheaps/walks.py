@@ -21,6 +21,16 @@ END_CHOICES = START_CHOICES + ("eq-start",)
 WEIGHT_CHOICES = ("all", "exclude-start")
 
 
+# Most bits a walk family's seeded states may span: start heights x slots x
+# width, tmax^2 for start "any".  2-CPU x86_64, start "any": n=2, tmax=8000
+# (1.09e9 bits) 0.50 s, 138 MiB; n=1000, tmax=500 (0.35e9) 5.2 s.
+FAMILY_CAP = 10 ** 9
+
+
+class FamilyLimitError(RuntimeError):
+    """A walk family window would span more than FAMILY_CAP bits."""
+
+
 class WalkError(ValueError):
     """Ill-formed walk: negative height or a horizontal step off the axis."""
 
@@ -135,43 +145,45 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     One pass, seeded with every admissible start height; a state is the
     height, whether the axis was touched, and the start height only when
     the end is tied to it (None otherwise, so walks of all starts merge).
-    A step whose every walk would weigh past the cap is pruned (in
-    particular any counted point above height tmax), so no all-zero
-    polynomial is built; with the exclude-start weight the (uncounted)
-    start may still sit at tmax + 1.
+    Its polynomial is one int whose slot k, bits k*width to (k+1)*width - 1,
+    is the t^k coefficient: a step to h2 is (acc << width*h2) & mask, a merge
+    is +, and the end states' sum is unpacked once.  A step that leaves 0
+    (every walk past tmax) is pruned.  FamilyLimitError, before any state is
+    built, when start heights x (tmax + 1) x width exceeds FAMILY_CAP.
+
+    No slot overflows: a slot counts walks of i <= n steps and weight k <=
+    tmax, at most B of them, and 2**width > B, so no shift, mask or sum
+    carries between slots.  B <= (tmax + 2) * 3**n, no start exceeding
+    tmax + 1, and B <= 3 * C(n+1+tmax, tmax): the i+1 heights of a walk (all
+    weight), or its i counted heights (exclude-start, the start within one of
+    the first; i = 0 leaves tmax + 2 starts), are nonnegative and sum to <= tmax.
     """
+    from math import comb
     tied = spec.end == "eq-start"
-    max_start = tmax + (1 if spec.weight == "exclude-start" else 0)
-    # state -> (weight polynomial accumulated so far, its lowest degree); the
-    # coefficients count walks, so sums never cancel and a step to h2 leaves
-    # a term below the cap iff low + h2 <= tmax
-    states = {(h0, h0 == 0, h0 if tied else None):
-              (TPoly.one(tmax), 0) if spec.weight == "exclude-start"
-              else (TPoly.term(h0, cap=tmax), h0)
-              for h0 in range(max_start + 1) if _height_ok(h0, spec.start)}
+    exclude = spec.weight == "exclude-start"
+    starts = [h0 for h0 in range(tmax + exclude + 1) if _height_ok(h0, spec.start)]
+    width = min(3 * comb(spec.n + 1 + tmax, tmax), (tmax + 2) * 3 ** spec.n).bit_length()
+    if len(starts) * (tmax + 1) * width > FAMILY_CAP:
+        raise FamilyLimitError(f"walk family of {len(starts)} start heights by {tmax + 1} "
+                               f"slots of {width} bits exceeds {FAMILY_CAP} bits")
+    mask = (1 << width * (tmax + 1)) - 1
+    from_axis = (1, 0) if spec.allow_horiz else (1,)  # heights one step from the axis
+    states = {(h0, h0 == 0, h0 if tied else None): 1 if exclude else 1 << width * h0
+              for h0 in starts}
     for _ in range(spec.n):
-        nxt: dict[tuple[int, bool, int | None], tuple[TPoly, int]] = {}
-        for (h, touched, h0), (acc, low) in states.items():
-            moves = [h + UP, h + DOWN]
-            if spec.allow_horiz and h == 0:
-                moves.append(0)
-            for h2 in moves:
-                low2 = low + h2
-                if h2 < 0 or low2 > tmax:
-                    continue
-                key = (h2, touched or h2 == 0, h0)
-                add = acc.shift(h2).truncate(tmax)
-                old = nxt.get(key)
-                nxt[key] = (add, low2) if old is None else (old[0] + add, min(old[1], low2))
+        nxt: dict[tuple[int, bool, int | None], int] = {}
+        for (h, touched, h0), acc in states.items():
+            for h2 in from_axis if h == 0 else (h + UP, h + DOWN):
+                add = (acc << width * h2) & mask
+                if add:
+                    key = (h2, touched or h2 == 0, h0)
+                    nxt[key] = nxt.get(key, 0) + add
         states = nxt
-    out = TPoly.zero(tmax)
-    for (h, touched, h0), (acc, _low) in states.items():
-        if not (h == h0 if tied else _height_ok(h, spec.end)):
-            continue
-        if spec.require_touch and not touched:
-            continue
-        out = out + acc
-    return out
+    total = sum(acc for (h, touched, h0), acc in states.items()
+                if (h == h0 if tied else _height_ok(h, spec.end))
+                and (touched or not spec.require_touch))
+    slot = (1 << width) - 1
+    return TPoly([(total >> width * k) & slot for k in range(tmax + 1)], tmax)
 
 
 def count_profile(h: Heap) -> list[int]:

@@ -38,6 +38,29 @@ def test_bound_is_a_share_of_the_parent_median():
     assert bench_pair.exceeds_bound(parent, [7.4, 7.4, 7.4], "higher", 0.25)
 
 
+# quartiles 0.9 / 1.0 / 1.3: an interquartile range of 40% of the median
+NOISY = [0.8, 0.9, 0.9, 1.0, 1.0, 1.0, 1.3, 1.3, 1.5]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+def test_verdict_is_unresolved_when_the_parent_spreads_past_the_bound(better):
+    assert bench_pair.verdict(NOISY, NOISY, better, 0.25) == "unresolved"
+    assert bench_pair.verdict(NOISY, NOISY, better, 0.5) == "within bound"
+    assert bench_pair.verdict(PARENT, PARENT, better, 0.25) == "within bound"
+
+
+def test_verdict_within_bound_when_every_change_run_wins():
+    assert bench_pair.verdict(NOISY, [0.7, 0.75, 0.79], "lower", 0.25) == "within bound"
+    assert bench_pair.verdict(NOISY, [0.7, 0.75, 0.8], "lower", 0.25) == "unresolved"
+    assert bench_pair.verdict(NOISY, [1.6, 1.7], "higher", 0.25) == "within bound"
+    assert bench_pair.verdict(NOISY, [1.5, 1.7], "higher", 0.25) == "unresolved"
+
+
+def test_verdict_worse_than_bound_whatever_the_spread():
+    assert bench_pair.verdict(NOISY, [1.3, 1.3, 1.4], "lower", 0.25) == "WORSE than bound"
+    assert bench_pair.verdict(NOISY, [0.7, 0.7, 0.7], "higher", 0.25) == "WORSE than bound"
+
+
 def test_pair_wins_ignore_ties():
     assert bench_pair.pair_wins([3, 3, 3, 3], [2, 3, 4, 1], "lower") == (2, 1)
     assert bench_pair.pair_wins([3, 3, 3, 3], [2, 3, 4, 1], "higher") == (1, 2)
@@ -130,6 +153,7 @@ def test_json_record_matches_the_printed_verdicts(tmp_path, monkeypatch, capsys)
     assert run_s["parent"] == PARENT
     assert run_s["parent_quartiles"] == list(bench_pair.quartiles(PARENT))
     assert run_s["exceeds_bound"] is False
+    assert run_s["verdict"] == "within bound"
     assert record["metrics"]["peak_rss_mib"]["worse_share"] == 0.0
     assert printed[-1] == (f"claim run_s: change won {record['claim']['wins']} of 10 pairs "
                            f"(lost {record['claim']['losses']}); claim "
@@ -145,9 +169,10 @@ def test_summarize_on_made_up_values():
     row = summary["metrics"]["run_s"]
     assert row["worse_share"] == pytest.approx(-0.3)
     assert row["change_quartiles"] == list(bench_pair.quartiles(values["change"]["run_s"]))
-    assert not row["exceeds_bound"]
+    assert not row["exceeds_bound"] and row["verdict"] == "within bound"
     assert summary["claim"] == {"metric": "run_s", "pairs": 10, "wins": 10, "losses": 0,
                                 "holds": True}
     slower = {"parent": values["change"], "change": {"run_s": PARENT}}
     summary = bench_pair.summarize(metrics, slower, None)
     assert summary["metrics"]["run_s"]["exceeds_bound"] and "claim" not in summary
+    assert summary["metrics"]["run_s"]["verdict"] == "WORSE than bound"

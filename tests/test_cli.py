@@ -254,6 +254,26 @@ class TestWalksFamily:
         assert run("walks", "family", "--n", "3", "--start", "-2",
                    "--tmax", "4").exit_code == 2
 
+    def test_window_past_the_family_cap_exits_2(self, monkeypatch):
+        # cap 100 bits: --start any at n=2 spans 4 * 4 * 6 = 96 bits at
+        # tmax 3 and 5 * 5 * 6 = 150 at tmax 4
+        monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 100)
+        argv = ("walks", "family", "--n", "2", "--start", "any", "--tmax")
+        assert run(*argv, "3").exit_code == 0
+        r = run(*argv, "4")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert r.stderr == ("Error: walk family of 5 start heights by 5 slots of 6 bits "
+                            "exceeds 100 bits; lower --tmax\n")
+
+    def test_default_cap_refuses_a_quadratic_window(self):
+        # 40001 start heights by 40001 slots: refused before any state is built
+        r = run("walks", "family", "--n", "2", "--start", "any", "--tmax", "40000")
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert re.fullmatch(r"Error: walk family of 40001 start heights by 40001 slots of "
+                            r"\d+ bits exceeds \d+ bits; lower --tmax\n", r.stderr)
+
 
 class TestVerify:
     def test_finite_report_line(self):

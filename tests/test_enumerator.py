@@ -14,8 +14,9 @@ from fcheaps.enumerator import (
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
-from fcheaps.heaps import _down, _place, extend
-from fc_oracles import commutation_class, heap_walk, old_place, scan_is_reduced_fc
+from fcheaps.heaps import _down, _palindromic, _place, _self_dual, extend
+from fc_oracles import (colayer_self_dual, commutation_class, heap_walk, old_place,
+                        scan_is_reduced_fc)
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -442,6 +443,37 @@ def check_decisions_against_old_place(g, max_length):
     return tally
 
 
+def check_path_verdicts(g, max_length, mode):
+    """At every node walk_fc yields under mode, the path test _palindromic ran
+    exactly when the descent labels equal the minimum labels, and its
+    verdict equals colayer_self_dual of the heap built from the node's path;
+    every yielded heap is such a node, with a cached verdict equal to a fresh
+    heaps._self_dual.  Returns the number of those candidate nodes."""
+    verdicts = []
+
+    def recorded(*args):
+        verdicts.append(_palindromic(*args))
+        return verdicts[-1]
+
+    candidates = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("fcheaps.enumerator._palindromic", recorded)
+        walk = walk_fc(g, max_length, mode)
+        for _length, h in walk:
+            f = walk.gi_frame.f_locals
+            node = Heap(g, *(tuple(f[name]) for name in HEAP_FIELDS[:5]),
+                        f["descents"], f["minima"])
+            if f["descents"] == f["minima"]:
+                candidates += 1
+                assert len(verdicts) == 1, node.letters
+                assert verdicts.pop() == colayer_self_dual(node), node.letters
+            else:
+                assert not verdicts and h is None, node.letters
+            if h is not None:
+                assert h._self_dual is _self_dual(h) is True, node.letters
+    return candidates
+
+
 class TestMutablePathWalk:
     """walk_fc against heap_walk, the walk it replaced, which builds every
     node through extend."""
@@ -481,6 +513,11 @@ class TestMutablePathWalk:
     def test_every_placement_matches_old_place_anywhere(self, fam, extra_rank, max_length):
         check_decisions_against_old_place(
             build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank)), max_length)
+
+    @pytest.mark.parametrize("mode", ["involutions", "alternating"])
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
+    def test_self_duality_decided_on_the_path(self, fam, n, max_length, mode):
+        assert check_path_verdicts(build_graph(GroupType(fam, n)), max_length, mode) > 0
 
     def test_affine_group_needs_a_max_length(self):
         # an affine group is infinite: the walk would never return

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import listed_words
 from fcheaps.heaps import Heap, is_alternating, is_reduced_fc, is_self_dual, major_index
+from fcheaps import walks as walks_mod
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
+    END_CHOICES, START_CHOICES, WEIGHT_CHOICES, FamilyLimitError,
     family_poly, encode_walk, decode_walk,
     FrobeniusSymbol, walk_to_frobenius, _height_ok,
 )
@@ -373,6 +375,40 @@ def per_start_family_poly(spec, tmax):
     return total
 
 
+def tpoly_family_poly(spec, tmax):
+    """family_poly with one TPoly per state, its lowest degree carried
+    beside it for the pruning: the code the packed DP replaced."""
+    tied = spec.end == "eq-start"
+    max_start = tmax + (1 if spec.weight == "exclude-start" else 0)
+    states = {(h0, h0 == 0, h0 if tied else None):
+              (TPoly.one(tmax), 0) if spec.weight == "exclude-start"
+              else (TPoly.term(h0, cap=tmax), h0)
+              for h0 in range(max_start + 1) if _height_ok(h0, spec.start)}
+    for _ in range(spec.n):
+        nxt = {}
+        for (h, touched, h0), (acc, low) in states.items():
+            moves = [h + UP, h + DOWN]
+            if spec.allow_horiz and h == 0:
+                moves.append(0)
+            for h2 in moves:
+                low2 = low + h2
+                if h2 < 0 or low2 > tmax:
+                    continue
+                key = (h2, touched or h2 == 0, h0)
+                add = acc.shift(h2).truncate(tmax)
+                old = nxt.get(key)
+                nxt[key] = (add, low2) if old is None else (old[0] + add, min(old[1], low2))
+        states = nxt
+    out = TPoly.zero(tmax)
+    for (h, touched, h0), (acc, _low) in states.items():
+        if not (h == h0 if tied else _height_ok(h, spec.end)):
+            continue
+        if spec.require_touch and not touched:
+            continue
+        out = out + acc
+    return out
+
+
 def _golden_walk_specs():
     """Every walk family affine_periodic_part reads at the golden windows."""
     with open(Path(__file__).parent / "golden" / "affine_reconcile.json") as f:
@@ -404,3 +440,35 @@ class TestSeededFamilyPoly:
                               require_touch=touch, weight=weight)
         assert family_poly(spec, 9) == per_start_family_poly(spec, 9)
         assert family_poly(spec, 9) == brute_force_family_poly(spec, 9)
+
+
+class TestPackedFamilyPoly:
+    """The packed family_poly against tpoly_family_poly, the DP it replaced."""
+
+    @given(st.integers(0, 12), st.booleans(),
+           st.one_of(st.sampled_from(START_CHOICES), st.integers(0, 8)),
+           st.one_of(st.sampled_from(END_CHOICES), st.integers(0, 8)),
+           st.booleans(), st.sampled_from(WEIGHT_CHOICES), st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_tpoly_dp(self, n, horiz, start, end, touch, weight, tmax):
+        spec = WalkFamilySpec(n=n, allow_horiz=horiz, start=start, end=end,
+                              require_touch=touch, weight=weight)
+        assert family_poly(spec, tmax) == tpoly_family_poly(spec, tmax)
+
+    @pytest.mark.parametrize("n,tmax,bits", [(100, 30, 73), (2000, 10, 88)])
+    def test_wide_slots(self, n, tmax, bits):
+        # coefficients past 64 bits, so slots this wide must not carry
+        spec = WalkFamilySpec(n=n, allow_horiz=True)
+        got = family_poly(spec, tmax)
+        assert got == tpoly_family_poly(spec, tmax)
+        assert max(got.coeffs).bit_length() == bits
+
+    def test_cap_refuses_before_walking(self, monkeypatch):
+        # start "any" at n=2 seeds tmax + 1 states of tmax + 1 slots; the
+        # slots are 6 bits wide at tmax 3 and 4 (bound 45 and 54)
+        monkeypatch.setattr(walks_mod, "FAMILY_CAP", 100)
+        spec = WalkFamilySpec(n=2, start="any")
+        assert family_poly(spec, 3) == tpoly_family_poly(spec, 3)  # 4 * 4 * 6 = 96 bits
+        with pytest.raises(FamilyLimitError, match="5 start heights by 5 slots of 6 bits "
+                                                   "exceeds 100 bits"):
+            family_poly(spec, 4)
