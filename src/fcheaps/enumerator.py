@@ -110,16 +110,17 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
             free = allowed & ~(descents | (once & simple))
             while free:  # greatest first, so the least is walked first
                 s = free.bit_length() - 1
-                free ^= 1 << s
-                placed = (_down(g, last, below, layer, s) if simple >> s & 1
+                bit = 1 << s
+                free ^= bit
+                placed = (_down(g, last, below, layer, s) if simple & bit
                           else _place(g, last, prev, below, layer, s))
                 if placed is None:
                     continue
                 below_s, layer_s = placed
                 cs = closed[s]
                 push((length, s, below_s, layer_s, cs | (allowed & higher[s]),
-                      (descents & ~cs) | (1 << s), (once & ~cs) | (descents & cs),
-                      minima if below_s else minima | (1 << s)))
+                      (descents & ~cs) | bit, (once & ~cs) | (descents & cs),
+                      minima if below_s else minima | bit))
         if not stack:
             return
         parent, s, below_s, layer_s, allowed, descents, once, minima = pop()

@@ -21,9 +21,8 @@ END_CHOICES = START_CHOICES + ("eq-start",)
 WEIGHT_CHOICES = ("all", "exclude-start")
 
 
-# Most bits a walk family's seeded states may span: start heights x slots x
-# width, tmax^2 for start "any".  2-CPU x86_64, start "any": n=2, tmax=8000
-# (1.09e9 bits) 0.50 s, 138 MiB; n=1000, tmax=500 (0.35e9) 5.2 s.
+# Most bits a walk family's seeded states may span: start heights x slots x width (tmax^2
+# for start "any"; n=2, tmax=8000: 1.09e9 bits, 0.50 s and 138 MiB on a 2-CPU x86_64 host).
 FAMILY_CAP = 10 ** 9
 
 
