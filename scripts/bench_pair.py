@@ -17,10 +17,10 @@ bound, so the runs spread too widely to tell, unless every run of the change
 beats every run of the parent; "within bound" otherwise.  For --claim it
 also prints the pair wins and whether the claim holds: the change wins at
 least nine of every ten pairs (ties count for neither side) and the medians
-differ, the change's way, by more than the parent's interquartile range.  With --json PATH the same verdicts, every
-pair's values, each side's quartiles, the checkouts' commits and the host
-are also written to PATH as one JSON object.  Nothing is written to either
-checkout.
+differ, the change's way, by more than the parent's interquartile range.
+With --json PATH the same verdicts, every pair's values, each side's
+quartiles, the checkouts' commits and the host are also written to PATH as
+one JSON object.  Nothing is written to either checkout.
 
 setup_s and peak_rss_mib include importing fcheaps, which compiles its
 sources unless a bytecode cache holds them.  So that both sides do the same
