@@ -198,29 +198,32 @@ def check_word(word, g: CoxeterGraph) -> tuple[int, ...]:
     return w
 
 
+def layers(w, g: CoxeterGraph) -> tuple[int, ...]:
+    """Each position's layer in a checked word: one plus the deepest layer
+    among earlier occurrences of its own letter or a bonded letter."""
+    adjacency = g.adjacency
+    depth = [0] * g.size  # deepest layer seen per generator
+    out = []
+    for c in w:
+        lay = depth[c]
+        for u in adjacency[c]:
+            if depth[u] > lay:
+                lay = depth[u]
+        depth[c] = lay = lay + 1
+        out.append(lay)
+    return tuple(out)
+
+
 def canonical_form(word, g: CoxeterGraph) -> tuple[int, ...]:
     """Cartier-Foata style normal form of a word up to commutation moves.
 
-    Each position gets a layer: one plus the deepest layer among earlier
-    occurrences of its own letter or a bonded letter.  Sorting positions by
-    (layer, letter) yields a canonical representative of the commutation
-    class; two words have equal canonical forms iff they are related by
-    swaps of adjacent commuting letters.
+    Sorting positions by (layer, letter) yields a canonical representative
+    of the commutation class (the pairs are distinct: equal letters are
+    comparable); two words have equal canonical forms iff they are related
+    by swaps of adjacent commuting letters.
     """
     w = check_word(word, g)
-    adjacency = g.adjacency
-    last_layer = [0] * g.size  # deepest layer seen per generator
-    layers = []
-    for c in w:
-        lay = last_layer[c]
-        for u in adjacency[c]:
-            if last_layer[u] > lay:
-                lay = last_layer[u]
-        lay += 1
-        layers.append(lay)
-        last_layer[c] = lay
-    order = sorted(range(len(w)), key=lambda p: (layers[p], w[p]))
-    return tuple(w[p] for p in order)
+    return tuple(c for _lay, c in sorted(zip(layers(w, g), w)))
 
 
 def realize_permutation(word, g: CoxeterGraph) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
 from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
-from .heaps import (Heap, _down, _palindromic, _place, classify_involution, is_alternating,
+from .heaps import (Heap, _palindromic, _place, classify_involution, is_alternating,
                     is_self_dual, major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
 from .walks import UP, DOWN, FLAT, Walk
@@ -69,17 +69,19 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     once' = (once & ~closed[s]) | (descents & closed[s]).  A letter whose
     bonds all have label 3 closes a braid window iff it is in once (see
     _place), so these simple letters in once are pruned with the descents
-    and the others placed by _down; _place decides for the rest.
+    and the others appended with no test; _place decides for the rest.  The
+    mask present holds the labels on the path: an appended s is a minimum
+    iff present misses its closed neighbourhood.
 
-    The walk is depth-first on one mutable path (letters, below, layer, prev
-    and last, undone through prev on backtrack), and its stack holds plain
-    tuples, at most one per generator and depth.  Under "all" a Heap is built
-    from the path for every element.  Every other mode asks for a self-dual
-    heap, decided on the path by is_self_dual's tests (equal descent and
-    minimum labels, then heaps._palindromic on letters and last); a Heap is
-    built only where both pass, the verdict kept on it, and passes_filter
-    decides on it under "alternating".  max_length None runs until the group
-    is exhausted, so it raises ValueError on an affine (infinite) group.
+    The walk is depth-first on one mutable path (letters, prev and last,
+    undone through prev on backtrack), and its stack holds plain tuples, at
+    most one per generator and depth.  Under "all" a Heap is built from the
+    path for every element.  Every other mode asks for a self-dual heap,
+    decided on the path by is_self_dual's tests (equal descent and minimum
+    labels, then heaps._palindromic on letters and last); a Heap is built
+    only where both pass, the verdict kept on it, and passes_filter decides
+    on it under "alternating".  max_length None runs until the group is
+    exhausted, so it raises ValueError on an affine (infinite) group.
     """
     if max_length is None and g.group.is_affine:
         raise ValueError(f"{g.group} is infinite: walking it needs a max_length")
@@ -89,18 +91,15 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     simple = sum(1 << s for s in range(size) if all(steps == 1 for _t, steps in g.braids[s]))
     bound = max_length if max_length is not None else 1 << 62  # past any finite group
     letters: list[int] = []
-    below: list[int] = []
-    layer: list[int] = []
     prev: list[int] = []
     last = [-1] * size
-    allowed, descents, once, minima, length = (1 << size) - 1, 0, 0, 0, 0  # the empty heap
-    stack: list[tuple[int, int, int, int, int, int, int, int]] = []
+    allowed, descents, once, minima, present, length = (1 << size) - 1, 0, 0, 0, 0, 0
+    stack: list[tuple[int, int, int, int, int, int, int]] = []
     push, pop = stack.append, stack.pop
     while True:
         h = None
         if mode == "all" or descents == minima and _palindromic(g, letters, last):
-            h = Heap(g, tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
-                     descents, minima)
+            h = Heap(g, tuple(letters), tuple(last), tuple(prev), descents, minima)
             if mode != "all":
                 h._self_dual = True
                 if mode != "involutions" and not passes_filter(h, mode):
@@ -112,26 +111,19 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
                 s = free.bit_length() - 1
                 bit = 1 << s
                 free ^= bit
-                placed = (_down(g, last, below, layer, s) if simple & bit
-                          else _place(g, last, prev, below, layer, s))
-                if placed is None:
+                if not simple & bit and not _place(g, letters, last, prev, s):
                     continue
-                below_s, layer_s = placed
                 cs = closed[s]
-                push((length, s, below_s, layer_s, cs | (allowed & higher[s]),
-                      (descents & ~cs) | bit, (once & ~cs) | (descents & cs),
-                      minima if below_s else minima | bit))
+                push((length, s, cs | (allowed & higher[s]), (descents & ~cs) | bit,
+                      (once & ~cs) | (descents & cs),
+                      minima if present & cs else minima | bit, present | bit))
         if not stack:
             return
-        parent, s, below_s, layer_s, allowed, descents, once, minima = pop()
+        parent, s, allowed, descents, once, minima, present = pop()
         while length > parent:  # back up to the parent
             last[letters.pop()] = prev.pop()
-            below.pop()
-            layer.pop()
             length -= 1
         letters.append(s)
-        below.append(below_s)
-        layer.append(layer_s)
         prev.append(last[s])
         last[s] = parent
         length += 1

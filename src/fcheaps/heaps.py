@@ -1,17 +1,17 @@
 """Heaps of words on a Coxeter graph and the full commutativity criterion.
 
 A heap is the word's positions partially ordered by: p precedes q when p < q
-and their letters are equal or bonded.  We store, per position, a bitmask of
-the positions strictly below it, plus a layer number used for the canonical
-linear extension; the labels of the maximal and of the minimal elements are
-bitmasks over generators.
+and their letters are equal or bonded.  We store, per generator, its last
+position and, per position, the previous one of the same letter; the labels
+of the maximal and of the minimal elements are bitmasks over generators.
+Each position's down-set and layer are computed from the word on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import CoxeterGraph, canonical_form, check_word
+from .coxeter import CoxeterGraph, canonical_form, check_word, layers
 
 
 class ClassificationError(ValueError):
@@ -21,64 +21,49 @@ class ClassificationError(ValueError):
 class Heap:
     """Labeled poset of a word's positions.
 
-    below[p] is a bitmask over positions; layer[p] is one plus the longest
-    chain strictly below p.  prev[p] is the previous position holding the
-    same letter as p (-1 if none), so with last it threads each letter's
-    occurrences from the top down and a bond's chain can be read backward
-    without scanning the word.  descents and minima are the labels of the
-    maximal and of the minimal elements as bitmasks over generators (bit s
-    for label s).  All fields are immutable, so extensions share parent
-    data.  The canonical word and the is_self_dual and is_alternating
-    verdicts are computed on first request and kept on the heap, so they
-    live exactly as long as it does.
+    prev[p] is the previous position holding the same letter as p (-1 if
+    none), so with last it threads each letter's occurrences from the top
+    down and a bond's chain can be read backward without scanning the word.
+    descents and minima are the labels of the maximal and of the minimal
+    elements as bitmasks over generators (bit s for label s).  All fields
+    are immutable, so extensions share parent data.  below[p] (the bitmask
+    of the positions below p), layer[p] (one plus the longest chain below
+    p), the canonical word and the is_self_dual and is_alternating verdicts
+    are computed on first read, each in its own pass, and kept on the heap.
     """
 
-    __slots__ = ("graph", "letters", "below", "layer", "last", "prev",
-                 "descents", "minima", "_canon", "_self_dual", "_alternating")
+    __slots__ = ("graph", "letters", "last", "prev", "descents", "minima",
+                 "_below", "_layer", "_canon", "_self_dual", "_alternating")
 
-    def __init__(self, graph, letters, below, layer, last, prev, descents, minima):
+    def __init__(self, graph, letters, last, prev, descents, minima):
         self.graph = graph
         self.letters = letters
-        self.below = below
-        self.layer = layer
         self.last = last            # last occurrence position per generator, -1 if absent
         self.prev = prev            # previous occurrence of the same letter, -1 if none
         self.descents = descents    # labels of maximal elements, bitmask over generators
         self.minima = minima        # labels of minimal elements, bitmask over generators
-        self._canon = None
+        self._below = self._layer = self._canon = None
         self._self_dual = None
         self._alternating = None
 
     @classmethod
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
+        """The word's heap in one pass; a label is a minimum iff no label of
+        its closed neighbourhood occurred before it."""
         w = check_word(word, g)
-        adjacency, closed_mask = g.adjacency, g.closed_mask
+        closed_mask = g.closed_mask
         last = [-1] * g.size
-        below = []
-        layer = []
         prev = []
-        descents = minima = 0
+        seen = descents = minima = 0
         for p, c in enumerate(w):
-            q = last[c]
-            prev.append(q)
-            if q >= 0:
-                b = below[q] | (1 << q)
-                lay = layer[q]
-            else:
-                b = lay = 0
-            for u in adjacency[c]:
-                lp = last[u]
-                if lp >= 0:
-                    b |= below[lp] | (1 << lp)
-                    if layer[lp] > lay:
-                        lay = layer[lp]
-            below.append(b)
-            layer.append(lay + 1)
+            prev.append(last[c])
             last[c] = p
-            descents = (descents & ~closed_mask[c]) | (1 << c)
-            if not b:
+            cs = closed_mask[c]
+            if not seen & cs:
                 minima |= 1 << c
-        return cls(g, w, tuple(below), tuple(layer), tuple(last), tuple(prev), descents, minima)
+            seen |= 1 << c
+            descents = (descents & ~cs) | (1 << c)
+        return cls(g, w, tuple(last), tuple(prev), descents, minima)
 
     @classmethod
     def empty(cls, g: CoxeterGraph) -> "Heap":
@@ -86,6 +71,27 @@ class Heap:
 
     def __len__(self) -> int:
         return len(self.letters)
+
+    @property
+    def below(self) -> tuple[int, ...]:
+        if self._below is None:
+            closed = self.graph.closed
+            down = [0] * self.graph.size  # per generator, its last position and all below it
+            below = []
+            for p, c in enumerate(self.letters):
+                b = 0
+                for u in closed[c]:
+                    b |= down[u]
+                below.append(b)
+                down[c] = b | (1 << p)
+            self._below = tuple(below)
+        return self._below
+
+    @property
+    def layer(self) -> tuple[int, ...]:
+        if self._layer is None:
+            self._layer = layers(self.letters, self.graph)
+        return self._layer
 
     @property
     def canonical_word(self) -> tuple[int, ...]:
@@ -315,30 +321,35 @@ def classify_involution(h: Heap) -> Classification:
         f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")
 
 
-def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int] | None:
-    """Place a new maximal element labeled s on a reduced FC heap given by
-    its last, prev, below and layer sequences (tuples or lists).
+def _place(g: CoxeterGraph, letters, last, prev, s: int) -> bool:
+    """Whether a new maximal element labeled s keeps the reduced FC heap of
+    letters (with its last and prev sequences; tuples or lists) FC, i.e.
+    closes no alternating convex braid window (Stembridge's criterion: a
+    heap is FC iff it has no convex chain of m alternating s/t elements on a
+    bond of label m).  Does not test whether s is a right descent.
 
-    Returns the new element's below mask and layer, or None when it closes
-    an alternating convex braid window (Stembridge's criterion: a heap is FC
-    iff it has no convex chain of m alternating s/t elements on a bond of
-    label m).  Does not test whether s is a right descent.
+    A window ending in the new s holds the last s (m >= 3), so it needs
+    last[s] >= 0 and a neighbor t of s after it; any other neighbor u of s
+    after the last s lies strictly between that s and the new one, outside
+    the window, so a window can close only when t is the one such neighbor.
+    For m = 3 it then closes iff no t lies between the last s and last[t],
+    i.e. prev[last[t]] < last[s]: an element x strictly between the last s
+    and the new s lies on a maximal chain between them whose first cover
+    above the last s and last cover below the new s are labeled by neighbors
+    of s, and with t the only neighbor after the last s both are the one t,
+    so x is that t.  So if every bond of s has label 3, s closes a window iff
+    exactly one element labeled by a neighbor of s follows the last s
+    (walk_fc's once mask).
 
-    The windows are tested first, and the below mask is built only when none
-    closes.  A window ending in the new s holds the last s (m >= 3), so it
-    needs last[s] >= 0 and a neighbor t of s after it; any other neighbor u
-    of s after the last s lies strictly between that s and the new one,
-    outside the window, so a window can close only when t is the one such
-    neighbor.  For m = 3 it then closes iff no t lies between the last s and
-    last[t], i.e. prev[last[t]] < last[s]: an element x strictly between the
-    last s and the new s lies on a maximal chain between them whose first
-    cover above the last s and last cover below the new s are labeled by
-    neighbors of s, and with t the only neighbor after the last s both are
-    the one t, so x is that t.  So if every bond of s has label 3, s closes a
-    window iff exactly one element labeled by a neighbor of s follows the
-    last s (walk_fc's once mask).  For m >= 4 the s/t chain is walked down
-    from last[t] and the positions strictly between its bottom and the new s
-    are scanned.
+    For m >= 4 the s/t chain is walked down from last[t]; its last m - 1
+    elements must alternate and end in t, and then the window from its
+    bottom a to the new s closes unless an element outside it lies strictly
+    between the two: a position x > a outside the chain, below the new s and
+    above a.  Two sweeps over the positions after a decide it, each carrying
+    a label mask: backward from the new s, x lies below it iff its label is
+    in the closed neighbourhood of s or of a position after x found below
+    it; forward from a, x lies above a iff its label is in the closed
+    neighbourhood of a's label or of a position before x found above a.
     """
     ls = last[s]
     window = None  # the bond (t, m - 2) of the one neighbor t after the last s
@@ -346,51 +357,37 @@ def _place(g: CoxeterGraph, last, prev, below, layer, s: int) -> tuple[int, int]
         for bond in g.braids[s]:
             if last[bond[0]] > ls:
                 if window is not None:
-                    window = None
-                    break
+                    return True
                 window = bond
-    if window is not None:
-        t, steps = window
-        if steps == 1 and prev[last[t]] < ls:
-            return None
-    below_nu, lay = _down(g, last, below, layer, s)
-    if window is not None and steps > 1:
-        # walk the s/t chain down from its top through last and prev: its
-        # last m - 1 elements must alternate and end in t to close a window
-        a, b = last[t], ls
-        interior = 0
-        for _ in range(steps):
-            if a <= b:
-                break
-            interior |= 1 << a
-            a, b = b, prev[a]
-        else:
-            if a >= 0:
-                # the window closes unless some element outside it lies
-                # strictly between a and the new element: a position after
-                # a, below the new element, with a below it
-                rest = (below_nu & ~interior) >> (a + 1)
-                while rest:
-                    low = rest & -rest
-                    if (below[a + low.bit_length()] >> a) & 1:
-                        break
-                    rest ^= low
-                else:
-                    return None
-    return below_nu, lay
-
-
-def _down(g: CoxeterGraph, last, below, layer, s: int) -> tuple[int, int]:
-    """Below mask and layer of a new maximal s, above the last of each of s's closed neighbors."""
-    below_nu = 0
-    lay = 0
-    for u in g.closed[s]:
-        lp = last[u]
-        if lp >= 0:
-            below_nu |= below[lp] | (1 << lp)
-            if layer[lp] > lay:
-                lay = layer[lp]
-    return below_nu, lay + 1
+    if window is None:
+        return True
+    t, steps = window
+    if steps == 1:
+        return prev[last[t]] >= ls
+    a, b = last[t], ls
+    chain = 0  # the chain's positions above a
+    for _ in range(steps):
+        if a <= b:
+            return True
+        chain |= 1 << a
+        a, b = b, prev[a]
+    if a < 0:
+        return True
+    closed = g.closed_mask
+    reach = closed[s]
+    between = 0  # positions after a outside the chain and below the new s
+    for x in range(len(letters) - 1, a, -1):
+        if reach >> letters[x] & 1:
+            reach |= closed[letters[x]]
+            between |= 1 << x
+    between &= ~chain
+    reach = closed[letters[a]]
+    for x in range(a + 1, len(letters)):
+        if reach >> letters[x] & 1:
+            if between >> x & 1:
+                return True
+            reach |= closed[letters[x]]
+    return False
 
 
 def extend(h: Heap, s: int) -> Heap | None:
@@ -403,13 +400,12 @@ def extend(h: Heap, s: int) -> Heap | None:
     g = h.graph
     if h.descents >> s & 1:
         return None
-    last, prev = h.last, h.prev
-    placed = _place(g, last, prev, h.below, h.layer, s)
-    if placed is None:
+    letters, last = h.letters, h.last
+    if not _place(g, letters, last, h.prev, s):
         return None
-    below_nu, lay = placed
     new_last = list(last)
-    new_last[s] = len(h.letters)
-    return Heap(g, h.letters + (s,), h.below + (below_nu,), h.layer + (lay,),
-                tuple(new_last), prev + (last[s],), (h.descents & ~g.closed_mask[s]) | (1 << s),
-                h.minima if below_nu else h.minima | (1 << s))
+    new_last[s] = len(letters)
+    cs = g.closed_mask[s]
+    minima = h.minima if any(last[u] >= 0 for u in g.closed[s]) else h.minima | (1 << s)
+    return Heap(g, letters + (s,), tuple(new_last), h.prev + (last[s],),
+                (h.descents & ~cs) | (1 << s), minima)

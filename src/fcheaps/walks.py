@@ -21,13 +21,13 @@ END_CHOICES = START_CHOICES + ("eq-start",)
 WEIGHT_CHOICES = ("all", "exclude-start")
 
 
-# Most bits a walk family's seeded states may span: start heights x slots x width (tmax^2
-# for start "any"; n=2, tmax=8000: 1.09e9 bits, 0.50 s and 138 MiB on a 2-CPU x86_64 host).
-FAMILY_CAP = 10 ** 9
+# Most state bits (live states x slots x width, over the seeding and the steps) a walk family
+# may touch; on a 2-CPU x86_64 host, windows under it took <= 0.8 s and 162 MiB, refusals <= 0.55 s.
+FAMILY_CAP = 2 * 10 ** 9
 
 
 class FamilyLimitError(RuntimeError):
-    """A walk family window would span more than FAMILY_CAP bits."""
+    """A walk family window would touch more than FAMILY_CAP state bits."""
 
 
 class WalkError(ValueError):
@@ -147,8 +147,9 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     Its polynomial is one int whose slot k, bits k*width to (k+1)*width - 1,
     is the t^k coefficient: a step to h2 is (acc << width*h2) & mask, a merge
     is +, and the end states' sum is unpacked once.  A step that leaves 0
-    (every walk past tmax) is pruned.  FamilyLimitError, before any state is
-    built, when start heights x (tmax + 1) x width exceeds FAMILY_CAP.
+    (every walk past tmax) is pruned.  FamilyLimitError as soon as the live
+    states times (tmax + 1) x width, summed over the seeding (checked before
+    any state is built) and the steps, exceed FAMILY_CAP.
 
     No slot overflows: a slot counts walks of i <= n steps and weight k <=
     tmax, at most B of them, and 2**width > B, so no shift, mask or sum
@@ -162,14 +163,17 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     exclude = spec.weight == "exclude-start"
     starts = [h0 for h0 in range(tmax + exclude + 1) if _height_ok(h0, spec.start)]
     width = min(3 * comb(spec.n + 1 + tmax, tmax), (tmax + 2) * 3 ** spec.n).bit_length()
-    if len(starts) * (tmax + 1) * width > FAMILY_CAP:
-        raise FamilyLimitError(f"walk family of {len(starts)} start heights by {tmax + 1} "
-                               f"slots of {width} bits exceeds {FAMILY_CAP} bits")
-    mask = (1 << width * (tmax + 1)) - 1
+    slots = (tmax + 1) * width
+    spent = len(starts) * slots  # state bits touched: the seeded states, then each step's
+    over = (f"walk family of {len(starts)} start heights on {tmax + 1} slots of {width} bits "
+            f"exceeds {FAMILY_CAP} state bits at step")
+    if spent > FAMILY_CAP:
+        raise FamilyLimitError(f"{over} 0")
+    mask = (1 << slots) - 1
     from_axis = (1, 0) if spec.allow_horiz else (1,)  # heights one step from the axis
     states = {(h0, h0 == 0, h0 if tied else None): 1 if exclude else 1 << width * h0
               for h0 in starts}
-    for _ in range(spec.n):
+    for step in range(1, spec.n + 1):
         nxt: dict[tuple[int, bool, int | None], int] = {}
         for (h, touched, h0), acc in states.items():
             for h2 in from_axis if h == 0 else (h + UP, h + DOWN):
@@ -178,6 +182,9 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
                     key = (h2, touched or h2 == 0, h0)
                     nxt[key] = nxt.get(key, 0) + add
         states = nxt
+        spent += len(states) * slots
+        if spent > FAMILY_CAP:
+            raise FamilyLimitError(f"{over} {step}")
     total = sum(acc for (h, touched, h0), acc in states.items()
                 if (h == h0 if tied else _height_ok(h, spec.end))
                 and (touched or not spec.require_touch))
@@ -204,8 +211,8 @@ def encode_walk(h: Heap, scheme: str) -> Walk:
 
     linear:  heights are the per-generator occurrence counts, left to right.
     typeA:   counts padded with a zero at both ends.
-    typeB:   counts with a zero prepended; needs at most one first-generator
-             occurrence, so the heap must avoid the short peak shape.
+    typeB:   counts with a zero prepended; two first-generator occurrences make
+             a step of 2, so the heap must avoid the short peak shape.
     affineA: counts around the cycle, closed by repeating the first.
     """
     if scheme not in SCHEMES:
@@ -218,8 +225,6 @@ def encode_walk(h: Heap, scheme: str) -> Walk:
     elif scheme == "typeA":
         heights = [0] + counts + [0]
     elif scheme == "typeB":
-        if counts[0] > 1:
-            raise EncodingError("first-generator count exceeds 1; no axis start exists")
         heights = [0] + counts
     else:
         if not h.graph.cyclic:

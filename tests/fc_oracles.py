@@ -12,16 +12,22 @@ heaps._place replaced: it builds the below mask first and tests every bond's
 window by walking its chain and scanning the positions inside it.
 colayer_self_dual is the self-duality test that the palindromic bond
 projections of heaps._self_dual replaced: it compares each position's layer
-with its co-layer.  maximal_labels and minimal_labels read a heap's descent
-and minimum labels off the above and below masks, and mask_of turns a label
-set into the bitmask form a Heap stores.
+with its co-layer.  eager_fields, down, below_place and eager_walk are the
+heap constructor, placement and walk that kept a below mask and a layer for
+every position before the heap computed them on first read: eager_fields
+is Heap.from_word's one pass, down gives a new maximal element its below
+mask and layer, below_place decides the braid windows with them, and
+eager_walk is walk_fc carrying both on its path.  maximal_labels and
+minimal_labels read a heap's descent and minimum labels off the above and
+below masks, and mask_of turns a label set into the bitmask form a Heap
+stores.
 """
 
 import random
 
 from fcheaps.cells import reduction_moves, remove_top
 from fcheaps.coxeter import check_word
-from fcheaps.heaps import Heap, extend
+from fcheaps.heaps import Heap, _palindromic, extend
 
 
 def above_masks(h):
@@ -229,3 +235,151 @@ def colayer_self_dual(h):
             return False
         depth[c] = lay
     return True
+
+
+def eager_fields(g, word):
+    """(letters, below, layer, last, prev, descents, minima) of the word's
+    heap in one pass that builds every position's below mask and layer."""
+    w = check_word(word, g)
+    adjacency, closed_mask = g.adjacency, g.closed_mask
+    last = [-1] * g.size
+    below = []
+    layer = []
+    prev = []
+    descents = minima = 0
+    for p, c in enumerate(w):
+        q = last[c]
+        prev.append(q)
+        if q >= 0:
+            b = below[q] | (1 << q)
+            lay = layer[q]
+        else:
+            b = lay = 0
+        for u in adjacency[c]:
+            lp = last[u]
+            if lp >= 0:
+                b |= below[lp] | (1 << lp)
+                if layer[lp] > lay:
+                    lay = layer[lp]
+        below.append(b)
+        layer.append(lay + 1)
+        last[c] = p
+        descents = (descents & ~closed_mask[c]) | (1 << c)
+        if not b:
+            minima |= 1 << c
+    return w, tuple(below), tuple(layer), tuple(last), tuple(prev), descents, minima
+
+
+def down(g, last, below, layer, s):
+    """Below mask and layer of a new maximal s, above the last of each of
+    s's closed neighbors."""
+    below_nu = 0
+    lay = 0
+    for u in g.closed[s]:
+        lp = last[u]
+        if lp >= 0:
+            below_nu |= below[lp] | (1 << lp)
+            if layer[lp] > lay:
+                lay = layer[lp]
+    return below_nu, lay + 1
+
+
+def below_place(g, last, prev, below, layer, s):
+    """The new maximal element's (below mask, layer) on a reduced FC heap, or
+    None when it closes an alternating convex braid window; s is not tested
+    for being a right descent.  The label-3 window of the one neighbor t
+    after the last s is decided before the below mask is built; a window of
+    label m >= 4 by walking the s/t chain down from last[t] and scanning the
+    below mask for an element outside it above the chain's bottom."""
+    ls = last[s]
+    window = None
+    if ls >= 0:
+        for bond in g.braids[s]:
+            if last[bond[0]] > ls:
+                if window is not None:
+                    window = None
+                    break
+                window = bond
+    if window is not None:
+        t, steps = window
+        if steps == 1 and prev[last[t]] < ls:
+            return None
+    below_nu, lay = down(g, last, below, layer, s)
+    if window is not None and steps > 1:
+        a, b = last[t], ls
+        interior = 0
+        for _ in range(steps):
+            if a <= b:
+                break
+            interior |= 1 << a
+            a, b = b, prev[a]
+        else:
+            if a >= 0:
+                rest = (below_nu & ~interior) >> (a + 1)
+                while rest:
+                    low = rest & -rest
+                    if (below[a + low.bit_length()] >> a) & 1:
+                        break
+                    rest ^= low
+                else:
+                    return None
+    return below_nu, lay
+
+
+def eager_walk(g, max_length, mode="all"):
+    """walk_fc as it was when its path held every position's below mask and
+    layer: yields (length, node, passes) per FC element, where node is the
+    path's (letters, below, layer, last, prev, descents, minima) and passes
+    whether walk_fc yields a heap for it under mode.  Simple letters in the
+    once mask are pruned, other simple letters placed by down, and the rest
+    by below_place."""
+    from fcheaps.enumerator import passes_filter
+    if max_length is None and g.group.is_affine:
+        raise ValueError(f"{g.group} is infinite: walking it needs a max_length")
+    size = g.size
+    closed = g.closed_mask
+    higher = [((1 << size) - 1) & ~((2 << s) - 1) for s in range(size)]
+    simple = sum(1 << s for s in range(size) if all(steps == 1 for _t, steps in g.braids[s]))
+    bound = max_length if max_length is not None else 1 << 62
+    letters, below, layer, prev = [], [], [], []
+    last = [-1] * size
+    allowed, descents, once, minima, length = (1 << size) - 1, 0, 0, 0, 0
+    stack = []
+    while True:
+        node = (tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
+                descents, minima)
+        passes = mode == "all"
+        if not passes and descents == minima and _palindromic(g, letters, last):
+            h = Heap(g, node[0], node[3], node[4], descents, minima)
+            h._self_dual = True
+            passes = mode == "involutions" or passes_filter(h, mode)
+        yield length, node, passes
+        if length < bound:
+            free = allowed & ~(descents | (once & simple))
+            while free:
+                s = free.bit_length() - 1
+                bit = 1 << s
+                free ^= bit
+                placed = (down(g, last, below, layer, s) if simple & bit
+                          else below_place(g, last, prev, below, layer, s))
+                if placed is None:
+                    continue
+                below_s, layer_s = placed
+                cs = closed[s]
+                stack.append((length, s, below_s, layer_s, cs | (allowed & higher[s]),
+                              (descents & ~cs) | bit, (once & ~cs) | (descents & cs),
+                              minima if below_s else minima | bit))
+        if not stack:
+            return
+        parent, s, below_s, layer_s, allowed, descents, once, minima = stack.pop()
+        while length > parent:
+            last[letters.pop()] = prev.pop()
+            below.pop()
+            layer.pop()
+            length -= 1
+        letters.append(s)
+        below.append(below_s)
+        layer.append(layer_s)
+        prev.append(last[s])
+        last[s] = parent
+        length += 1

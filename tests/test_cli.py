@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from itertools import product
 
 import pytest
@@ -255,24 +256,35 @@ class TestWalksFamily:
                    "--tmax", "4").exit_code == 2
 
     def test_window_past_the_family_cap_exits_2(self, monkeypatch):
-        # cap 100 bits: --start any at n=2 spans 4 * 4 * 6 = 96 bits at
-        # tmax 3 and 5 * 5 * 6 = 150 at tmax 4
-        monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 100)
+        # cap 300 state bits: --start any at n=2 touches 11 * 4 * 6 = 264 at
+        # tmax 3 and passes 300 at step 2 at tmax 4 (13 * 5 * 6 = 390)
+        monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 300)
         argv = ("walks", "family", "--n", "2", "--start", "any", "--tmax")
         assert run(*argv, "3").exit_code == 0
         r = run(*argv, "4")
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert r.stderr == ("Error: walk family of 5 start heights by 5 slots of 6 bits "
-                            "exceeds 100 bits; lower --tmax\n")
+        assert r.stderr == ("Error: walk family of 5 start heights on 5 slots of 6 bits "
+                            "exceeds 300 state bits at step 2; lower --tmax\n")
 
     def test_default_cap_refuses_a_quadratic_window(self):
-        # 40001 start heights by 40001 slots: refused before any state is built
+        # 40001 start heights by 40001 slots: refused at the seeding
         r = run("walks", "family", "--n", "2", "--start", "any", "--tmax", "40000")
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert re.fullmatch(r"Error: walk family of 40001 start heights by 40001 slots of "
-                            r"\d+ bits exceeds \d+ bits; lower --tmax\n", r.stderr)
+        assert re.fullmatch(r"Error: walk family of 40001 start heights on 40001 slots of "
+                            r"\d+ bits exceeds \d+ state bits at step 0; lower --tmax\n", r.stderr)
+
+    def test_default_cap_refuses_a_long_window_early(self):
+        # 1000 steps from 501 start heights on 501 slots, about 4 s of work:
+        # under a cap on the seeded states alone it ran to the end
+        start = time.perf_counter()
+        r = run("walks", "family", "--n", "1000", "--start", "any", "--tmax", "500")
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 2
+        assert r.stdout == ""
+        assert re.fullmatch(r"Error: walk family of 501 start heights on 501 slots of \d+ bits "
+                            r"exceeds \d+ state bits at step \d+; lower --tmax\n", r.stderr)
 
 
 class TestVerify:

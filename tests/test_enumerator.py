@@ -14,9 +14,9 @@ from fcheaps.enumerator import (
     rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
-from fcheaps.heaps import _down, _palindromic, _place, _self_dual, extend
-from fc_oracles import (colayer_self_dual, commutation_class, heap_walk, old_place,
-                        scan_is_reduced_fc)
+from fcheaps.heaps import _palindromic, _place, _self_dual, extend
+from fc_oracles import (colayer_self_dual, commutation_class, eager_fields, eager_walk,
+                        heap_walk, old_place, scan_is_reduced_fc)
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -397,20 +397,21 @@ def bits(mask):
 
 def check_decisions_against_old_place(g, max_length):
     """At every node walk_fc yields, each letter in allowed & ~descents must
-    get old_place's decision: pruned by the once mask (simple letters only)
-    or rejected by _place where old_place gives None, else placed by _down or
-    _place with old_place's (below, layer).  The walk's once mask must equal
-    its definition, counted from the word.  The walk's locals are read at each
-    yield, and its calls to _down and _place until the next yield are the
-    decisions for that node.  Returns the tally of decisions."""
+    get old_place's decision: pruned by the once mask, or appended with no
+    test, when simple (once holding exactly the simple letters old_place
+    rejects); otherwise rejected by _place where old_place gives None, else
+    placed.  The walk's once mask must equal its definition, counted from
+    the word, and its present mask the labels on the path.  The walk's
+    locals are read at each yield, old_place is given the below masks and
+    layers of eager_fields on the node's word, and the walk's calls to
+    _place until the next yield are the decisions for that node.  Returns
+    the tally of decisions."""
     simple = simple_labels(g)
     calls = {}
 
-    def recorded(fn):
-        def wrapped(*args):
-            got = calls[args[-1]] = fn(*args)
-            return got
-        return wrapped
+    def recorded(*args):
+        got = calls[args[-1]] = _place(*args)
+        return got
 
     tally = Counter()
     want = {}
@@ -418,29 +419,56 @@ def check_decisions_against_old_place(g, max_length):
     def settle():
         assert calls.keys() <= want.keys()
         for s, placed in want.items():
-            if s in calls:
-                assert calls[s] == placed, s
-                tally["placed" if placed is not None else "rejected"] += 1
+            if simple >> s & 1:
+                assert s not in calls, s
+                tally["placed" if placed is not None else "pruned"] += 1
             else:
-                assert placed is None and simple >> s & 1, s
-                tally["pruned"] += 1
+                assert calls[s] == (placed is not None), s
+                tally["placed" if placed is not None else "rejected"] += 1
         calls.clear()
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("fcheaps.enumerator._down", recorded(_down))
-        mp.setattr("fcheaps.enumerator._place", recorded(_place))
+        mp.setattr("fcheaps.enumerator._place", recorded)
         walk = walk_fc(g, max_length)
         for length, _h in walk:
             settle()
             f = walk.gi_frame.f_locals
             letters, last = f["letters"], f["last"]
             assert f["once"] == once_labels(g, letters, last), letters
+            assert f["present"] == sum(1 << c for c in set(letters)), letters
             want = {}
             if max_length is None or length < max_length:
-                want = {s: old_place(g, last, f["prev"], f["below"], f["layer"], s)
+                _w, below, layer, *_rest = eager_fields(g, letters)
+                want = {s: old_place(g, last, f["prev"], below, layer, s)
                         for s in bits(f["allowed"] & ~f["descents"])}
+                for s in bits(f["allowed"] & ~f["descents"] & simple):
+                    assert (want[s] is None) == bool(f["once"] >> s & 1), (letters, s)
         settle()
     return tally
+
+
+def check_against_eager_walk(g, max_length, mode):
+    """walk_fc and eager_walk, the walk that carried below masks and layers
+    on its path, visit the same nodes in the same order: at each yield the
+    (length, letters, last, prev, descents, minima) of walk_fc's path equal
+    eager_walk's, walk_fc yields a heap exactly where eager_walk's node
+    passes, and that heap's below masks and layers, computed on first read,
+    are the ones eager_walk carried.  Returns the number of nodes."""
+    walk = walk_fc(g, max_length, mode)
+    nodes = 0
+    for (length, h), (old_length, node, passes) in zip(walk, eager_walk(g, max_length, mode),
+                                                        strict=True):
+        f = walk.gi_frame.f_locals
+        letters, below, layer, last, prev, descents, minima = node
+        assert (length, tuple(f["letters"]), tuple(f["last"]), tuple(f["prev"]),
+                f["descents"], f["minima"]) == (old_length, letters, last, prev,
+                                                descents, minima), letters
+        assert (h is not None) == passes, letters
+        if h is not None:
+            assert (h.letters, h.last, h.prev, h.below, h.layer) == \
+                (letters, last, prev, below, layer)
+        nodes += 1
+    return nodes
 
 
 def check_path_verdicts(g, max_length, mode):
@@ -461,7 +489,7 @@ def check_path_verdicts(g, max_length, mode):
         walk = walk_fc(g, max_length, mode)
         for _length, h in walk:
             f = walk.gi_frame.f_locals
-            node = Heap(g, *(tuple(f[name]) for name in HEAP_FIELDS[:5]),
+            node = Heap(g, tuple(f["letters"]), tuple(f["last"]), tuple(f["prev"]),
                         f["descents"], f["minima"])
             if f["descents"] == f["minima"]:
                 candidates += 1
@@ -497,6 +525,19 @@ class TestMutablePathWalk:
         # of n points (Billey, Jockusch and Stanley), Catalan(n) of them
         g = build_graph(GroupType("A", n))
         assert sum(1 for _ in walk_fc(g, None, mode)) == comb(2 * n, n) // (n + 1)
+
+    @pytest.mark.parametrize("mode", FILTERS)
+    @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
+    def test_same_nodes_as_eager_walk(self, fam, n, max_length, mode):
+        g = build_graph(GroupType(fam, n))
+        assert check_against_eager_walk(g, max_length, mode) > 1
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.integers(0, 10),
+           st.sampled_from(FILTERS))
+    @settings(max_examples=60, deadline=None)
+    def test_same_nodes_as_eager_walk_anywhere(self, fam, extra_rank, max_length, mode):
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank))
+        check_against_eager_walk(g, max_length, mode)
 
     @pytest.mark.parametrize("fam,n,max_length", DFS_GROUPS + VERIFY_GROUPS)
     def test_every_placement_matches_old_place(self, fam, n, max_length):

@@ -207,6 +207,26 @@ class TestReconcile:
         with pytest.raises(ReconcileError):
             reconcile(oracle, periodic, 1)
 
+    def test_remainder_coefficient_of_minus_one_rejected(self):
+        # the one negative value next to zero: c < 0 and not c < -1
+        oracle = TPoly([1, 1, 2, 2, 2, 2, 2, 2], cap=7)
+        periodic = TPoly([0, 2, 2, 2, 2, 2, 2, 2], cap=7)
+        with pytest.raises(ReconcileError, match="coefficient -1 at degree 1 is negative"):
+            reconcile(oracle, periodic, 1)
+
+    @pytest.mark.parametrize("degree,ok", [(3, True), (4, False)])
+    def test_remainder_degree_at_the_two_period_bound(self, degree, ok):
+        # cap 9 and period 3: a remainder may reach degree 9 - 2 * 3 = 3,
+        # which leaves two periods of zero tail, and no further
+        oracle = TPoly([1] * 10, cap=9)
+        periodic = TPoly([1] * 10, cap=9) - TPoly([0] * degree + [1], cap=9)
+        if ok:
+            rem, _report = reconcile(oracle, periodic, 3)
+            assert rem.degree() == degree
+        else:
+            with pytest.raises(ReconcileError, match=f"reaches degree {degree}, leaving"):
+                reconcile(oracle, periodic, 3)
+
     def test_cap_mismatch_rejected(self):
         with pytest.raises(ReconcileError):
             reconcile(TPoly([1], cap=5), TPoly([1], cap=6), 1)

@@ -8,8 +8,8 @@ from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, is_self_dual,
     major_index, is_alternating, classify_involution, extend, _place,
 )
-from fc_oracles import (above_masks, mask_of, maximal_labels, minimal_labels, old_place,
-                        scan_is_reduced_fc)
+from fc_oracles import (above_masks, below_place, eager_fields, mask_of, maximal_labels,
+                        minimal_labels, old_place, scan_is_reduced_fc)
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -243,18 +243,28 @@ class TestExtend:
 
 
 def place(h, s):
-    return _place(h.graph, h.last, h.prev, h.below, h.layer, s)
+    return _place(h.graph, h.letters, h.last, h.prev, s)
+
+
+def old_placements(h, s):
+    """old_place's and below_place's decisions, both on the eager below
+    masks and layers of h's word."""
+    g = h.graph
+    _w, below, layer, *_rest = eager_fields(g, h.letters)
+    return (old_place(g, h.last, h.prev, below, layer, s),
+            below_place(g, h.last, h.prev, below, layer, s))
 
 
 class TestPlaceWindows:
-    """Each branch of the label-3 window rule in _place, against extend's
-    verdict, the convex-chain scan and the placement _place replaced."""
+    """Each branch of the window rules in _place, against extend's verdict,
+    the convex-chain scan and the placements _place replaced."""
 
     def check(self, g, word, s, closes):
         h = heap(g, *word)
         assert scan_is_reduced_fc(h)
-        assert (place(h, s) is None) == closes
-        assert place(h, s) == old_place(g, h.last, h.prev, h.below, h.layer, s)
+        assert place(h, s) != closes
+        old, eager = old_placements(h, s)
+        assert old == eager and (old is None) == closes
         assert (extend(h, s) is None) == closes
         assert scan_is_reduced_fc(heap(g, *word, s)) != closes
 
@@ -282,6 +292,14 @@ class TestPlaceWindows:
         self.check(B2, (0, 1, 0), 1, True)
         self.check(B3, (1, 2, 0, 1), 2, False)
 
+    def test_double_bond_window_opened_by_an_element_between(self):
+        # on affC:3 (0=1-2=3) the window 0 1 0 + 1 is kept open by the 2
+        # between the two 1s, found by both sweeps; without a 2 above the
+        # first 1 it closes
+        g = build_graph(GroupType("affC", 3))
+        self.check(g, (0, 1, 2, 3, 2, 1, 0), 1, False)
+        self.check(g, (2, 0, 1, 0), 1, True)
+
     @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_old_place_on_random_fc_heaps(self, fam, extra_rank, data):
@@ -291,9 +309,29 @@ class TestPlaceWindows:
         h = Heap.empty(g)
         for s in word:
             for u in range(g.size):
-                assert place(h, u) == old_place(g, h.last, h.prev, h.below, h.layer, u), \
-                    (h.letters, u)
+                old, eager = old_placements(h, u)
+                assert old == eager and place(h, u) == (old is not None), (h.letters, u)
             h = extend(h, s) or h
+
+
+class TestLazyDownSets:
+    """below and layer, computed on first read, against eager_fields, the
+    one pass that built them with every heap, on arbitrary words."""
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fields_match_eager_pass(self, fam, extra_rank, data):
+        g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
+        word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=24))
+        h = Heap.from_word(g, word)
+        assert (h.letters, h.below, h.layer, h.last, h.prev, h.descents, h.minima) == \
+            eager_fields(g, word)
+
+    def test_layer_alone_builds_no_below(self):
+        h = heap(B3, 0, 1, 2, 1, 0)
+        assert h.layer == (1, 2, 3, 4, 5)
+        assert h._below is None
+        assert h.below[4] == 0b1111 and h._below is h.below
 
 
 class TestCanonicalWordIsHeapInvariant:

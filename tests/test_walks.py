@@ -1,5 +1,6 @@
 import json
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -409,6 +410,33 @@ def tpoly_family_poly(spec, tmax):
     return out
 
 
+def live_state_bits(spec, tmax):
+    """The state bits family_poly's DP touches, by brute force: per number
+    of steps t in 0..n, the keys (height, touched, start if the end is tied
+    to it) of the t-step prefixes from a seeded start (at most tmax, or
+    tmax + 1 under exclude-start) that weigh at most tmax, times tmax + 1
+    slots of the DP's width."""
+    exclude = spec.weight == "exclude-start"
+    moves = (UP, DOWN, FLAT) if spec.allow_horiz else (UP, DOWN)
+    width = min(3 * comb(spec.n + 1 + tmax, tmax), (tmax + 2) * 3 ** spec.n).bit_length()
+    states = 0
+    for t in range(spec.n + 1):
+        keys = set()
+        for h0 in range(tmax + exclude + 1):
+            if not _height_ok(h0, spec.start):
+                continue
+            for steps in product(moves, repeat=t):
+                try:
+                    w = Walk(h0, steps)
+                except WalkError:
+                    continue
+                if t == 0 or w.weight(spec.weight) <= tmax:
+                    keys.add((w.heights()[-1], 0 in w.heights(),
+                              h0 if spec.end == "eq-start" else None))
+        states += len(keys)
+    return states * (tmax + 1) * width
+
+
 def _golden_walk_specs():
     """Every walk family affine_periodic_part reads at the golden windows."""
     with open(Path(__file__).parent / "golden" / "affine_reconcile.json") as f:
@@ -464,11 +492,33 @@ class TestPackedFamilyPoly:
         assert max(got.coeffs).bit_length() == bits
 
     def test_cap_refuses_before_walking(self, monkeypatch):
-        # start "any" at n=2 seeds tmax + 1 states of tmax + 1 slots; the
-        # slots are 6 bits wide at tmax 3 and 4 (bound 45 and 54)
-        monkeypatch.setattr(walks_mod, "FAMILY_CAP", 100)
+        # start "any" at n=2 on 6-bit slots: 11 live states over the seeding
+        # and the two steps at tmax 3 (4 + 4 + 3 states of 4 slots), 13 at
+        # tmax 4 (5 + 5 + 3 states of 5 slots); the sum passes 300 at step 2
+        monkeypatch.setattr(walks_mod, "FAMILY_CAP", 300)
         spec = WalkFamilySpec(n=2, start="any")
-        assert family_poly(spec, 3) == tpoly_family_poly(spec, 3)  # 4 * 4 * 6 = 96 bits
-        with pytest.raises(FamilyLimitError, match="5 start heights by 5 slots of 6 bits "
-                                                   "exceeds 100 bits"):
+        assert family_poly(spec, 3) == tpoly_family_poly(spec, 3)  # 11 * 4 * 6 = 264 bits
+        with pytest.raises(FamilyLimitError, match="5 start heights on 5 slots of 6 bits "
+                                                   "exceeds 300 state bits at step 2"):
             family_poly(spec, 4)
+
+    @given(st.integers(0, 6), st.booleans(),
+           st.one_of(st.sampled_from(START_CHOICES), st.integers(0, 4)),
+           st.one_of(st.sampled_from(END_CHOICES), st.integers(0, 4)),
+           st.sampled_from(WEIGHT_CHOICES), st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_cap_counts_every_live_state(self, n, horiz, start, end, weight, tmax):
+        # the cap is met exactly by the state bits of live_state_bits
+        spec = WalkFamilySpec(n=n, allow_horiz=horiz, start=start, end=end, weight=weight)
+        bits = live_state_bits(spec, tmax)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks_mod, "FAMILY_CAP", bits)
+            assert family_poly(spec, tmax) == tpoly_family_poly(spec, tmax)
+            mp.setattr(walks_mod, "FAMILY_CAP", bits - 1)
+            with pytest.raises(FamilyLimitError):
+                family_poly(spec, tmax)
+
+    @pytest.mark.parametrize("n", range(25))
+    def test_benchmark_windows_under_the_cap(self, n):
+        # the closed-walk windows of the walks-closed-forms benchmark
+        family_poly(WalkFamilySpec(n=n, allow_horiz=False, start=0, end=0), 120)
