@@ -293,9 +293,10 @@ class TestPlaceWindows:
         self.check(B3, (1, 2, 0, 1), 2, False)
 
     def test_double_bond_window_opened_by_an_element_between(self):
-        # on affC:3 (0=1-2=3) the window 0 1 0 + 1 is kept open by the 2
-        # between the two 1s, found by both sweeps; without a 2 above the
-        # first 1 it closes
+        # on affC:3 (0=1-2=3): in 0 1 2 3 2 1 0 + 1 the first 1, the 2s and
+        # the 3 lie between the chain's bottom (the first 0) and the new 1,
+        # so the window stays open; in 2 0 1 0 + 1 the 2 lies below the
+        # window, which closes
         g = build_graph(GroupType("affC", 3))
         self.check(g, (0, 1, 2, 3, 2, 1, 0), 1, False)
         self.check(g, (2, 0, 1, 0), 1, True)
