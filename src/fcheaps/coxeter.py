@@ -214,6 +214,7 @@ def layers(w, g: CoxeterGraph) -> tuple[int, ...]:
     return tuple(out)
 
 
+# no caller in src/: kept importable while perfbench/tracer.py traces it
 def canonical_form(word, g: CoxeterGraph) -> tuple[int, ...]:
     """Cartier-Foata style normal form of a word up to commutation moves.
 

@@ -78,7 +78,7 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     most one per generator and depth.  Under "all" a Heap is built from the
     path for every element.  Every other mode asks for a self-dual heap,
     decided on the path by is_self_dual's tests (equal descent and minimum
-    labels, then heaps._palindromic on letters and last); a Heap is built
+    labels, then heaps._palindromic on letters); a Heap is built
     only where both pass, the verdict kept on it, and passes_filter decides
     on it under "alternating".  max_length None runs until the group is
     exhausted, so it raises ValueError on an affine (infinite) group.
@@ -98,7 +98,7 @@ def walk_fc(g: CoxeterGraph, max_length: int | None, mode: str = "all"):
     push, pop = stack.append, stack.pop
     while True:
         h = None
-        if mode == "all" or descents == minima and _palindromic(g, letters, last):
+        if mode == "all" or descents == minima and _palindromic(g, letters):
             h = Heap(g, tuple(letters), tuple(last), tuple(prev), descents, minima)
             if mode != "all":
                 h._self_dual = True

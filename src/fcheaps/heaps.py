@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import CoxeterGraph, canonical_form, check_word, layers
+from .coxeter import CoxeterGraph, check_word, layers
 
 
 class ClassificationError(ValueError):
@@ -112,19 +112,6 @@ class Heap:
     def __repr__(self) -> str:
         return f"Heap({self.graph.group}, {self.graph.spell(self.canonical_word)})"
 
-    def chain(self, labels) -> list[int]:
-        """Positions carrying any of the labels, in increasing position order.
-
-        For mutually bonded/equal labels this is the heap order of the chain.
-        """
-        lab = set(labels)
-        return [p for p, c in enumerate(self.letters) if c in lab]
-
-    def restrict_word(self, labels) -> tuple[int, ...]:
-        """Canonical word filtered to a label subset (the subheap's word)."""
-        lab = set(labels)
-        return tuple(c for c in self.canonical_word if c in lab)
-
 
 def is_reduced_fc(h: Heap) -> bool:
     """Whether the word heap is a reduced word of a fully commutative element.
@@ -155,27 +142,35 @@ def is_self_dual(h: Heap) -> bool:
 def _self_dual(h: Heap) -> bool:
     """is_self_dual's test: equal descent and minimum labels (the dual's
     maxima are the heap's minima; most heaps fail here), then _palindromic."""
-    return h.descents == h.minima and _palindromic(h.graph, h.letters, h.last)
+    return h.descents == h.minima and _palindromic(h.graph, h.letters)
 
 
-def _palindromic(g: CoxeterGraph, letters, last) -> bool:
-    """Whether the heap of letters (a tuple or list; last[s] is the last
-    position of s, -1 if absent) is self-dual.  A heap is the trace of its
-    word and its dual that of the reversed word.  By the projection lemma for
-    traces (Diekert and Rozenberg, The Book of Traces, 1995), two traces are
-    equal iff their projections onto every pair of dependent letters are
-    equal words, so the heap is self-dual iff its word projected onto each
-    bond c-d (the word as bytes with every other letter deleted) is a
-    palindrome; this holds for any word, FC or not.  A bond with an end
-    absent projects to a power of one letter and is skipped.
+def _projector(g: CoxeterGraph, letters):
+    """project(c, d, drop): the word with every label but c and d deleted,
+    for a bond c-d and its entry (d, drop) in g.drops[c]; bytes while labels
+    fit a byte (bytes.translate), a list scan past 256 generators."""
+    if g.size > 256:
+        return lambda c, d, _drop: [x for x in letters if x == c or x == d]
+    word = bytes(letters)
+    return lambda _c, _d, drop: word.translate(None, drop)
+
+
+def _palindromic(g: CoxeterGraph, letters) -> bool:
+    """Whether the heap of letters (a tuple or list) is self-dual.  A heap is
+    the trace of its word and its dual that of the reversed word.  By the
+    projection lemma for traces (Diekert and Rozenberg, The Book of Traces,
+    1995), two traces are equal iff their projections onto every pair of
+    dependent letters are equal words, so the heap is self-dual iff its word
+    projected onto each bond is a palindrome; this holds for any word, FC or
+    not.  A bond with an end absent projects to a power of one letter and is
+    skipped.
     """
-    # bytes hold labels below 256 only; past that a list scan projects
-    word = bytes(letters) if g.size <= 256 else None
-    for c in set(letters):
+    present = set(letters)
+    project = _projector(g, letters)
+    for c in present:
         for d, drop in g.drops[c]:
-            if last[d] >= 0:
-                p = (word.translate(None, drop) if word is not None
-                     else [x for x in letters if x == c or x == d])
+            if d in present:
+                p = project(c, d, drop)
                 if p != p[::-1]:
                     return False
     return True
@@ -254,40 +249,43 @@ def is_alternating(h: Heap) -> bool:
     return h._alternating
 
 
-def _low_part_alternating(h: Heap, j: int) -> bool:
-    """Peak condition on the labels below the peak: dropping one copy of the
-    peak label must leave a self-dual alternating heap that is not itself a
-    peak of the low path (otherwise the peak index would not be unique)."""
-    g = h.graph
-    sub_low = list(h.restrict_word(range(j)))
-    tops = [i for i, c in enumerate(sub_low) if c == j - 1]
-    if len(tops) != 2:
-        return False
-    for pick in tops:
-        trimmed = sub_low[:pick] + sub_low[pick + 1:]
-        cand = Heap.from_word(g, trimmed)
-        if not (is_self_dual(cand) and _edge_chains_alternate(g, cand.letters)):
-            continue
-        if any(_peak_at(cand, j2, j - 1, j - 2) for j2 in range(1, j)):
-            continue
-        return True
+def _peaks(g: CoxeterGraph, letters, turn: int) -> list[int]:
+    """Right-peak indices j, increasing, of the self-dual heap of letters for
+    templates j-1, ..., turn, (labels above turn), turn, ..., j-1.  By the
+    projection lemma (see _palindromic) the subheap on labels j-1 and up is
+    the template's iff the word projects onto each bond c-d with c >= j-1 as
+    the template does: c d c if d > turn, else c d d c.  That is monotone in
+    j, so j is tried downward while the bonds match; the low part decides.
+    The chain on the bond (j-2, j-1), a palindrome with two j-1, then has one
+    of the peak's two shapes, j-1 j-1 or j-2 j-1 j-1 j-2, as the low part's
+    trimmed word is self-dual and alternating."""
+    project = _projector(g, letters)
+    if turn < 0 or any(tuple(project(turn, d, drop)) != (turn, d, turn)
+                       for d, drop in g.drops[turn]):
+        return []
+    peaks = []
+    for c in range(turn, -1, -1):  # the template holds at j = c + 1
+        if _low_part_alternating(g, letters, c + 1):
+            peaks.append(c + 1)
+        if not c or tuple(project(c - 1, c, g.drops[c - 1][0][1])) != (c - 1, c, c, c - 1):
+            break
+    return peaks[::-1]
+
+
+def _low_part_alternating(g: CoxeterGraph, letters, j: int) -> bool:
+    """Peak condition on the labels below the peak j: dropping one of the two
+    copies of j-1 from the word's labels below j (a linear extension of that
+    subheap; _peaks' template leaves exactly two copies) must leave a
+    self-dual alternating heap with no peak of its own (otherwise the peak
+    index would not be unique)."""
+    low = [c for c in letters if c < j]
+    first = low.index(j - 1)
+    for pick in (first, low.index(j - 1, first + 1)):
+        trimmed = low[:pick] + low[pick + 1:]
+        if _palindromic(g, trimmed) and _edge_chains_alternate(g, trimmed) \
+                and not _peaks(g, trimmed, j - 2):
+            return True
     return False
-
-
-def _peak_at(h: Heap, j: int, top: int, turn: int) -> bool:
-    """Peak test at index j: the labels j-1..top climb to top and come back
-    down from turn, the peak meets the lower labels in one of two fixed chain
-    shapes, and the low-part condition holds.  Words of different lengths
-    fail before either is put in canonical form, which keeps the length."""
-    template = tuple(range(j - 1, top + 1)) + tuple(range(turn, j - 2, -1))
-    sub = h.restrict_word(range(j - 1, top + 1))
-    if len(sub) != len(template) or \
-            canonical_form(sub, h.graph) != canonical_form(template, h.graph):
-        return False
-    if j >= 2 and tuple(h.letters[p] for p in h.chain((j - 2, j - 1))) not in \
-            ((j - 1, j - 1), (j - 2, j - 1, j - 1, j - 2)):
-        return False
-    return _low_part_alternating(h, j)
 
 
 @dataclass(frozen=True)
@@ -309,8 +307,7 @@ def classify_involution(h: Heap) -> Classification:
         raise ValueError(f"classification is defined for families B and D, not {fam}")
     if not is_self_dual(h):
         raise ClassificationError("heap is not self-dual")
-    n = g.group.n  # right peaks at 1-based subscripts j climb to n - 1 on B, n on D
-    peaks = [j for j in range(1, n) if _peak_at(h, j, n - 1 if fam == "B" else n, n - 2)]
+    peaks = _peaks(g, h.letters, g.group.n - 2)
     if len(peaks) > 1:
         raise ClassificationError(f"multiple right-peak indices {peaks}")
     if peaks:

@@ -20,14 +20,17 @@ mask and layer, below_place decides the braid windows with them, and
 eager_walk is walk_fc carrying both on its path.  maximal_labels and
 minimal_labels read a heap's descent and minimum labels off the above and
 below masks, and mask_of turns a label set into the bitmask form a Heap
-stores.
+stores.  old_classify_involution is the B/D classifier that the bond
+projections of heaps._peaks replaced: it compares canonical forms of the
+subheap and of each peak template, and builds a Heap for each low part.
 """
 
 import random
 
 from fcheaps.cells import reduction_moves, remove_top
-from fcheaps.coxeter import check_word
-from fcheaps.heaps import Heap, _palindromic, extend
+from fcheaps import heaps
+from fcheaps.coxeter import canonical_form, check_word
+from fcheaps.heaps import Classification, ClassificationError, Heap, _palindromic, extend
 
 
 def above_masks(h):
@@ -349,7 +352,7 @@ def eager_walk(g, max_length, mode="all"):
         node = (tuple(letters), tuple(below), tuple(layer), tuple(last), tuple(prev),
                 descents, minima)
         passes = mode == "all"
-        if not passes and descents == minima and _palindromic(g, letters, last):
+        if not passes and descents == minima and _palindromic(g, letters):
             h = Heap(g, node[0], node[3], node[4], descents, minima)
             h._self_dual = True
             passes = mode == "involutions" or passes_filter(h, mode)
@@ -383,3 +386,58 @@ def eager_walk(g, max_length, mode="all"):
         prev.append(last[s])
         last[s] = parent
         length += 1
+
+
+def _restrict_word(h, labels):
+    """The canonical word filtered to a label subset (the subheap's word)."""
+    return tuple(c for c in h.canonical_word if c in labels)
+
+
+def _old_low_part_alternating(h, j):
+    g = h.graph
+    sub_low = list(_restrict_word(h, set(range(j))))
+    tops = [i for i, c in enumerate(sub_low) if c == j - 1]
+    if len(tops) != 2:
+        return False
+    for pick in tops:
+        trimmed = sub_low[:pick] + sub_low[pick + 1:]
+        cand = Heap.from_word(g, trimmed)
+        if not (heaps.is_self_dual(cand) and heaps._edge_chains_alternate(g, cand.letters)):
+            continue
+        if any(_old_peak_at(cand, j2, j - 1, j - 2) for j2 in range(1, j)):
+            continue
+        return True
+    return False
+
+
+def _old_peak_at(h, j, top, turn):
+    template = tuple(range(j - 1, top + 1)) + tuple(range(turn, j - 2, -1))
+    sub = _restrict_word(h, set(range(j - 1, top + 1)))
+    if len(sub) != len(template) or \
+            canonical_form(sub, h.graph) != canonical_form(template, h.graph):
+        return False
+    if j >= 2 and tuple(c for c in h.letters if c in (j - 2, j - 1)) not in \
+            ((j - 1, j - 1), (j - 2, j - 1, j - 1, j - 2)):
+        return False
+    return _old_low_part_alternating(h, j)
+
+
+def old_classify_involution(h):
+    """The classifier before bond projections: every index j in 1..n-1 is
+    tried, its subheap compared with the template by canonical form."""
+    g = h.graph
+    fam = g.group.family
+    if fam not in ("B", "D"):
+        raise ValueError(f"classification is defined for families B and D, not {fam}")
+    if not heaps.is_self_dual(h):
+        raise ClassificationError("heap is not self-dual")
+    n = g.group.n
+    peaks = [j for j in range(1, n) if _old_peak_at(h, j, n - 1 if fam == "B" else n, n - 2)]
+    if len(peaks) > 1:
+        raise ClassificationError(f"multiple right-peak indices {peaks}")
+    if peaks:
+        return Classification("right_peak", peaks[0])
+    if heaps._fork_merged_alternating(h, strict=True):
+        return Classification("alternating")
+    raise ClassificationError(
+        f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")

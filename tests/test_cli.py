@@ -10,6 +10,7 @@ from fcheaps.cells import cells_report
 from fcheaps.cli import main
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import ValidationReport, iter_fc, passes_filter
+from fcheaps.genfunc import affine_period, affine_periodic_part
 from fcheaps.qpoly import PeriodReport, TPoly
 from fcheaps.walks import WalkFamilySpec, family_poly
 
@@ -320,6 +321,43 @@ class TestVerify:
         assert r.exit_code == 1
         assert r.output == ("card=6 maj=1+2q+2q^2 length=1+2t+2t^3 MISMATCH\n"
                             "failure: card: expected 5 got 6\n")
+
+
+class TestEnumerateWideBD:
+    @pytest.mark.parametrize("fam,pairs", [("B", 7021), ("D", 7140)])
+    def test_length_two_alternating_window_at_rank_120(self, fam, pairs):
+        # an involution of length at most 2 is e, one generator or a
+        # commuting pair, and each of these is alternating
+        g = build_graph(GroupType(fam, 120))
+        start = time.perf_counter()
+        r = run("enumerate", "--type", fam, "--rank", "120", "--max-length", "2",
+                "--alternating", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 0
+        assert json.loads(r.output)["counts"] == [1, g.size, pairs]
+        assert pairs == g.size * (g.size - 1) // 2 - len(g.bonds)
+
+
+class TestAffAFaultInjection:
+    """The two affA verdicts that only a wrong closed form or a wrong declared
+    period can fail, each failed by injecting that fault."""
+
+    def test_wrong_declared_period_fails_period_divides(self, monkeypatch):
+        declared = affine_period
+        monkeypatch.setattr("fcheaps.enumerator.affine_period",
+                            lambda family, n: declared(family, n) + 1)
+        r = run("verify", "--type", "affA", "--rank", "4")
+        assert r.exit_code == 1
+        assert "failure: period-divides: detected 4, declared 5\n" in r.output
+
+    def test_wrong_periodic_part_fails_zero_remainder(self, monkeypatch):
+        def lowered(family, n, lmax):
+            part, period = affine_periodic_part(family, n, lmax)
+            return part - TPoly.term(2, part.cap), period
+        monkeypatch.setattr("fcheaps.enumerator.affine_periodic_part", lowered)
+        r = run("verify", "--type", "affA", "--rank", "4")
+        assert r.exit_code == 1
+        assert "failure: zero-remainder: remainder t^2\n" in r.output
 
 
 AFFINE_FAILURES = {

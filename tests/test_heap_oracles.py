@@ -5,7 +5,9 @@ the canonical form of the reversed word, the canonical word sorted through a
 per-position key, and `extend` finding each braid window by sorting all
 occurrences of the two bonded letters.  The self-duality test by palindromic
 bond projections is also checked against `fc_oracles.colayer_self_dual`, the
-layer/co-layer pass it replaced.
+layer/co-layer pass it replaced, and the B/D classifier by bond projections
+against `fc_oracles.old_classify_involution`, the canonical-form classifier
+it replaced.
 """
 
 import random
@@ -17,9 +19,11 @@ from hypothesis import given, settings, strategies as st
 from fcheaps import heaps as heaps_mod
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
 from fcheaps.enumerator import iter_fc, walk_fc
-from fcheaps.heaps import Heap, _self_dual, extend, is_alternating, is_self_dual
+from fcheaps.heaps import (ClassificationError, Heap, _self_dual, classify_involution, extend,
+                           is_alternating, is_self_dual)
 from fcheaps.walks import Walk, decode_walk
-from fc_oracles import above_masks, colayer_self_dual, mask_of, maximal_labels
+from fc_oracles import (above_masks, colayer_self_dual, mask_of, maximal_labels,
+                        old_classify_involution)
 from test_acceptance import _graph, _random_heights
 from test_enumerator import DFS_GROUPS, VERIFY_GROUPS
 
@@ -286,3 +290,55 @@ class TestProjectionSelfDual:
             assert got == colayer_self_dual(h), word
             verdicts[got] += 1
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def _classified(classify, g, word):
+    """The classification of a fresh heap of the word, or the error's text."""
+    try:
+        return classify(Heap.from_word(g, word))
+    except ClassificationError as e:
+        return str(e)
+
+
+class TestPeakClassifierOracle:
+    """classify_involution (bond projections) against the classifier that
+    compared canonical forms, outcome and error text alike."""
+
+    @pytest.mark.parametrize("fam,n", [("B", n) for n in range(2, 10)]
+                             + [("D", n) for n in range(2, 9)])
+    def test_every_self_dual_fc_heap(self, fam, n):
+        g = build_graph(GroupType(fam, n))
+        kinds = Counter()
+        for _length, h in walk_fc(g, None, "involutions"):
+            if h is None:
+                continue
+            got = _classified(classify_involution, g, h.letters)
+            assert got == _classified(old_classify_involution, g, h.letters), h
+            kinds[got.kind] += 1
+        assert kinds["right_peak"] > 0 and kinds["alternating"] > 0
+
+    @given(st.sampled_from(("B", "D")), st.sampled_from((2, 3, 4, 5, 6, 7, 300)),
+           st.sampled_from(("near the top", "climb", "swap")), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_palindromic_words(self, fam, n, shape, data):
+        # words u m u^R need not be reduced or FC and are self-dual (D's fork
+        # pair in m commutes); "climb" and "swap" make u the run j-1, ..., n-2
+        # for some j with letters inserted, so that right-peak templates come
+        # up, and "swap" then exchanges two neighboring letters, which may
+        # break self-duality; B:300 and D:300 project by list scans
+        g = build_graph(GroupType(fam, n))
+        turn, top = n - 2, g.size - 1
+        labels = st.integers(max(0, top - 8), top)
+        if shape == "near the top":
+            u = data.draw(st.lists(labels, max_size=8))
+        else:
+            u = list(range(data.draw(st.integers(max(0, turn - 5), turn)), turn + 1))
+            for x in data.draw(st.lists(labels, max_size=5)):
+                u.insert(data.draw(st.integers(0, len(u))), x)
+        mid = data.draw(st.sampled_from(([], [top], list(range(turn + 1, top + 1)))))
+        word = u + mid + u[::-1]
+        if shape == "swap" and len(word) > 1:
+            i = data.draw(st.integers(0, len(word) - 2))
+            word[i], word[i + 1] = word[i + 1], word[i]
+        assert (_classified(classify_involution, g, word)
+                == _classified(old_classify_involution, g, word)), word

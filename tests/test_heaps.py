@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
 from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, is_self_dual,
-    major_index, is_alternating, classify_involution, extend, _place,
+    major_index, is_alternating, classify_involution, extend, _place, _projector,
 )
 from fc_oracles import (above_masks, below_place, eager_fields, mask_of, maximal_labels,
                         minimal_labels, old_place, scan_is_reduced_fc)
@@ -22,6 +22,11 @@ AFFA3 = build_graph(GroupType("affA", 3))
 
 def heap(g, *word):
     return Heap.from_word(g, word)
+
+
+def project(g, letters, c, d):
+    """The word's projection onto the bond c-d, c < d, through _projector."""
+    return _projector(g, letters)(c, d, dict(g.drops[c])[d])
 
 
 def dual(h):
@@ -42,17 +47,17 @@ class TestHeapStructure:
 
     def test_chain_merges_bonded_labels_in_order(self):
         h = heap(A4, 1, 0, 2, 1)
-        assert [h.letters[p] for p in h.chain((0, 1))] == [1, 0, 1]
-        assert [h.letters[p] for p in h.chain((1, 2))] == [1, 2, 1]
+        assert list(project(A4, h.letters, 0, 1)) == [1, 0, 1]
+        assert list(project(A4, h.letters, 1, 2)) == [1, 2, 1]
 
     def test_occurrences_and_support(self):
         h = heap(A4, 1, 0, 2, 1)
-        assert len(h.chain((1,))) == 2
+        assert h.letters.count(1) == 2
         assert set(h.letters) == {0, 1, 2}
 
-    def test_restrict_word_keeps_order(self):
+    def test_bond_projection_is_the_subheap_word(self):
         h = heap(B3, 0, 1, 2, 1, 0)
-        assert h.restrict_word({1, 2}) == (1, 2, 1)
+        assert tuple(project(B3, h.letters, 1, 2)) == (1, 2, 1)
 
 
 class TestReducedFC:
@@ -181,6 +186,18 @@ class TestClassification:
     def test_d_fork_alternating(self):
         assert classify_involution(heap(D3, 2)).kind == "alternating"
         assert classify_involution(heap(D3, 0, 2)).kind == "alternating"
+
+    def test_classifying_leaves_the_canonical_word_unbuilt(self):
+        # the peak tests read bond projections of the word as it stands, and
+        # on B the alternating test is one edgewise pass
+        from profiles import filtered_heaps
+        g = build_graph(GroupType("B", 6))
+        kinds = set()
+        for involution in filtered_heaps(g, None, "involutions"):
+            h = Heap.from_word(g, involution.letters)
+            kinds.add(classify_involution(h).kind)
+            assert h._canon is None, h.letters
+        assert kinds == {"right_peak", "alternating"}
 
     def test_every_involution_classifies(self):
         from profiles import filtered_heaps

@@ -7,6 +7,8 @@ an imported name, or a part of a dotted string such as the benchmark
 tracer's targets.  Helpers only the tests use belong in tests/.  Exempt are
 the click commands, which the CLI group reaches through their decorators,
 and the paper's objects kept as a library without a command of their own.
+The names that only the tracer reaches are listed, so that they leave src/
+when the benchmark stops tracing them.
 Every name that a module of the package, of tests/ or of scripts/ imports is
 read somewhere in that module; perfbench/ is not scanned, because its files
 change only together with the benchmark.
@@ -25,6 +27,10 @@ CALLER_FILES = sorted(
      *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)])
 PAPER_OBJECTS = {"FrobeniusSymbol", "walk_to_frobenius", "rsk_insert", "rsk_walk",
                  "flats_up", "involution_of", "split_top_bottom", "TopBottomSplit"}
+# public names whose callers outside the tests are all in perfbench/tracer.py:
+# its TARGETS strings and the metric names derived from them
+PINNED_BY_BENCHMARK = {"iter_fc", "maj_profile", "CoxeterGraph.neighbors", "canonical_form"}
+TRACER = ROOT / "perfbench" / "tracer.py"
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
@@ -88,17 +94,31 @@ def test_definitions_were_read():
     assert "verify_cmd" not in names and "_height_ok" not in names
 
 
+def _callers(qualname, path, first, last) -> list[tuple[pathlib.Path, int]]:
+    """The (file, line) places outside its own definition that reach a name.
+
+    A method is reached as an attribute: of its own class, or of a value
+    whose class the code does not name.
+    """
+    cls, _, name = qualname.rpartition(".")
+    return [(p, line) for owner, p, line in REFERENCES.get(name, [])
+            if not (p == path and first <= line <= last)
+            and (not cls or owner is None or owner == cls)]
+
+
 @pytest.mark.parametrize("qualname,path,first,last",
                          [pytest.param(*d, id=d[0]) for d in DEFINITIONS
                           if d[0] not in PAPER_OBJECTS])
 def test_public_name_has_a_caller(qualname, path, first, last):
-    # a method is reached as an attribute: of its own class, or of a value
-    # whose class the code does not name
-    cls, _, name = qualname.rpartition(".")
-    outside = [(p, line) for owner, p, line in REFERENCES.get(name, [])
-               if not (p == path and first <= line <= last)
-               and (not cls or owner is None or owner == cls)]
-    assert outside, f"{qualname} ({path.name}) is used only by tests; move it to tests/"
+    assert _callers(qualname, path, first, last), \
+        f"{qualname} ({path.name}) is used only by tests; move it to tests/"
+
+
+def test_names_pinned_only_by_the_benchmark_are_listed():
+    # each stays in src/ only while perfbench/tracer.py traces it by name
+    pinned = {d[0] for d in DEFINITIONS
+              if {p for p, _line in _callers(*d)} == {TRACER}}
+    assert pinned == PINNED_BY_BENCHMARK
 
 
 def _unused_imports(source: str) -> list[str]:
