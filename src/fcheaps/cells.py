@@ -104,13 +104,12 @@ def _cyclic_runs(support: set[int], n: int) -> list[list[int]]:
 
 def _zigzag(h: Heap, labels) -> bool:
     """Whether the tops of consecutive labels zigzag: the first label's top
-    lies above the second's, the second's below the third's, and so on."""
+    lies above the second's, the second's below the third's, and so on.
+    Consecutive labels are bonded on the cycle, so of two tops the later
+    position is the one above."""
     tops = h.last
-    for j, (a, b) in enumerate(zip(labels, labels[1:])):
-        low, high = (tops[b], tops[a]) if j % 2 == 0 else (tops[a], tops[b])
-        if not (h.below[high] >> low) & 1:
-            return False
-    return True
+    return all((tops[a] > tops[b]) == (j % 2 == 0)
+               for j, (a, b) in enumerate(zip(labels, labels[1:])))
 
 
 def is_irreducible_structural(h: Heap) -> bool:

@@ -67,8 +67,7 @@ class CoxeterGraph:
     # computed once from m; the hot loops read these directly
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     bonds: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
-    # per generator s: s and its neighbors, as a tuple and as a bitmask; (t, m - 2) per bond s-t
-    closed: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    # per generator s: s and its neighbors as a bitmask; (t, m - 2) per bond s-t
     closed_mask: tuple[int, ...] = field(init=False, compare=False, repr=False)
     braids: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, compare=False, repr=False)
     # per generator c: (d, every generator but c and d as bytes) per bond c-d, d > c
@@ -83,8 +82,8 @@ class CoxeterGraph:
                       for j in adjacency[i] if j > i)
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "bonds", bonds)
-        object.__setattr__(self, "closed", tuple((i, *adjacency[i]) for i in range(size)))
-        object.__setattr__(self, "closed_mask", tuple(sum(1 << u for u in c) for c in self.closed))
+        object.__setattr__(self, "closed_mask", tuple(sum(1 << u for u in (i, *adjacency[i]))
+                                                      for i in range(size)))
         object.__setattr__(self, "braids", tuple(tuple((j, self.m[i][j] - 2) for j in adjacency[i])
                                                  for i in range(size)))
         every = bytes(range(size)) if size <= 256 else None

@@ -4,7 +4,8 @@ A heap is the word's positions partially ordered by: p precedes q when p < q
 and their letters are equal or bonded.  We store, per generator, its last
 position and, per position, the previous one of the same letter; the labels
 of the maximal and of the minimal elements are bitmasks over generators.
-Each position's down-set and layer are computed from the word on first read.
+Every verdict reads the word itself and these links; no per-position
+down-set or layer is kept.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .coxeter import CoxeterGraph, check_word, layers
 
 
 class ClassificationError(ValueError):
-    """An involution heap fit no classification branch, or fit several."""
+    """An involution heap fit no classification branch."""
 
 
 class Heap:
@@ -26,14 +27,13 @@ class Heap:
     down and a bond's chain can be read backward without scanning the word.
     descents and minima are the labels of the maximal and of the minimal
     elements as bitmasks over generators (bit s for label s).  All fields
-    are immutable, so extensions share parent data.  below[p] (the bitmask
-    of the positions below p), layer[p] (one plus the longest chain below
-    p), the canonical word and the is_self_dual and is_alternating verdicts
-    are computed on first read, each in its own pass, and kept on the heap.
+    are immutable, so extensions share parent data.  The canonical word and
+    the is_self_dual and is_alternating verdicts are computed on first read,
+    each in its own pass, and kept on the heap.
     """
 
     __slots__ = ("graph", "letters", "last", "prev", "descents", "minima",
-                 "_below", "_layer", "_canon", "_self_dual", "_alternating")
+                 "_canon", "_self_dual", "_alternating")
 
     def __init__(self, graph, letters, last, prev, descents, minima):
         self.graph = graph
@@ -42,9 +42,7 @@ class Heap:
         self.prev = prev            # previous occurrence of the same letter, -1 if none
         self.descents = descents    # labels of maximal elements, bitmask over generators
         self.minima = minima        # labels of minimal elements, bitmask over generators
-        self._below = self._layer = self._canon = None
-        self._self_dual = None
-        self._alternating = None
+        self._canon = self._self_dual = self._alternating = None
 
     @classmethod
     def from_word(cls, g: CoxeterGraph, word) -> "Heap":
@@ -73,31 +71,11 @@ class Heap:
         return len(self.letters)
 
     @property
-    def below(self) -> tuple[int, ...]:
-        if self._below is None:
-            closed = self.graph.closed
-            down = [0] * self.graph.size  # per generator, its last position and all below it
-            below = []
-            for p, c in enumerate(self.letters):
-                b = 0
-                for u in closed[c]:
-                    b |= down[u]
-                below.append(b)
-                down[c] = b | (1 << p)
-            self._below = tuple(below)
-        return self._below
-
-    @property
-    def layer(self) -> tuple[int, ...]:
-        if self._layer is None:
-            self._layer = layers(self.letters, self.graph)
-        return self._layer
-
-    @property
     def canonical_word(self) -> tuple[int, ...]:
         if self._canon is None:
             # (layer, letter) pairs are distinct: equal letters are comparable
-            self._canon = tuple(c for _lay, c in sorted(zip(self.layer, self.letters)))
+            self._canon = tuple(c for _lay, c in sorted(zip(layers(self.letters, self.graph),
+                                                             self.letters)))
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -184,37 +162,32 @@ def major_index(h: Heap) -> int:
     return sum(weight for s, weight in enumerate(g.maj_weight) if h.descents >> s & 1)
 
 
-def _fork_merged_alternating(h: Heap, strict: bool = False) -> bool:
-    """Merge each fork pair into its first branch, then test alternation.
+def _fork_merged_alternating(g: CoxeterGraph, letters, strict: bool = False) -> bool:
+    """Whether the word alternates along every bond once each fork's two
+    branch labels a and b are merged into one.
 
-    An incomparable branch pair collapses to one letter; otherwise the fork
-    elements must form a chain and are relabeled to the first branch (with
-    strict, the chain's labels must also alternate between the branches).
-    The merged word must alternate along every bond that avoids the retired
-    branch labels.  Without forks this is the plain edgewise test.
+    A branch is bonded only to its joint j, so an a and a b are comparable
+    iff a j lies between them.  Projected onto {a, b, j} with every b read
+    as a, the word must have no two equal neighbours: the branch elements
+    form a chain alternating with the j's.  When a and b are the fork's only
+    two letters and no j lies between them, they commute and count as one
+    element.  With strict, the branch letters must also alternate between a
+    and b.  Bonds that avoid every branch label are tested on the word.
     """
-    g = h.graph
-    if not g.forks:
-        return _edge_chains_alternate(g, h.letters)
-    word = h.canonical_word
-    drop: set[int] = set()
-    relabel: dict[int, int] = {}
-    for a, b, _joint in g.forks:
-        fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
-        labels = [h.letters[p] for p in fpos]
-        if len(fpos) == 2 and set(labels) == {a, b} and not (h.below[fpos[1]] >> fpos[0]) & 1:
-            # commuting pair in the same gap: collapse to a single letter
-            drop.add([i for i, c in enumerate(word) if c in (a, b)][1])
-            relabel[b] = a
-            continue
-        for p, q in zip(fpos, fpos[1:]):
-            if not (h.below[q] >> p) & 1:
-                return False
-        if strict and any(x == y for x, y in zip(labels, labels[1:])):
+    skip = set()
+    for a, b, j in g.forks:
+        skip |= {a, b}
+        proj = [c for c in letters if c == a or c == b or c == j]
+        branch = [c for c in proj if c != j]
+        merged = [a if c == b else c for c in proj]
+        if len(branch) == 2 and branch[0] != branch[1]:
+            first = proj.index(branch[0])
+            if proj[first + 1] != j:
+                del merged[first]
+        if any(x == y for x, y in zip(merged, merged[1:])) \
+                or strict and any(x == y for x, y in zip(branch, branch[1:])):
             return False
-        relabel[b] = a
-    merged = [relabel.get(c, c) for i, c in enumerate(word) if i not in drop]
-    return _edge_chains_alternate(g, merged, {b for _a, b, _ in g.forks})
+    return _edge_chains_alternate(g, letters, skip)
 
 
 def _edge_chains_alternate(g: CoxeterGraph, letters, skip_labels=frozenset()) -> bool:
@@ -240,17 +213,17 @@ def is_alternating(h: Heap) -> bool:
     """Every bonded pair's occurrences interleave strictly.
 
     On fork graphs the two branch generators are first merged into a single
-    partner of the joint: an incomparable branch pair counts as one element,
+    partner of the joint: a commuting branch pair counts as one element,
     and all branch elements must form a chain for the merge to make sense.
     Computed on the first call for a heap and kept on it.
     """
     if h._alternating is None:
-        h._alternating = _fork_merged_alternating(h)
+        h._alternating = _fork_merged_alternating(h.graph, h.letters)
     return h._alternating
 
 
-def _peaks(g: CoxeterGraph, letters, turn: int) -> list[int]:
-    """Right-peak indices j, increasing, of the self-dual heap of letters for
+def _peak(g: CoxeterGraph, letters, turn: int) -> int | None:
+    """The right-peak index j of the self-dual heap of letters, or None, for
     templates j-1, ..., turn, (labels above turn), turn, ..., j-1.  By the
     projection lemma (see _palindromic) the subheap on labels j-1 and up is
     the template's iff the word projects onto each bond c-d with c >= j-1 as
@@ -258,24 +231,29 @@ def _peaks(g: CoxeterGraph, letters, turn: int) -> list[int]:
     j, so j is tried downward while the bonds match; the low part decides.
     The chain on the bond (j-2, j-1), a palindrome with two j-1, then has one
     of the peak's two shapes, j-1 j-1 or j-2 j-1 j-1 j-2, as the low part's
-    trimmed word is self-dual and alternating."""
+    trimmed word is self-dual and alternating.
+
+    At most one j passes, so the first one is returned.  If j1 < j2 both
+    passed, the word on labels below j2 less either copy of j2-1 would match
+    the template at j1 with turn j2-2 (the bonds from j1-1 to j2-2 project
+    as at j2, and the one j2-1 is the only label above the turn), and its
+    labels below j1 are the heap's, so its low part at j1 would pass too and
+    j2's low part would have a peak of its own."""
     project = _projector(g, letters)
     if turn < 0 or any(tuple(project(turn, d, drop)) != (turn, d, turn)
                        for d, drop in g.drops[turn]):
-        return []
-    peaks = []
+        return None
     for c in range(turn, -1, -1):  # the template holds at j = c + 1
         if _low_part_alternating(g, letters, c + 1):
-            peaks.append(c + 1)
+            return c + 1
         if not c or tuple(project(c - 1, c, g.drops[c - 1][0][1])) != (c - 1, c, c, c - 1):
-            break
-    return peaks[::-1]
+            return None
 
 
 def _low_part_alternating(g: CoxeterGraph, letters, j: int) -> bool:
     """Peak condition on the labels below the peak j: dropping one of the two
     copies of j-1 from the word's labels below j (a linear extension of that
-    subheap; _peaks' template leaves exactly two copies) must leave a
+    subheap; _peak's template leaves exactly two copies) must leave a
     self-dual alternating heap with no peak of its own (otherwise the peak
     index would not be unique)."""
     low = [c for c in letters if c < j]
@@ -283,7 +261,7 @@ def _low_part_alternating(g: CoxeterGraph, letters, j: int) -> bool:
     for pick in (first, low.index(j - 1, first + 1)):
         trimmed = low[:pick] + low[pick + 1:]
         if _palindromic(g, trimmed) and _edge_chains_alternate(g, trimmed) \
-                and not _peaks(g, trimmed, j - 2):
+                and _peak(g, trimmed, j - 2) is None:
             return True
     return False
 
@@ -297,7 +275,7 @@ class Classification:
 def classify_involution(h: Heap) -> Classification:
     """Partition a self-dual FC heap of family B or D into its counting class.
 
-    Right-peak indices are tried first; if none matches, the heap must pass
+    A right-peak index is tried first; if none matches, the heap must pass
     the strict alternating test (fork labels alternating or a collapsed
     commuting pair, merged word alternating along every bond).
     """
@@ -307,12 +285,10 @@ def classify_involution(h: Heap) -> Classification:
         raise ValueError(f"classification is defined for families B and D, not {fam}")
     if not is_self_dual(h):
         raise ClassificationError("heap is not self-dual")
-    peaks = _peaks(g, h.letters, g.group.n - 2)
-    if len(peaks) > 1:
-        raise ClassificationError(f"multiple right-peak indices {peaks}")
-    if peaks:
-        return Classification("right_peak", peaks[0])
-    if _fork_merged_alternating(h, strict=True):
+    peak = _peak(g, h.letters, g.group.n - 2)
+    if peak is not None:
+        return Classification("right_peak", peak)
+    if _fork_merged_alternating(g, h.letters, strict=True):
         return Classification("alternating")
     raise ClassificationError(
         f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")
@@ -403,6 +379,7 @@ def extend(h: Heap, s: int) -> Heap | None:
     new_last = list(last)
     new_last[s] = len(letters)
     cs = g.closed_mask[s]
-    minima = h.minima if any(last[u] >= 0 for u in g.closed[s]) else h.minima | (1 << s)
+    # s is no descent, so an earlier s has a neighbor after it
+    minima = h.minima if any(last[u] >= 0 for u in g.adjacency[s]) else h.minima | (1 << s)
     return Heap(g, letters + (s,), tuple(new_last), h.prev + (last[s],),
                 (h.descents & ~cs) | (1 << s), minima)

@@ -21,8 +21,14 @@ eager_walk is walk_fc carrying both on its path.  maximal_labels and
 minimal_labels read a heap's descent and minimum labels off the above and
 below masks, and mask_of turns a label set into the bitmask form a Heap
 stores.  old_classify_involution is the B/D classifier that the bond
-projections of heaps._peaks replaced: it compares canonical forms of the
+projections of heaps._peak replaced: it compares canonical forms of the
 subheap and of each peak template, and builds a Heap for each low part.
+old_fork_merged_alternating and old_zigzag are the fork merge and the
+cells zigzag test that read the below masks before the heap kept none:
+the merge tests comparability of the branch elements on the below masks
+and relabels the canonical word, and the zigzag asks the below mask of one
+top whether the other lies below it.  below_masks and layer_of give any
+heap the below masks and layers of eager_fields.
 """
 
 import random
@@ -60,9 +66,19 @@ def maximal_labels(h):
     return {c for c, a in zip(h.letters, above_masks(h)) if a == 0}
 
 
+def below_masks(h):
+    """below[p], the bitmask of positions strictly below p (eager_fields)."""
+    return eager_fields(h.graph, h.letters)[1]
+
+
+def layer_of(h):
+    """layer[p], one plus the longest chain strictly below p (eager_fields)."""
+    return eager_fields(h.graph, h.letters)[2]
+
+
 def minimal_labels(h):
     """Labels of the minimal elements, read off the below masks."""
-    return {c for c, b in zip(h.letters, h.below) if b == 0}
+    return {c for c, b in zip(h.letters, below_masks(h)) if b == 0}
 
 
 def scan_is_reduced_fc(h):
@@ -77,13 +93,14 @@ def scan_is_reduced_fc(h):
     g = h.graph
     letters = h.letters
     above = above_masks(h)
+    below = below_masks(h)
     occ = [[] for _ in range(g.size)]
     for p, c in enumerate(letters):
         occ[c].append(p)
     for s in range(g.size):
         ps = occ[s]
         for i, j in zip(ps, ps[1:]):
-            if above[i] & h.below[j] == 0:
+            if above[i] & below[j] == 0:
                 return False
     for s, t, m in g.bonds:
         chain = sorted(occ[s] + occ[t])
@@ -96,7 +113,7 @@ def scan_is_reduced_fc(h):
             interior = 0
             for p in win[1:-1]:
                 interior |= 1 << p
-            between = above[win[0]] & h.below[win[-1]]
+            between = above[win[0]] & below[win[-1]]
             if between & ~interior == 0:
                 return False
     return True
@@ -226,7 +243,7 @@ def colayer_self_dual(h):
     if h.descents != h.minima:
         return False
     adjacency = h.graph.adjacency
-    pairs = set(zip(h.letters, h.layer))
+    pairs = set(zip(h.letters, layer_of(h)))
     depth = [0] * h.graph.size  # deepest co-layer seen per generator
     for c in reversed(h.letters):
         lay = depth[c]
@@ -278,7 +295,7 @@ def down(g, last, below, layer, s):
     s's closed neighbors."""
     below_nu = 0
     lay = 0
-    for u in g.closed[s]:
+    for u in (s, *g.adjacency[s]):
         lp = last[u]
         if lp >= 0:
             below_nu |= below[lp] | (1 << lp)
@@ -437,7 +454,54 @@ def old_classify_involution(h):
         raise ClassificationError(f"multiple right-peak indices {peaks}")
     if peaks:
         return Classification("right_peak", peaks[0])
-    if heaps._fork_merged_alternating(h, strict=True):
+    if old_fork_merged_alternating(h, strict=True):
         return Classification("alternating")
     raise ClassificationError(
         f"self-dual heap {h.canonical_word} is neither right-peak nor alternating")
+
+
+def old_fork_merged_alternating(h, strict=False):
+    """Merge each fork pair into its first branch, then test alternation.
+
+    An incomparable branch pair collapses to one letter; otherwise the fork
+    elements must form a chain and are relabeled to the first branch (with
+    strict, the chain's labels must also alternate between the branches).
+    The merged canonical word must alternate along every bond that avoids
+    the retired branch labels.  Without forks this is the plain edgewise
+    test.
+    """
+    g = h.graph
+    if not g.forks:
+        return heaps._edge_chains_alternate(g, h.letters)
+    below = below_masks(h)
+    word = h.canonical_word
+    drop = set()
+    relabel = {}
+    for a, b, _joint in g.forks:
+        fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
+        labels = [h.letters[p] for p in fpos]
+        if len(fpos) == 2 and set(labels) == {a, b} and not (below[fpos[1]] >> fpos[0]) & 1:
+            # commuting pair in the same gap: collapse to a single letter
+            drop.add([i for i, c in enumerate(word) if c in (a, b)][1])
+            relabel[b] = a
+            continue
+        for p, q in zip(fpos, fpos[1:]):
+            if not (below[q] >> p) & 1:
+                return False
+        if strict and any(x == y for x, y in zip(labels, labels[1:])):
+            return False
+        relabel[b] = a
+    merged = [relabel.get(c, c) for i, c in enumerate(word) if i not in drop]
+    return heaps._edge_chains_alternate(g, merged, {b for _a, b, _ in g.forks})
+
+
+def old_zigzag(h, labels):
+    """Whether the tops of consecutive labels zigzag, each pair decided by
+    the below mask of the top that should lie above."""
+    below = below_masks(h)
+    tops = h.last
+    for j, (a, b) in enumerate(zip(labels, labels[1:])):
+        low, high = (tops[b], tops[a]) if j % 2 == 0 else (tops[a], tops[b])
+        if not (below[high] >> low) & 1:
+            return False
+    return True

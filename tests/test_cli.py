@@ -537,6 +537,33 @@ class TestCells:
         }[fmt]
 
 
+
+def _flipped_zigzag(h, labels):
+    """cells._zigzag with its parity flipped: the first label's top below."""
+    tops = h.last
+    return all((tops[a] > tops[b]) == (j % 2 == 1)
+               for j, (a, b) in enumerate(zip(labels, labels[1:])))
+
+
+class TestCellsFaultInjection:
+    """Each cells audit fails, exit 1, when a fault in fcheaps.cells breaks
+    what it audits."""
+
+    @pytest.mark.parametrize("target,fault,rank,audit", [
+        ("is_self_dual", lambda h: True, 4, "at_most_one_involution_per_fiber"),
+        ("is_self_dual", lambda h: False, 3, "missing_involutions_only_on_even_cycles"),
+        ("_zigzag", _flipped_zigzag, 4, "representatives_irreducible_both_tests"),
+    ], ids=["every-heap-self-dual", "no-heap-self-dual", "zigzag-parity-flipped"])
+    def test_audit_fails(self, monkeypatch, target, fault, rank, audit):
+        monkeypatch.setattr(f"fcheaps.cells.{target}", fault)
+        start = time.perf_counter()
+        r = run("cells", "--rank", str(rank), "--max-length", "8")
+        assert time.perf_counter() - start < 1.0
+        assert r.exit_code == 1
+        failed = [line for line in r.output.splitlines() if line.endswith(": FAILED")]
+        assert failed == [f"audit {audit}: FAILED"]
+
+
 class TestUsageErrors:
     def test_unknown_family(self):
         r = run("enumerate", "--type", "E", "--rank", "6", "--max-length", "4")

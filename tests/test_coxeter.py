@@ -168,7 +168,7 @@ class TestAdjacencyCache:
                 continue
             for i in range(g.size):
                 assert g.neighbors(i) == tuple(j for j in range(g.size) if g.m[i][j] >= 3)
-                assert g.closed[i] == (i, *g.neighbors(i))
+                assert g.closed_mask[i] == sum(1 << u for u in (i, *g.neighbors(i)))
                 assert g.braids[i] == tuple((j, g.m[i][j] - 2) for j in g.neighbors(i))
             assert g.edges() == [(i, j, g.m[i][j]) for i in range(g.size)
                                  for j in range(i + 1, g.size) if g.m[i][j] >= 3]

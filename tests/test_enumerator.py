@@ -15,8 +15,8 @@ from fcheaps.enumerator import (
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import _palindromic, _place, _self_dual, extend
-from fc_oracles import (colayer_self_dual, commutation_class, eager_fields, eager_walk,
-                        heap_walk, old_place, scan_is_reduced_fc)
+from fc_oracles import (below_masks, colayer_self_dual, commutation_class, eager_fields,
+                        eager_walk, heap_walk, layer_of, old_place, scan_is_reduced_fc)
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -353,7 +353,8 @@ VERIFY_GROUPS = [("A", 9, None), ("B", 7, None), ("D", 7, None), ("affA", 3, 24)
                  ("affA", 4, 40), ("affA", 6, 40), ("affB", 2, 150), ("affB", 3, 150),
                  ("affC", 2, 60), ("affC", 3, 60), ("affD", 2, 60), ("affD", 3, 60)]
 
-HEAP_FIELDS = ("letters", "below", "layer", "last", "prev", "descents", "minima")
+# below masks and layers are functions of the letters (fc_oracles.eager_fields)
+HEAP_FIELDS = ("letters", "last", "prev", "descents", "minima")
 
 
 def check_against_heap_walk(g, max_length, mode):
@@ -452,8 +453,8 @@ def check_against_eager_walk(g, max_length, mode):
     on its path, visit the same nodes in the same order: at each yield the
     (length, letters, last, prev, descents, minima) of walk_fc's path equal
     eager_walk's, walk_fc yields a heap exactly where eager_walk's node
-    passes, and that heap's below masks and layers, computed on first read,
-    are the ones eager_walk carried.  Returns the number of nodes."""
+    passes, and the below masks and layers of that heap's word are the ones
+    eager_walk carried.  Returns the number of nodes."""
     walk = walk_fc(g, max_length, mode)
     nodes = 0
     for (length, h), (old_length, node, passes) in zip(walk, eager_walk(g, max_length, mode),
@@ -465,7 +466,7 @@ def check_against_eager_walk(g, max_length, mode):
                                                 descents, minima), letters
         assert (h is not None) == passes, letters
         if h is not None:
-            assert (h.letters, h.last, h.prev, h.below, h.layer) == \
+            assert (h.letters, h.last, h.prev, below_masks(h), layer_of(h)) == \
                 (letters, last, prev, below, layer)
         nodes += 1
     return nodes

@@ -22,8 +22,8 @@ from fcheaps.enumerator import iter_fc, walk_fc
 from fcheaps.heaps import (ClassificationError, Heap, _self_dual, classify_involution, extend,
                            is_alternating, is_self_dual)
 from fcheaps.walks import Walk, decode_walk
-from fc_oracles import (above_masks, colayer_self_dual, mask_of, maximal_labels,
-                        old_classify_involution)
+from fc_oracles import (above_masks, below_masks, colayer_self_dual, layer_of, mask_of,
+                        maximal_labels, old_classify_involution)
 from test_acceptance import _graph, _random_heights
 from test_enumerator import DFS_GROUPS, VERIFY_GROUPS
 
@@ -33,7 +33,8 @@ GROUPS = [("A", 6, None), ("B", 5, None), ("D", 5, None), ("affA", 4, 12),
 
 
 def old_canonical_word(h):
-    order = sorted(range(len(h.letters)), key=lambda p: (h.layer[p], h.letters[p]))
+    layer = layer_of(h)
+    order = sorted(range(len(h.letters)), key=lambda p: (layer[p], h.letters[p]))
     return tuple(h.letters[p] for p in order)
 
 
@@ -49,14 +50,15 @@ def old_extend(h, s):
     nbrs = g.adjacency[s]
     nu = len(h.letters)
     above = list(above_masks(h))
+    below, layer = below_masks(h), layer_of(h)
     below_nu = 0
     lay = 0
     for u in (s, *nbrs):
         lp = h.last[u]
         if lp >= 0:
-            below_nu |= h.below[lp] | (1 << lp)
-            if h.layer[lp] > lay:
-                lay = h.layer[lp]
+            below_nu |= below[lp] | (1 << lp)
+            if layer[lp] > lay:
+                lay = layer[lp]
 
     def occurrences(label):
         return [p for p, c in enumerate(h.letters) if c == label]
@@ -82,13 +84,14 @@ def old_extend(h, s):
     last = list(h.last)
     last[s] = nu
     letters, above = h.letters + (s,), tuple(above) + (0,)
-    return (letters, h.below + (below_nu,), above, h.layer + (lay + 1,), tuple(last),
+    return (letters, below + (below_nu,), above, layer + (lay + 1,), tuple(last),
             mask_of(c for c, a in zip(letters, above) if a == 0))
 
 
 def fields(h):
-    """The stored fields, with the above masks derived from the word."""
-    return (h.letters, h.below, above_masks(h), h.layer, h.last, h.descents)
+    """The stored fields, with the above masks, below masks and layers
+    derived from the word."""
+    return (h.letters, below_masks(h), above_masks(h), layer_of(h), h.last, h.descents)
 
 
 def heaps_of(fam, n, max_length):

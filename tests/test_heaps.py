@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form
+from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form, layers
 from fcheaps.heaps import (
     Heap, ClassificationError, is_reduced_fc, is_self_dual,
     major_index, is_alternating, classify_involution, extend, _place, _projector,
@@ -238,8 +238,8 @@ class TestExtend:
                 assert grown == fresh
                 assert grown.descents == fresh.descents
                 # layers agree label-wise (position order differs by build path)
-                assert sorted(zip(grown.letters, grown.layer)) == \
-                    sorted(zip(fresh.letters, fresh.layer))
+                assert sorted(zip(grown.letters, layers(grown.letters, g))) == \
+                    sorted(zip(fresh.letters, layers(fresh.letters, g)))
                 h = grown
             else:
                 assert grown is None, (h.canonical_word, s)
@@ -333,8 +333,9 @@ class TestPlaceWindows:
 
 
 class TestLazyDownSets:
-    """below and layer, computed on first read, against eager_fields, the
-    one pass that built them with every heap, on arbitrary words."""
+    """The heap's fields and the layers of its word against eager_fields, the
+    one pass that built every position's below mask and layer with every
+    heap, on arbitrary words."""
 
     @given(st.sampled_from(FAMILIES), st.integers(0, 3), st.data())
     @settings(max_examples=300, deadline=None)
@@ -342,14 +343,15 @@ class TestLazyDownSets:
         g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
         word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=24))
         h = Heap.from_word(g, word)
-        assert (h.letters, h.below, h.layer, h.last, h.prev, h.descents, h.minima) == \
-            eager_fields(g, word)
+        letters, _below, layer, *rest = eager_fields(g, word)
+        assert (h.letters, layers(h.letters, g), h.last, h.prev, h.descents, h.minima) == \
+            (letters, layer, *rest)
 
-    def test_layer_alone_builds_no_below(self):
-        h = heap(B3, 0, 1, 2, 1, 0)
-        assert h.layer == (1, 2, 3, 4, 5)
-        assert h._below is None
-        assert h.below[4] == 0b1111 and h._below is h.below
+    def test_canonical_word_is_built_on_first_read(self):
+        h = heap(B3, 2, 0, 1, 2, 1, 0)
+        assert h._canon is None
+        assert h.canonical_word == (0, 2, 1, 2, 1, 0)
+        assert h._canon is h.canonical_word
 
 
 class TestCanonicalWordIsHeapInvariant:

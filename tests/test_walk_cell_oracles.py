@@ -7,13 +7,15 @@ layers them by Kahn's algorithm before sorting; the alternation test that
 scans the whole word once per bond behind two fork routines that rebuild the
 merged heap; the reduction moves that build one heap per descent; and the
 cells report that collected every heap in listing order and reported each
-fiber's first involution.
+fiber's first involution.  The fork merge and the zigzag test that read the
+below masks are fc_oracles.old_fork_merged_alternating and old_zigzag.
 """
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcheaps import cells, heaps
 from fcheaps.cells import (CellError, TopBottomSplit, cells_report,
@@ -25,7 +27,8 @@ from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
                            is_alternating, is_self_dual)
 from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profile,
                            decode_walk, encode_walk)
-from fc_oracles import above_masks, maximal_labels, move_choosers, reduce_choosing
+from fc_oracles import (above_masks, below_masks, eager_fields, maximal_labels, move_choosers,
+                        old_fork_merged_alternating, old_zigzag, reduce_choosing)
 from test_acceptance import _random_heights, _scheme_cases
 
 
@@ -122,7 +125,9 @@ def falling_count_rounds(counts):
 
 
 def _fields(h):
-    return (h.letters, h.below, h.layer, h.last, h.prev, h.descents, h.minima)
+    """The heap's own fields, with the below masks and layers of its word."""
+    return (h.letters, *eager_fields(h.graph, h.letters)[1:3], h.last, h.prev, h.descents,
+            h.minima)
 
 
 def _same_decoding(w, scheme, g):
@@ -217,19 +222,20 @@ class _NotMergeable(Exception):
 
 def old_fork_normalize(h):
     g = h.graph
+    below = below_masks(h)
     word = list(h.canonical_word)
     drop_positions = set()
     relabel = {}
     for a, b, _joint in g.forks:
         fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
         if len(fpos) == 2 and {h.letters[fpos[0]], h.letters[fpos[1]]} == {a, b} \
-                and not (h.below[fpos[1]] >> fpos[0]) & 1:
+                and not (below[fpos[1]] >> fpos[0]) & 1:
             canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
             drop_positions.add(canon_idx[1])
             relabel[b] = a
             continue
         for p, q in zip(fpos, fpos[1:]):
-            if not (h.below[q] >> p) & 1:
+            if not (below[q] >> p) & 1:
                 raise _NotMergeable
         relabel[b] = a
     out = tuple(relabel.get(c, c) for i, c in enumerate(word) if i not in drop_positions)
@@ -248,19 +254,20 @@ def old_is_alternating(h):
 
 def old_strict_fork_alternating(h):
     g = h.graph
+    below = below_masks(h)
     word = list(h.canonical_word)
     drop = set()
     relabel = {}
     for a, b, _joint in g.forks:
         fpos = [p for p, c in enumerate(h.letters) if c in (a, b)]
         labels = [h.letters[p] for p in fpos]
-        if len(fpos) == 2 and set(labels) == {a, b} and not (h.below[fpos[1]] >> fpos[0]) & 1:
+        if len(fpos) == 2 and set(labels) == {a, b} and not (below[fpos[1]] >> fpos[0]) & 1:
             canon_idx = [i for i, c in enumerate(word) if c in (a, b)]
             drop.add(canon_idx[1])
             relabel[b] = a
             continue
         for p, q in zip(fpos, fpos[1:]):
-            if not (h.below[q] >> p) & 1:
+            if not (below[q] >> p) & 1:
                 return False
         if any(x == y for x, y in zip(labels, labels[1:])):
             return False
@@ -270,7 +277,8 @@ def old_strict_fork_alternating(h):
     return old_edge_chains_alternate(hn, {b for _a, b, _ in g.forks})
 
 
-def _old_merged(h, strict=False):
+def _old_merged(g, letters, strict=False):
+    h = Heap.from_word(g, letters)
     return old_strict_fork_alternating(h) if strict else old_is_alternating(h)
 
 
@@ -300,8 +308,11 @@ class TestAlternationOracle:
         rng = random.Random(7)
         for h in _alternation_cases(fam, n, window):
             assert is_alternating(h) == old_is_alternating(h), h
-            assert (heaps._fork_merged_alternating(h, strict=True)
+            assert (heaps._fork_merged_alternating(h.graph, h.letters, strict=True)
                     == old_strict_fork_alternating(h)), h
+            for strict in (False, True):
+                assert (heaps._fork_merged_alternating(h.graph, h.letters, strict)
+                        == old_fork_merged_alternating(h, strict)), (h, strict)
             skip = {c for c in range(h.graph.size) if rng.random() < 0.2}
             for s in (frozenset(), skip):
                 assert (heaps._edge_chains_alternate(h.graph, h.letters, s)
@@ -318,6 +329,43 @@ class TestAlternationOracle:
         old = [_outcome(classify_involution, h) for h in cases]
         assert new == old
         assert sum(isinstance(c, heaps.Classification) for c in new) > 20
+
+    @given(st.sampled_from(("D", "affB", "affD")), st.integers(2, 10),
+           st.sampled_from(("any", "near a fork", "fork zigzag")), st.booleans(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_fork_merge_on_arbitrary_words(self, fam, n, shape, strict, data):
+        """The fork merge on the word against the merge on the below masks.
+        Words need not be reduced or FC.  "near a fork" draws the letters from
+        a fork's branches, its joint and the joint's neighbours; "fork zigzag"
+        alternates the joint with branch letters and inserts a few of those."""
+        g = build_graph(GroupType(fam, n))
+        a, b, j = data.draw(st.sampled_from(g.forks))
+        near = sorted({a, b, j, *g.adjacency[j]})
+        if shape == "any":
+            word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=30))
+        elif shape == "near a fork":
+            word = data.draw(st.lists(st.sampled_from(near), max_size=30))
+        else:
+            word = [j] * data.draw(st.booleans())
+            for x in data.draw(st.lists(st.sampled_from((a, b)), max_size=10)):
+                word += [x, j]
+            for x in data.draw(st.lists(st.sampled_from(near), max_size=4)):
+                word.insert(data.draw(st.integers(0, len(word))), x)
+        assert (heaps._fork_merged_alternating(g, word, strict)
+                == old_fork_merged_alternating(Heap.from_word(g, word), strict)), word
+
+
+class TestZigzagOracle:
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_irreducible_structural(self, n, monkeypatch):
+        """is_irreducible_structural with the zigzag by positions and with the
+        zigzag by below masks, on every heap of affA:n up to length 12."""
+        g = build_graph(GroupType("affA", n))
+        fc = [h for _length, h in walk_fc(g, 12)]
+        new = [is_irreducible_structural(h) for h in fc]
+        monkeypatch.setattr(cells, "_zigzag", old_zigzag)
+        assert [is_irreducible_structural(h) for h in fc] == new
+        assert 0 < sum(new) < len(new)
 
 
 # ---------------------------------------------------------------- reduction oracles
