@@ -48,6 +48,26 @@ MUTANTS = [
     ("src/fcheaps/enumerator.py", "for k in range((n + 1) // 2 + 1)),",
      "for k in range((n + 1) // 2)),",
      "tests/test_cli.py::TestVerify::test_finite_report_line"),
+    # the finite verdicts and the walk-family counts they compare with
+    ("src/fcheaps/enumerator.py", 'report._record("card", total == formula_card,',
+     'report._record("card", True,',
+     "tests/test_cli.py::TestFiniteFaultInjection::test_wrong_count_fails_card"),
+    ("src/fcheaps/enumerator.py", 'report._record("length", good,', 'report._record("length", True,',
+     "tests/test_cli.py::TestFiniteFaultInjection::test_shifted_walk_family_fails_length"),
+    ("src/fcheaps/genfunc.py", "w[n - k].shift(2 * k + 1)", "w[n - k].shift(2 * k)",
+     "tests/test_genfunc.py::TestLengthGenfunc::test_spot_value"),
+    ("src/fcheaps/genfunc.py", '_walks("Dodd", n, tmax).scale(2)', '_walks("Dodd", n, tmax)',
+     "tests/test_genfunc.py::TestLengthGenfunc::test_matches_oracle"),
+    ("src/fcheaps/genfunc.py", "WalkFamilySpec(n, allow_horiz=True, start=1, end=0,",
+     "WalkFamilySpec(n, allow_horiz=True, start=0, end=0,",
+     "tests/test_genfunc.py::TestLengthGenfunc::test_matches_oracle"),
+    ("src/fcheaps/genfunc.py", "series_id, xmax, tmax, rows=True)",
+     "series_id, xmax + 1, tmax, rows=True)[1:]",
+     "tests/test_genfunc.py::TestSolveSeries::test_known_low_coefficients"),
+    ("src/fcheaps/walks.py", "step += (FAMILY_CAP - spent) // (len(states) * slots) + 1",
+     "step += (FAMILY_CAP - spent) // (len(states) * slots) + 2",
+     "tests/test_walks.py::TestPackedFamilyPoly"
+     "::test_refusal_step_is_where_the_state_bits_cross_the_cap"),
     # the walk
     ("src/fcheaps/enumerator.py", "(once & ~cs) | (descents & cs),", "once | (descents & cs),",
      "tests/test_acceptance.py::test_criterion_01_cardinalities"),

@@ -7,8 +7,8 @@ which is written in blocks.
 Exit codes: 0 success, 1 verification mismatch or failed cells audit (in
 every format), 2 invalid input, an affine window too short for verify to
 decide, an enumerate --stream length that outgrew the memory guard, or a
-window beyond SERIES_CAP (series, genfunc length, verify) or FAMILY_CAP
-(walks family).
+window whose walk families exceed FAMILY_CAP (series, genfunc length, verify
+and walks family).
 """
 
 from __future__ import annotations

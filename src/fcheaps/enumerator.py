@@ -279,7 +279,7 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
     A finite group is enumerated in one pass of walk_fc under "involutions",
     and every involution adds to the length counts, the major index counts
     and, for B, the alternating-class major index counts.  Its length
-    polynomial is solved first, so a SeriesLimitError comes before the walk.
+    polynomial is counted first, so a SeriesLimitError comes before the walk.
     An affine window shorter than two declared periods raises
     InconclusiveWindowError before enumerating: reconciliation needs two
     periods of zero remainder below the cap, so such a window cannot decide.

@@ -1,9 +1,10 @@
 """Closed-form counts and series for fully commutative involutions.
 
-Length polynomials come from coefficient extraction in functional-equation
-solutions; major index polynomials are explicit q-binomial sums; the affine
-families get an eventually periodic closed part that a reconciliation step
-matches against enumerated counts.
+Length polynomials and the walk series are sums of walk families, each
+counted for every number of steps by one pass of the walk DP; major index
+polynomials are explicit q-binomial sums; the affine families get an
+eventually periodic closed part that a reconciliation step matches against
+enumerated counts.
 """
 
 from __future__ import annotations
@@ -13,113 +14,87 @@ from math import comb, lcm
 
 from .coxeter import GroupType, InvalidGroupError
 from .qpoly import (PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial,
-                    qbinomial_column, solve_triangular)
-from .walks import WalkFamilySpec, family_poly
+                    qbinomial_column)
+from .walks import FamilyLimitError, WalkFamilySpec, family_poly, family_rows
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
 
-# Most (xmax + 1)^2 (tmax + 1)^2 one series window may cost.  The solver
-# multiplies series of truncated polynomials, so its time grows up to the
-# square of the window's coefficient count.  On a 2-CPU x86_64 host, Mstar
-# at 100 x 220 and at 200 x 110 (cost 0.50e9) took 6.0 s, Qo at 148 x 148
-# (0.49e9) 3.8 s and Mstar at 100 x 300 (0.92e9) 10.3 s: at most about 12 ns
-# per unit, so no window under the cap solves for much more than 6 s.
-SERIES_CAP = 5 * 10 ** 8
-
 
 class ClosedFormError(RuntimeError):
-    """A series solution or closed form failed its own consistency check."""
+    """A walk-family count or closed form failed its own consistency check."""
 
 
 class SeriesLimitError(RuntimeError):
-    """A series window would cost more than SERIES_CAP."""
+    """A series or length window whose walk families exceed FAMILY_CAP."""
 
 
-def _t() -> TPoly:
-    return TPoly.term(1)
+def _family(name: str, n: int) -> WalkFamilySpec:
+    """The n-step walk families that the length counts and series sum.
+
+    The paper encodes the heap of an involution as a Dyck-type walk whose
+    heights are the heap's occurrence counts per generator, so the heap's
+    length is the walk's weight; "flats" are horizontal steps on the axis.
+    """
+    if name == "M":     # closed walks, no flats (Dyck paths)
+        return WalkFamilySpec(n, start=0, end=0)
+    if name == "Q":     # free end, no flats
+        return WalkFamilySpec(n, start=0, end="any")
+    if name == "Qo":    # odd end, no flats
+        return WalkFamilySpec(n, start=0, end="odd")
+    if name == "A":     # type A (scheme typeA, counts padded by 0 at both ends); Mstar
+        return WalkFamilySpec(n, allow_horiz=True, start=0, end=0)
+    if name == "B":     # alternating involutions of type B (scheme typeB, a 0 prepended)
+        return WalkFamilySpec(n, allow_horiz=True, start=0, end="any")
+    if name == "Dodd":  # twice these, A's walks and W's k = 1 term: D's alternating ones
+        return WalkFamilySpec(n, allow_horiz=True, start=0, end="odd")
+    if name == "W":     # what lies below the peak of a right-peak involution of type B or D
+        return WalkFamilySpec(n, allow_horiz=True, start=1, end=0, weight="exclude-start")
+    # "affA": closed walks around the cycle (scheme affineA) that touch the axis,
+    # with flats: the aperiodic part of affine type A
+    return WalkFamilySpec(n, allow_horiz=True, start="any", end="eq-start",
+                          require_touch=True, weight="exclude-start")
+
+
+def _walks(name: str, n: int, tmax: int, rows: bool = False):
+    """family_poly of the named family, or with rows its family_rows;
+    SeriesLimitError past FAMILY_CAP."""
+    spec = _family(name, n)
+    try:
+        return family_rows(spec, tmax) if rows else family_poly(spec, tmax)
+    except FamilyLimitError as e:
+        raise SeriesLimitError(str(e)) from e
 
 
 def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
-    """Solve the walk functional equations coefficient by coefficient.
+    """The walk series on a window: [x^k] is the weight polynomial of the
+    k-step walks from the axis of one family, one pass for every k.
+
+    M, Q, Qo: no flats, ending on the axis, anywhere, at an odd height;
+    Mstar: with flats, ending on the axis.  They solve
 
     M(x)     = 1 + t x^2 M(x) M(tx)
     Q(x)     = M(x) (1 + x t Q(tx))
     Qo(x)    = x t M(x) M(tx) (1 + x t^2 Qo(x t^2))
     Mstar(x) = M(x) / (1 - x M(x))
 
-    Every right-hand side carries a factor x or x^2 in front of the unknown,
-    so its x^k coefficient needs only lower ones:
-
-    M_k  = t sum_{i+j=k-2} M_i t^j M_j
-    Q_k  = M_k + t sum_{i+j=k-1} M_i t^j Q_j
-    Qo_k = B_k + t^2 sum_{i+j=k-1} B_i t^(2j) Qo_j,   B = x t M(x) M(tx)
-
-    and one triangular pass builds each series.  Each solution is then
-    checked, independently of the recursion, to satisfy its functional
-    equation on the truncated window with whole-series arithmetic
-    (ClosedFormError otherwise).  A window whose cost (xmax + 1)^2 (tmax + 1)^2
-    exceeds SERIES_CAP (read per call) raises SeriesLimitError before
-    anything is allocated.
+    by the first-return decomposition of a walk.  A row whose heaviest walk
+    fits under tmax holds every walk, so at t = 1 it must total their
+    number (Catalan or central binomial; ClosedFormError otherwise).
+    SeriesLimitError when the pass would exceed FAMILY_CAP.
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    m, mm = _solve_m(xmax, tmax)
-    if series_id == "M":
-        return m
-    if series_id == "Mstar":
-        return m * m.shift_x(1).geom()
-    if series_id == "Q":
-        return _solve_q(m)
-    return _solve_qo(mm)
-
-
-def _solve_m(xmax: int, tmax: int) -> tuple[Series, Series]:
-    """M and the product M(x) M(tx) its check forms, which Qo and the peak
-    terms of the length polynomials reuse; SeriesLimitError first when the
-    window costs more than SERIES_CAP."""
-    cost = ((xmax + 1) * (tmax + 1)) ** 2
-    if cost > SERIES_CAP:
-        raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
-                               f"costs {cost}, more than {SERIES_CAP}")
-    one = Series.one(xmax, tmax)
-    m = Series(xmax, tmax, solve_triangular(one.coeffs, None, 1, 2, tmax))
-    mm = m * m.subst_x_times_t(1)
-    if m != one + mm.shift_x(2).scale_poly(_t()):
-        raise ClosedFormError("M iteration did not converge")
-    return m, mm
-
-
-def _solve_q(m: Series) -> Series:
-    """Q from an already solved and checked M on the same window."""
-    q = Series(m.xmax, m.tmax, solve_triangular(m.coeffs, m.coeffs, 1, 1, m.tmax))
-    if q != m * (Series.one(m.xmax, m.tmax) + q.subst_x_times_t(1).shift_x(1).scale_poly(_t())):
-        raise ClosedFormError("Q iteration did not converge")
-    return q
-
-
-def _solve_qo(mm: Series) -> Series:
-    """Qo from M(x) M(tx), M already solved and checked, on the same window."""
-    t = _t()
-    base = mm.shift_x(1).scale_poly(t)
-    qo = Series(mm.xmax, mm.tmax, solve_triangular(base.coeffs, base.coeffs, 2, 1, mm.tmax))
-    if qo != base * (Series.one(mm.xmax, mm.tmax)
-                     + qo.subst_x_times_t(2).shift_x(1).scale_poly(t * t)):
-        raise ClosedFormError("Qo iteration did not converge")
-    return qo
-
-
-def _even_shift_tail(xmax: int, tmax: int, x_offset: int) -> Series:
-    """Geometric tail of the peak corrections.
-
-    x_offset 1 gives x t^2 / (1 - x t^2)   (terms x^k t^{2k}, k >= 1);
-    x_offset 2 gives x^2 t^3 / (1 - x t^2) (terms x^{k+1} t^{2k+1})."""
-    s = Series(xmax, tmax)
-    for k in range(1, xmax + 1):
-        xp = k + x_offset - 1
-        tp = 2 * k + x_offset - 1
-        if xp <= xmax and tp <= tmax:
-            s.coeffs[xp] = TPoly.term(tp, cap=tmax)
-    return s
+    rows = _walks("A" if series_id == "Mstar" else series_id, xmax, tmax, rows=True)
+    for k, row in enumerate(rows):
+        half = k // 2
+        central = comb(k, half)
+        count, heaviest = {"M": (0 if k % 2 else central // (half + 1), half * half),
+                           "Q": (central, k * (k + 1) // 2),
+                           "Qo": (central if k % 2 else 0, k * (k + 1) // 2),
+                           "Mstar": (central, half * half)}[series_id]
+        if heaviest <= tmax and row(1) != count:
+            raise ClosedFormError(f"{series_id} row {k} totals {row(1)} walks, not {count}")
+    return Series(xmax, tmax, rows)
 
 
 def length_bound(family: str, n: int) -> int:
@@ -133,32 +108,33 @@ def length_bound(family: str, n: int) -> int:
     raise InvalidGroupError(f"no finite length bound for family {family}")
 
 
-def _x_coeff(a: Series, b: Series, k: int) -> TPoly:
-    """[x^k] of a * b, without forming the rest of the product."""
-    total = TPoly((), a.tmax)
-    for i in range(k + 1):
-        if a[i] and b[k - i]:
-            total = total + a[i] * b[k - i]
-    return total
-
-
 def length_genfunc(family: str, n: int) -> TPoly:
     """Length polynomial of the involutions, capped at length_bound (which
-    refuses the affine families); SeriesLimitError when the series window
-    of n + 1 by length_bound + 1 coefficients costs more than SERIES_CAP."""
+    refuses the affine families), as sums of walk families:
+
+    A: the closed walks with flats;
+    B: the free-end walks with flats, plus sum_{k=1}^{n-1} t^(2k+1) W_(n-k);
+    D: 2 (odd-end walks) + A's walks + sum_{k=1}^{n} t^(2k) W_(n-k+1);
+
+    W_j being the j-step walks of family "W".  The window holds every
+    involution, so the polynomial must total card_involutions at t = 1
+    (ClosedFormError otherwise).  SeriesLimitError past FAMILY_CAP.
+    """
     GroupType(family, n)
     tmax = length_bound(family, n)
-    xmax = n
-    m, mm = _solve_m(xmax, tmax)
-    # every family's polynomial is [x^n] of (numerator) / (1 - x M)
     if family == "A":
-        num = m
+        poly = _walks("A", n, tmax)
     elif family == "B":
-        num = _solve_q(m) + _even_shift_tail(xmax, tmax, 2) * mm
+        w = _walks("W", n - 1, tmax, rows=True)
+        poly = sum((w[n - k].shift(2 * k + 1) for k in range(1, n)), _walks("B", n, tmax))
     else:
-        num = (_solve_qo(mm).scale_poly(TPoly([2])) + m
-               + _even_shift_tail(xmax, tmax, 1) * mm)
-    return _x_coeff(num, m.shift_x(1).geom(), n)
+        w = _walks("W", n, tmax, rows=True)
+        poly = sum((w[n - k + 1].shift(2 * k) for k in range(1, n + 1)),
+                   _walks("Dodd", n, tmax).scale(2) + _walks("A", n, tmax))
+    card = card_involutions(family, n)
+    if poly(1) != card:
+        raise ClosedFormError(f"{family}:{n} length polynomial totals {poly(1)}, not {card}")
+    return poly
 
 
 def card_involutions(family: str, n: int) -> int:
@@ -264,13 +240,9 @@ def fhat_poly(n: int, tmax: int, start="any", end="any") -> TPoly:
 
 
 def _affa_poly_term(n: int, tmax: int) -> TPoly:
-    """Aperiodic part of the cyclic family: [x^n] M (1 + t x^2 W(tx)) / (1 - xM),
-    with W the termwise x-derivative of xM."""
-    xmax = n + 2
-    m = solve_series("M", xmax, tmax)
-    w = m.shift_x(1).x_derivative()
-    inner = Series.one(xmax, tmax) + w.subst_x_times_t(1).shift_x(2).scale_poly(_t())
-    return _x_coeff(m * inner, m.shift_x(1).geom(), n)
+    """Aperiodic part of the cyclic family: the n-step walks of family
+    "affA" (closed, with flats, touching the axis, start not weighted)."""
+    return _walks("affA", n, tmax)
 
 
 def affine_period(family: str, n: int) -> int:

@@ -248,12 +248,6 @@ class Series:
             cs = [c.truncate(tmax) for c in coeffs]
         self.coeffs = cs
 
-    @classmethod
-    def one(cls, xmax: int, tmax: int) -> "Series":
-        s = cls(xmax, tmax)
-        s.coeffs[0] = TPoly.one(tmax)
-        return s
-
     def __getitem__(self, k: int) -> TPoly:
         if k < 0:
             raise IndexError(k)
@@ -286,32 +280,6 @@ class Series:
                     out[i + j] = out[i + j] + a * b
         return Series(self.xmax, self.tmax, out)
 
-    def scale_poly(self, p: TPoly) -> "Series":
-        return Series(self.xmax, self.tmax, [c * p for c in self.coeffs])
-
-    def shift_x(self, k: int) -> "Series":
-        """Multiply by x^k."""
-        if k < 0:
-            raise ValueError("shift must be >= 0")
-        out = [TPoly((), self.tmax) for _ in range(self.xmax + 1)]
-        for i in range(self.xmax + 1 - k):
-            out[i + k] = self.coeffs[i]
-        return Series(self.xmax, self.tmax, out)
-
-    def subst_x_times_t(self, r: int = 1) -> "Series":
-        """Substitute x -> x * t^r: the x^k coefficient gains a t-shift of r*k."""
-        if r < 0:
-            raise ValueError("power must be >= 0")
-        out = [c.shift(r * k).truncate(self.tmax) for k, c in enumerate(self.coeffs)]
-        return Series(self.xmax, self.tmax, out)
-
-    def x_derivative(self) -> "Series":
-        """Termwise d/dx; the top coefficient of the result is unknown and left zero."""
-        out = [TPoly((), self.tmax) for _ in range(self.xmax + 1)]
-        for k in range(1, self.xmax + 1):
-            out[k - 1] = self.coeffs[k].scale(k)
-        return Series(self.xmax, self.tmax, out)
-
     def geom(self) -> "Series":
         """1 / (1 - self); requires zero constant term in x.
 
@@ -320,33 +288,18 @@ class Series:
         """
         if not self.coeffs[0].is_zero():
             raise ValueError("geometric inverse needs zero constant term")
-        one = Series.one(self.xmax, self.tmax)
-        return Series(self.xmax, self.tmax,
-                      solve_triangular(one.coeffs, self.coeffs[1:], 0, 1, self.tmax))
+        g = [TPoly.one(self.tmax)]
+        for k in range(1, self.xmax + 1):
+            c = TPoly((), self.tmax)
+            for i in range(1, k + 1):
+                if self.coeffs[i] and g[k - i]:
+                    c = c + self.coeffs[i] * g[k - i]
+            g.append(c)
+        return Series(self.xmax, self.tmax, g)
 
     def __repr__(self) -> str:
         rows = ", ".join(f"x^{k}: {c.to_text()}" for k, c in enumerate(self.coeffs) if not c.is_zero())
         return f"Series(xmax={self.xmax}, tmax={self.tmax}, {rows or '0'})"
-
-
-def solve_triangular(seed: Sequence[TPoly], known: Sequence[TPoly] | None, r: int, d: int,
-                     tmax: int) -> list[TPoly]:
-    """x^k coefficients of U = seed + x^d t^r K(x) U(x t^r), d >= 1, for every k
-    that seed covers; K is ``known``, or U itself when None.
-
-    U_k = seed_k + sum_{i+j=k-d} K_i t^(r(j+1)) U_j needs only lower
-    coefficients of U, so one pass over k builds them all.
-    """
-    u: list[TPoly] = []
-    kcoeffs = u if known is None else known
-    twisted: list[TPoly] = []    # twisted[j] = t^(r(j+1)) U_j
-    for k, c in enumerate(seed):
-        for j in range(k - d + 1):
-            if kcoeffs[k - d - j] and twisted[j]:
-                c = c + kcoeffs[k - d - j] * twisted[j]
-        u.append(c)
-        twisted.append(c.shift(r * (k + 1)).truncate(tmax))
-    return u
 
 
 def qbinomial_column(k: int, nmax: int) -> list[TPoly]:

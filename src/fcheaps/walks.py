@@ -8,7 +8,7 @@ all points or excluding the start point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .coxeter import CoxeterGraph
 from .heaps import Heap, is_alternating, is_self_dual
@@ -138,18 +138,45 @@ class WalkFamilySpec:
             raise ValueError(f"bad weight mode {self.weight!r}")
 
 
-def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
-    """Total weight polynomial of the family, exact up to degree tmax.
+def _live_states(spec: WalkFamilySpec, tmax: int, starts: list[int], width: int, merge):
+    """The family's DP: its live states after the seeding and after each of
+    the spec.n steps, each a dict from state to packed polynomial.
 
-    One pass, seeded with every admissible start height; a state is the
-    height, whether the axis was touched, and the start height only when
-    the end is tied to it (None otherwise, so walks of all starts merge).
-    Its polynomial is one int whose slot k, bits k*width to (k+1)*width - 1,
-    is the t^k coefficient: a step to h2 is (acc << width*h2) & mask, a merge
-    is +, and the end states' sum is unpacked once.  A step that leaves 0
-    (every walk past tmax) is pruned.  FamilyLimitError as soon as the live
-    states times (tmax + 1) x width, summed over the seeding (checked before
-    any state is built) and the steps, exceed FAMILY_CAP.
+    A state is the height, whether the axis was touched, and the start
+    height only when the end is tied to it (None otherwise, so walks of all
+    starts merge).  Its polynomial is one int whose slot k, bits k*width to
+    (k+1)*width - 1, holds the t^k coefficient: a step to h2 is
+    (acc << width*h2) & mask, and a step that leaves 0 (every walk past
+    tmax) is pruned.  Walks meeting in a state merge by ``merge``: + counts
+    them, and | with width 1 keeps only which weights occur, so that pass
+    has exactly the same live states.
+    """
+    tied = spec.end == "eq-start"
+    mask = (1 << (tmax + 1) * width) - 1
+    from_axis = (1, 0) if spec.allow_horiz else (1,)  # heights one step from the axis
+    states = {(h0, h0 == 0, h0 if tied else None):
+              1 if spec.weight == "exclude-start" else 1 << width * h0 for h0 in starts}
+    yield states
+    for _ in range(spec.n):
+        nxt: dict[tuple[int, bool, int | None], int] = {}
+        for (h, touched, h0), acc in states.items():
+            for h2 in from_axis if h == 0 else (h + UP, h + DOWN):
+                add = (acc << width * h2) & mask
+                if add:
+                    key = (h2, touched or h2 == 0, h0)
+                    nxt[key] = merge(nxt.get(key, 0), add)
+        states = nxt
+        yield states
+
+
+def _family_pass(spec: WalkFamilySpec, tmax: int) -> tuple[int, Iterator[dict]]:
+    """The slot width and the counting pass of _live_states.
+
+    FamilyLimitError, before the pass, when the live states times (tmax + 1)
+    x width, summed over the seeding and the steps, exceed FAMILY_CAP.  A
+    step has at most two states (touched or not) per height up to tmax + 1,
+    per start when the end is tied to it; only when that bound passes the
+    cap are the live states counted, by the width-1 pass.
 
     No slot overflows: a slot counts walks of i <= n steps and weight k <=
     tmax, at most B of them, and 2**width > B, so no shift, mask or sum
@@ -159,37 +186,61 @@ def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
     the first; i = 0 leaves tmax + 2 starts), are nonnegative and sum to <= tmax.
     """
     from math import comb
-    tied = spec.end == "eq-start"
-    exclude = spec.weight == "exclude-start"
-    starts = [h0 for h0 in range(tmax + exclude + 1) if _height_ok(h0, spec.start)]
+    from operator import add, or_
+    top = tmax + (spec.weight == "exclude-start")  # the highest start that can weigh <= tmax
+    starts = ([spec.start] * (spec.start <= top) if isinstance(spec.start, int)
+              else [h0 for h0 in range(top + 1) if _height_ok(h0, spec.start)])
     width = min(3 * comb(spec.n + 1 + tmax, tmax), (tmax + 2) * 3 ** spec.n).bit_length()
     slots = (tmax + 1) * width
-    spent = len(starts) * slots  # state bits touched: the seeded states, then each step's
-    over = (f"walk family of {len(starts)} start heights on {tmax + 1} slots of {width} bits "
-            f"exceeds {FAMILY_CAP} state bits at step")
-    if spent > FAMILY_CAP:
-        raise FamilyLimitError(f"{over} 0")
-    mask = (1 << slots) - 1
-    from_axis = (1, 0) if spec.allow_horiz else (1,)  # heights one step from the axis
-    states = {(h0, h0 == 0, h0 if tied else None): 1 if exclude else 1 << width * h0
-              for h0 in starts}
-    for step in range(1, spec.n + 1):
-        nxt: dict[tuple[int, bool, int | None], int] = {}
-        for (h, touched, h0), acc in states.items():
-            for h2 in from_axis if h == 0 else (h + UP, h + DOWN):
-                add = (acc << width * h2) & mask
-                if add:
-                    key = (h2, touched or h2 == 0, h0)
-                    nxt[key] = nxt.get(key, 0) + add
-        states = nxt
-        spent += len(states) * slots
-        if spent > FAMILY_CAP:
-            raise FamilyLimitError(f"{over} {step}")
+    per_step = 2 * (tmax + 2) * (len(starts) if spec.end == "eq-start" else 1)
+    if (len(starts) + spec.n * per_step) * slots > FAMILY_CAP:
+        over = (f"walk family of {len(starts)} start heights on {tmax + 1} slots of {width} "
+                f"bits exceeds {FAMILY_CAP} state bits at step")
+        if len(starts) * slots > FAMILY_CAP:
+            raise FamilyLimitError(f"{over} 0")
+        spent, last = 0, None
+        for step, states in enumerate(_live_states(spec, tmax, starts, 1, or_)):
+            spent += len(states) * slots
+            if spent > FAMILY_CAP:
+                raise FamilyLimitError(f"{over} {step}")
+            if states == last:
+                # each step's states are a function of the last, so from here
+                # every step adds the same bits
+                if states:
+                    step += (FAMILY_CAP - spent) // (len(states) * slots) + 1
+                    if step <= spec.n:
+                        raise FamilyLimitError(f"{over} {step}")
+                break
+            last = states
+    return width, _live_states(spec, tmax, starts, width, add)
+
+
+def _end_total(spec: WalkFamilySpec, states: dict, width: int, tmax: int) -> TPoly:
+    """The polynomial of the states whose walks end as the family asks."""
+    tied = spec.end == "eq-start"
     total = sum(acc for (h, touched, h0), acc in states.items()
                 if (h == h0 if tied else _height_ok(h, spec.end))
                 and (touched or not spec.require_touch))
     slot = (1 << width) - 1
-    return TPoly([(total >> width * k) & slot for k in range(tmax + 1)], tmax)
+    return TPoly([(total >> width * k) & slot
+                  for k in range((total.bit_length() + width - 1) // width)], tmax)
+
+
+def family_rows(spec: WalkFamilySpec, tmax: int) -> list[TPoly]:
+    """Total weight polynomials of the family's walks of 0, 1, ..., spec.n
+    steps, exact up to degree tmax, from one pass: row i is family_poly of
+    the spec at n = i."""
+    width, passes = _family_pass(spec, tmax)
+    return [_end_total(spec, states, width, tmax) for states in passes]
+
+
+def family_poly(spec: WalkFamilySpec, tmax: int) -> TPoly:
+    """Total weight polynomial of the family, exact up to degree tmax: the
+    last row of family_rows."""
+    width, passes = _family_pass(spec, tmax)
+    for states in passes:
+        pass
+    return _end_total(spec, states, width, tmax)
 
 
 def count_profile(h: Heap) -> list[int]:

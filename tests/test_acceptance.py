@@ -23,6 +23,8 @@ from fcheaps.qpoly import Series, TPoly, qbinomial
 from fcheaps.walks import Walk, WalkFamilySpec, decode_walk, encode_walk, family_poly
 from fc_oracles import move_choosers, reduce_choosing
 from profiles import length_profile
+from series_oracle import scale_poly, series_one, shift_x, subst_x_times_t
+import series_oracle
 
 FINITE_RANGES = [("A", range(2, 11)), ("B", range(2, 9)), ("D", range(2, 9))]
 
@@ -273,14 +275,16 @@ def test_criterion_10_functional_equations():
         WalkFamilySpec(k, allow_horiz=False, start=0, end=0), tmax)
         for k in range(xmax + 1)])
     t = TPoly((0, 1), tmax)
-    one = Series.one(xmax, tmax)
-    rhs = one + (dp * dp.subst_x_times_t(1)).shift_x(2).scale_poly(t)
+    one = series_one(xmax, tmax)
+    rhs = one + scale_poly(shift_x(dp * subst_x_times_t(dp, 1), 2), t)
     if dp != rhs:
         failures.append("closed-walk counts fail the quadratic equation")
     if solve_series("M", xmax, tmax) != dp:
+        failures.append("M's rows differ from walk counts")
+    if series_oracle.solve_series("M", xmax, tmax) != dp:
         failures.append("solved M differs from walk counts")
     mstar = solve_series("Mstar", xmax, tmax)
-    if mstar != dp * dp.shift_x(1).geom():
+    if mstar != dp * shift_x(dp, 1).geom():
         failures.append("Mstar != M/(1 - xM) against walk counts")
     _report(10, "series functional equations", failures)
 

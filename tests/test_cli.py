@@ -10,7 +10,7 @@ from fcheaps.cells import cells_report
 from fcheaps.cli import main
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import ValidationReport, iter_fc, passes_filter
-from fcheaps.genfunc import affine_period, affine_periodic_part
+from fcheaps.genfunc import _family, affine_period, affine_periodic_part, card_involutions
 from fcheaps.qpoly import PeriodReport, TPoly
 from fcheaps.walks import WalkFamilySpec, family_poly
 
@@ -360,6 +360,36 @@ class TestAffAFaultInjection:
         assert "failure: zero-remainder: remainder t^2\n" in r.output
 
 
+class TestFiniteFaultInjection:
+    """The card and length verdicts of a finite verify, each failed alone by
+    injecting a fault."""
+
+    @pytest.mark.parametrize("family,name", [("B", "B"), ("D", "Dodd")])
+    def test_shifted_walk_family_fails_length(self, monkeypatch, family, name):
+        # one walk of the rank-4 family moved one degree up keeps the total
+        # that length_genfunc checks, and changes the polynomial
+        def shifted(spec, tmax):
+            p = family_poly(spec, tmax)
+            if spec == _family(name, 4):
+                k = next(i for i, c in enumerate(p.coeffs) if c)
+                p = p - TPoly.term(k, p.cap) + TPoly.term(k + 1, p.cap)
+            return p
+        monkeypatch.setattr("fcheaps.genfunc.family_poly", shifted)
+        r = run("verify", "--type", family, "--rank", "4", "--format", "json")
+        assert r.exit_code == 1
+        data = json.loads(r.output)
+        assert [f.split(":")[0] for f in data["failures"]] == ["length"]
+        assert data["failures"][0].startswith("length: first divergence at degree ")
+
+    def test_wrong_count_fails_card(self, monkeypatch):
+        formula = card_involutions
+        monkeypatch.setattr("fcheaps.enumerator.card_involutions",
+                            lambda family, n: formula(family, n) + 1)
+        r = run("verify", "--type", "D", "--rank", "4")
+        assert r.exit_code == 1
+        assert r.output.endswith(" MISMATCH\nfailure: card: enumerated 25, formula 26\n")
+
+
 AFFINE_FAILURES = {
     # reconciled, but the detected period does not divide the declared one
     "period": ValidationReport(
@@ -455,31 +485,31 @@ class TestInconclusiveWindow:
 
 
 class TestSeriesLimit:
-    """A series window costing more than SERIES_CAP exits 2 with one Error:
-    line and no stdout.  Cap 1000: M at 5 x 6 (cost 900) and B:2's length
-    window, 3 x 8 (576), fit; 5 x 7 (1225) and B:3's 4 x 11 (1936) do not."""
+    """A series or length window whose walk families exceed FAMILY_CAP exits 2
+    with one Error: line and no stdout.  At a cap of 900 state bits M at
+    4 x 6 and B:2 fit; Mstar at 4 x 6 and B:3 do not."""
 
     @pytest.fixture(autouse=True)
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 1000)
+        monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 900)
 
     @staticmethod
-    def assert_limit(r, window, cost, advice):
+    def assert_limit(r, slots, width, step, advice):
         assert r.exit_code == 2
         assert r.stdout == ""
-        assert r.stderr == (f"Error: series window of {window} coefficients costs {cost}, "
-                            f"more than 1000; {advice}\n")
+        assert r.stderr == (f"Error: walk family of 1 start heights on {slots} slots of "
+                            f"{width} bits exceeds 900 state bits at step {step}; {advice}\n")
 
     def test_series(self):
-        assert run("series", "--id", "M", "--xmax", "4", "--tmax", "5").exit_code == 0
-        self.assert_limit(run("series", "--id", "M", "--xmax", "4", "--tmax", "6"),
-                          "5 x 7", 1225, "lower --xmax or --tmax")
+        assert run("series", "--id", "M", "--xmax", "4", "--tmax", "6").exit_code == 0
+        self.assert_limit(run("series", "--id", "Mstar", "--xmax", "4", "--tmax", "6"),
+                          7, 10, 4, "lower --xmax or --tmax")
 
     def test_genfunc_length(self):
         assert run("genfunc", "length", "--type", "B", "--rank", "2").exit_code == 0
         self.assert_limit(run("genfunc", "length", "--type", "B", "--rank", "3"),
-                          "4 x 11", 1936, "lower --rank")
-        # maj and card solve no series
+                          11, 9, 3, "lower --rank")
+        # maj and card count no walks
         assert run("genfunc", "maj", "--type", "B", "--rank", "3").exit_code == 0
         assert run("genfunc", "card", "--type", "B", "--rank", "3").exit_code == 0
 
@@ -490,7 +520,25 @@ class TestSeriesLimit:
             raise AssertionError("enumerated past the series limit")
 
         monkeypatch.setattr("fcheaps.enumerator.walk_fc", refuse)
-        self.assert_limit(run("verify", "--type", "B", "--rank", "3"), "4 x 11", 1936, "lower --rank")
+        self.assert_limit(run("verify", "--type", "B", "--rank", "3"), 11, 9, 3, "lower --rank")
+
+
+class TestWindowLimitsAtTheDefaultCap:
+    def test_length_window_past_the_old_series_cap_runs(self):
+        # the solver refused A:45's window of 46 x 509 coefficients (cost 5.5e8)
+        r = run("genfunc", "length", "--type", "A", "--rank", "45", "--format", "json")
+        assert r.exit_code == 0
+        assert sum(map(int, json.loads(r.stdout)["coeffs"])) == card_involutions("A", 45)
+
+    def test_family_refused_before_the_pass(self):
+        # exited 2 after 0.47 s when the state bits were counted as the DP ran
+        t0 = time.perf_counter()
+        r = run("walks", "family", "--start", "0", "--n", "20000", "--tmax", "34")
+        elapsed = time.perf_counter() - t0
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == ("Error: walk family of 1 start heights on 35 slots of 360 bits "
+                            "exceeds 2000000000 state bits at step 19844; lower --tmax\n")
+        assert elapsed < 0.1
 
 
 class TestCells:

@@ -1,17 +1,18 @@
 """Differential tests of the closed-form layer against the code it replaced.
 
 The oracles are the earlier implementations, kept here as test-only code:
-the fixed-point series solver, the geometric inverse by repeated series
-products, the q-Pascal triangle, and q-binomials rebuilt per call and summed
-term by term.  The one-pass versions in ``fcheaps`` must agree with them
+the fixed-point series solver (the triangular one is in series_oracle), the
+geometric inverse by repeated series products, the q-Pascal triangle, and
+q-binomials rebuilt per call and summed term by term.  The one-pass versions in ``fcheaps`` must agree with them
 exactly (coefficients and truncation caps).
 """
 
 import pytest
 
-from fcheaps.genfunc import (SERIES_IDS, _even_shift_tail, _galois_numbers, length_bound,
-                             length_genfunc, maj_genfunc, maj_genfunc_by_descents, solve_series)
+from fcheaps.genfunc import (SERIES_IDS, _galois_numbers, length_bound, length_genfunc,
+                             maj_genfunc, maj_genfunc_by_descents, solve_series)
 from fcheaps.qpoly import Series, TPoly, qbinomial, qbinomial_column
+from series_oracle import even_shift_tail, scale_poly, series_one, shift_x, subst_x_times_t
 
 WINDOWS = [(6, 20), (12, 40), (24, 120)]
 RANKS = range(2, 13)
@@ -20,7 +21,7 @@ MAJ_RANKS = range(2, 26)
 
 def iterated_geom(s: Series) -> Series:
     """1 / (1 - s) by xmax rounds of G <- 1 + s G."""
-    one = Series.one(s.xmax, s.tmax)
+    one = series_one(s.xmax, s.tmax)
     out = one
     for _ in range(s.xmax):
         out = one + s * out
@@ -29,11 +30,11 @@ def iterated_geom(s: Series) -> Series:
 
 def fixed_point_series(series_id: str, xmax: int, tmax: int) -> Series:
     """Each walk functional equation iterated xmax + 2 times from a constant."""
-    one = Series.one(xmax, tmax)
+    one = series_one(xmax, tmax)
     t = TPoly.term(1)
 
     def m_rhs(s):
-        return one + (s * s.subst_x_times_t(1)).shift_x(2).scale_poly(t)
+        return one + scale_poly(shift_x(s * subst_x_times_t(s, 1), 2), t)
 
     m = one
     for _ in range(xmax + 2):
@@ -42,19 +43,19 @@ def fixed_point_series(series_id: str, xmax: int, tmax: int) -> Series:
     if series_id == "M":
         return m
     if series_id == "Mstar":
-        return m * iterated_geom(m.shift_x(1))
+        return m * iterated_geom(shift_x(m, 1))
     if series_id == "Q":
         def q_rhs(s):
-            return m * (one + s.subst_x_times_t(1).shift_x(1).scale_poly(t))
+            return m * (one + scale_poly(shift_x(subst_x_times_t(s, 1), 1), t))
         q = one
         for _ in range(xmax + 2):
             q = q_rhs(q)
         assert q == q_rhs(q)
         return q
-    base = (m * m.subst_x_times_t(1)).shift_x(1).scale_poly(t)
+    base = scale_poly(shift_x(m * subst_x_times_t(m, 1), 1), t)
 
     def qo_rhs(s):
-        return base * (one + s.subst_x_times_t(2).shift_x(1).scale_poly(t * t))
+        return base * (one + scale_poly(shift_x(subst_x_times_t(s, 2), 1), t * t))
     qo = Series(xmax, tmax)
     for _ in range(xmax + 2):
         qo = qo_rhs(qo)
@@ -89,16 +90,16 @@ def oracle_length_genfunc(family: str, n: int) -> TPoly:
     tmax = length_bound(family, n)
     xmax = n
     m = fixed_point_series("M", xmax, tmax)
-    g = iterated_geom(m.shift_x(1))
+    g = iterated_geom(shift_x(m, 1))
     if family == "A":
         return (m * g)[n]
     if family == "B":
         q = fixed_point_series("Q", xmax, tmax)
-        peak = _even_shift_tail(xmax, tmax, 2) * m * m.subst_x_times_t(1) * g
+        peak = even_shift_tail(xmax, tmax, 2) * m * subst_x_times_t(m, 1) * g
         return (q * g + peak)[n]
     qo = fixed_point_series("Qo", xmax, tmax)
-    peak = _even_shift_tail(xmax, tmax, 1) * m * m.subst_x_times_t(1) * g
-    return ((qo * g).scale_poly(TPoly([2])) + m * g + peak)[n]
+    peak = even_shift_tail(xmax, tmax, 1) * m * subst_x_times_t(m, 1) * g
+    return (scale_poly(qo * g, TPoly([2])) + m * g + peak)[n]
 
 
 def oracle_layer_sum(h: int) -> TPoly:
@@ -153,7 +154,7 @@ def test_series_match_fixed_point(sid, xmax, tmax):
 
 @pytest.mark.parametrize("xmax,tmax", WINDOWS)
 def test_geom_matches_iterated_products(xmax, tmax):
-    xm = solve_series("M", xmax, tmax).shift_x(1)
+    xm = shift_x(solve_series("M", xmax, tmax), 1)
     assert xm.geom() == iterated_geom(xm)
 
 

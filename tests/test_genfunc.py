@@ -1,6 +1,8 @@
+import time
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.qpoly import TPoly, qbinomial
@@ -11,69 +13,111 @@ from fcheaps.genfunc import (
 )
 from fcheaps.enumerator import maj_profile
 from fcheaps.genfunc import (ClosedFormError, InconclusiveWindowError, SeriesLimitError,
-                             affine_period)
+                             _affa_poly_term, affine_period)
 from fcheaps.coxeter import InvalidGroupError
 from fcheaps.enumerator import cross_validate
 from fcheaps.qpoly import Series
+from fcheaps.walks import family_poly, family_rows
 from profiles import length_profile
+import series_oracle as oracle
 
 
+@pytest.mark.parametrize("solve", [solve_series, oracle.solve_series], ids=["dp", "oracle"])
 class TestSolveSeries:
-    def test_known_low_coefficients(self):
-        s = solve_series("M", 6, 20)
+    def test_known_low_coefficients(self, solve):
+        s = solve("M", 6, 20)
         # closed walks with no flats: [x^n] counts by total height
         assert s.coeffs[0].coeffs == (1,)
         assert s.coeffs[1].is_zero()
         assert s.coeffs[2].coeffs == (0, 1)          # UD
         assert s.coeffs[4].coeffs == (0, 0, 1, 0, 1)  # UDUD, UUDD
 
-    def test_free_end_counts(self):
-        q = solve_series("Q", 5, 20)
+    def test_free_end_counts(self, solve):
+        q = solve("Q", 5, 20)
         # [x^1]: U -> t; [x^2]: UD -> t^2? no: heights 0,1,0 weighs t; UU t^3
         assert q.coeffs[1].coeffs == (0, 1)
         assert q.coeffs[2].coeffs == (0, 1, 0, 1)
 
-    def test_mstar_equals_m_times_geometric(self):
-        m = solve_series("M", 8, 24)
-        mstar = solve_series("Mstar", 8, 24)
-        xm = m.shift_x(1)
-        assert mstar == m * xm.geom()
+    def test_mstar_equals_m_times_geometric(self, solve):
+        m = solve("M", 8, 24)
+        mstar = solve("Mstar", 8, 24)
+        assert mstar == m * oracle.shift_x(m, 1).geom()
 
-    def test_odd_end_family(self):
-        qo = solve_series("Qo", 5, 20)
+    def test_odd_end_family(self, solve):
+        qo = solve("Qo", 5, 20)
         assert qo.coeffs[0].is_zero()
         assert qo.coeffs[1].coeffs == (0, 1)          # U, ends at odd height 1
 
-    def test_rejects_unknown_id(self):
+    def test_rejects_unknown_id(self, solve):
         with pytest.raises(ValueError):
-            solve_series("Z", 3, 3)
+            solve("Z", 3, 3)
         assert set(SERIES_IDS) == {"M", "Q", "Qo", "Mstar"}
 
-    def test_matches_walk_dp(self):
+    def test_matches_walk_dp(self, solve):
         from fcheaps.walks import WalkFamilySpec, family_poly
-        m = solve_series("M", 7, 30)
+        m = solve("M", 7, 30)
         for n in range(8):
             spec = WalkFamilySpec(n, allow_horiz=False, start=0, end=0)
             assert m.coeffs[n].padded(30) == family_poly(spec, 30).padded(30)
 
 
+class TestWalkFamiliesEqualTheSolver:
+    """The walk-family counts against the functional-equation solver they
+    replaced (tests/series_oracle.py)."""
+
+    @given(st.sampled_from(SERIES_IDS), st.integers(0, 30), st.integers(0, 150))
+    @settings(max_examples=100, deadline=None)
+    def test_series(self, sid, xmax, tmax):
+        assert solve_series(sid, xmax, tmax) == oracle.solve_series(sid, xmax, tmax)
+
+    @given(st.sampled_from("ABD"), st.integers(2, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_length(self, family, n):
+        assert length_genfunc(family, n) == oracle.length_genfunc(family, n)
+
+    def test_windows_of_the_walk_identities(self):
+        # A:1-30 and 44, B:2-24, D:2-30 and affA:3-12 at t <= 60; the oracle
+        # refuses B:40, A:60 and B:60 by its cost model
+        for family, ranks in [("A", [*range(1, 31), 44]), ("B", range(2, 25)),
+                              ("D", range(2, 31))]:
+            for n in ranks:
+                assert length_genfunc(family, n) == oracle.length_genfunc(family, n), (family, n)
+        for n in range(3, 13):
+            assert _affa_poly_term(n, 60) == oracle.affa_poly_term(n, 60), n
+
+
 class TestSeriesLimit:
+    """Series and length windows are bounded by the walk families' FAMILY_CAP
+    and refused with SeriesLimitError.  At a cap of 900 state bits Mstar at
+    4 x 5, B:2 and D:2 fit; Mstar at 4 x 6 and B:3 do not."""
+
     def test_cap_is_read_per_call(self, monkeypatch):
-        # the cost is the square of the coefficient count: 5 x 6 costs 900
-        monkeypatch.setattr("fcheaps.genfunc.SERIES_CAP", 1000)
-        assert (solve_series("Mstar", 4, 5).xmax, solve_series("M", 4, 5).tmax) == (4, 5)
-        with pytest.raises(SeriesLimitError, match="5 x 7 coefficients costs 1225, more than 1000"):
+        monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 900)
+        assert solve_series("Mstar", 4, 5).coeffs[4].coeffs == (1, 3, 1, 0, 1)
+        with pytest.raises(SeriesLimitError, match="^walk family of 1 start heights on 7 slots "
+                                                   "of 10 bits exceeds 900 state bits at step 4$"):
             solve_series("Mstar", 4, 6)
         assert length_genfunc("B", 2).coeffs == (1, 2, 0, 2)
-        with pytest.raises(SeriesLimitError, match="4 x 11 coefficients costs 1936"):
+        assert length_genfunc("D", 2) == oracle.length_genfunc("D", 2)
+        with pytest.raises(SeriesLimitError, match="on 11 slots of 9 bits exceeds 900 state "
+                                                   "bits at step 3$"):
             length_genfunc("B", 3)
 
-    @pytest.mark.parametrize("solve", [lambda: solve_series("Mstar", 315, 315),
-                                       lambda: solve_series("Mstar", 100, 300),
-                                       lambda: length_genfunc("D", 55)])
-    def test_default_cap_refuses_windows_that_solve_for_minutes(self, solve):
-        with pytest.raises(SeriesLimitError):
+    @pytest.mark.parametrize("solve", [lambda: solve_series("Mstar", 1000, 1000),
+                                       lambda: solve_series("Q", 400, 2000),
+                                       lambda: length_genfunc("A", 150),
+                                       lambda: length_genfunc("B", 100),
+                                       lambda: length_genfunc("D", 100)])
+    def test_default_cap_refuses_wide_windows(self, solve):
+        t0 = time.perf_counter()
+        with pytest.raises(SeriesLimitError, match="exceeds 2000000000 state bits"):
             solve()
+        assert time.perf_counter() - t0 < 0.5  # refused before the pass
+
+    def test_windows_past_the_old_series_cap_run(self):
+        # the solver refused A:45's window of 46 x 509 coefficients (cost 5.5e8)
+        p = length_genfunc("A", 45)
+        assert p.cap == length_bound("A", 45) and p(1) == card_involutions("A", 45)
 
 
 class TestLengthGenfunc:
@@ -242,7 +286,7 @@ class TestReconcile:
 class TestTypedConsistencyErrors:
     @pytest.mark.parametrize("sid,settled", [("M", 0), ("Q", 1), ("Qo", 1)])
     def test_unsettled_iteration_raises(self, monkeypatch, sid, settled):
-        # the first `settled` convergence checks pass, the next one fails
+        # the solver's first `settled` convergence checks pass, the next one fails
         checks = []
 
         def eq(self, other):
@@ -250,4 +294,42 @@ class TestTypedConsistencyErrors:
             return len(checks) <= settled
         monkeypatch.setattr(Series, "__eq__", eq)
         with pytest.raises(ClosedFormError, match=f"^{sid} iteration"):
-            solve_series(sid, 3, 6)
+            oracle.solve_series(sid, 3, 6)
+
+    @staticmethod
+    def drop_one_walk(monkeypatch, row):
+        """Make the DP lose one walk of `row` steps from every family it counts."""
+        def drop(p):
+            k = next((i for i, c in enumerate(p.coeffs) if c), None)
+            return p if k is None else p - TPoly.term(k, cap=p.cap)
+
+        def rows(spec, tmax):
+            out = family_rows(spec, tmax)
+            if len(out) > row:
+                out[row] = drop(out[row])
+            return out
+
+        def poly(spec, tmax):
+            out = family_poly(spec, tmax)
+            return drop(out) if spec.n == row else out
+        monkeypatch.setattr("fcheaps.genfunc.family_rows", rows)
+        monkeypatch.setattr("fcheaps.genfunc.family_poly", poly)
+
+    @pytest.mark.parametrize("sid,row", [("M", 4), ("Q", 3), ("Qo", 5), ("Mstar", 6)])
+    def test_series_row_losing_a_walk_raises(self, monkeypatch, sid, row):
+        self.drop_one_walk(monkeypatch, row)
+        with pytest.raises(ClosedFormError, match=f"^{sid} row {row} totals"):
+            solve_series(sid, 8, 30)
+
+    def test_series_rows_past_the_window_are_not_checked(self, monkeypatch):
+        # row 8 of M lacks the two of its 14 walks that weigh over 12 (UUUUDDDD
+        # weighs 16), so its total says nothing and one walk more may go
+        full = solve_series("M", 8, 12).coeffs[8](1)
+        self.drop_one_walk(monkeypatch, 8)
+        assert solve_series("M", 8, 12).coeffs[8](1) == full - 1 == 14 - 2 - 1
+
+    @pytest.mark.parametrize("family", ["A", "B", "D"])
+    def test_length_row_losing_a_walk_raises(self, monkeypatch, family):
+        self.drop_one_walk(monkeypatch, 4)
+        with pytest.raises(ClosedFormError, match=f"^{family}:4 length polynomial totals"):
+            length_genfunc(family, 4)

@@ -29,7 +29,8 @@ PAPER_OBJECTS = {"FrobeniusSymbol", "walk_to_frobenius", "rsk_insert", "rsk_walk
                  "flats_up", "involution_of", "split_top_bottom", "TopBottomSplit"}
 # public names whose callers outside the tests are all in perfbench/tracer.py:
 # its TARGETS strings and the metric names derived from them
-PINNED_BY_BENCHMARK = {"iter_fc", "maj_profile", "CoxeterGraph.neighbors", "canonical_form"}
+PINNED_BY_BENCHMARK = {"iter_fc", "maj_profile", "CoxeterGraph.neighbors", "canonical_form",
+                       "Series.geom"}
 TRACER = ROOT / "perfbench" / "tracer.py"
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 

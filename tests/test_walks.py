@@ -1,5 +1,6 @@
 import json
-from itertools import product
+from dataclasses import replace
+from itertools import accumulate, product
 from math import comb
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from fcheaps import walks as walks_mod
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
     END_CHOICES, START_CHOICES, WEIGHT_CHOICES, FamilyLimitError,
-    family_poly, encode_walk, decode_walk,
+    family_poly, family_rows, encode_walk, decode_walk,
     FrobeniusSymbol, walk_to_frobenius, _height_ok,
 )
 from fcheaps.qpoly import TPoly
@@ -94,6 +95,18 @@ class TestFamilyPoly:
         p = family_poly(spec, 6)
         # 1U2U3(w=6), 1U2D1(4), 1D0U1(2), 3D2D1(6), plus taller starts pruned
         assert p[2] == 1 and p[4] == 1 and p[6] == 2
+
+    @given(st.integers(0, 10), st.booleans(),
+           st.one_of(st.sampled_from(START_CHOICES), st.integers(0, 4)),
+           st.one_of(st.sampled_from(END_CHOICES), st.integers(0, 4)),
+           st.booleans(), st.sampled_from(WEIGHT_CHOICES), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_families_of_fewer_steps(self, n, horiz, start, end, touch, weight,
+                                                  tmax):
+        spec = WalkFamilySpec(n=n, allow_horiz=horiz, start=start, end=end,
+                              require_touch=touch, weight=weight)
+        assert family_rows(spec, tmax) == [family_poly(replace(spec, n=i), tmax)
+                                           for i in range(n + 1)]
 
     def test_cap_prunes_soundly(self):
         spec = WalkFamilySpec(6, allow_horiz=False, start=0, end="any")
@@ -437,6 +450,26 @@ def live_state_bits(spec, tmax):
     return states * (tmax + 1) * width
 
 
+def live_state_counts(spec, tmax):
+    """The live states after the seeding and after each step, found from each
+    state's least weight alone: the states family_poly's DP keeps."""
+    tied = spec.end == "eq-start"
+    exclude = spec.weight == "exclude-start"
+    states = {(h0, h0 == 0, h0 if tied else None): 0 if exclude else h0
+              for h0 in range(tmax + exclude + 1) if _height_ok(h0, spec.start)}
+    counts = [len(states)]
+    for _ in range(spec.n):
+        nxt = {}
+        for (h, touched, h0), low in states.items():
+            for h2 in [h + UP, h + DOWN] + ([0] if spec.allow_horiz and h == 0 else []):
+                if h2 >= 0 and low + h2 <= tmax:
+                    key = (h2, touched or h2 == 0, h0)
+                    nxt[key] = min(nxt.get(key, low + h2), low + h2)
+        states = nxt
+        counts.append(len(states))
+    return counts
+
+
 def _golden_walk_specs():
     """Every walk family affine_periodic_part reads at the golden windows."""
     with open(Path(__file__).parent / "golden" / "affine_reconcile.json") as f:
@@ -517,6 +550,29 @@ class TestPackedFamilyPoly:
             mp.setattr(walks_mod, "FAMILY_CAP", bits - 1)
             with pytest.raises(FamilyLimitError):
                 family_poly(spec, tmax)
+
+    @given(st.integers(0, 60), st.booleans(),
+           st.one_of(st.sampled_from(START_CHOICES), st.integers(0, 4)),
+           st.one_of(st.sampled_from(END_CHOICES), st.integers(0, 4)),
+           st.booleans(), st.sampled_from(WEIGHT_CHOICES), st.integers(0, 10), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_refusal_step_is_where_the_state_bits_cross_the_cap(
+            self, n, horiz, start, end, touch, weight, tmax, data):
+        # caps at and just below the running totals of the state bits: long
+        # walks settle into states that repeat, which the pre-pass skips over
+        spec = WalkFamilySpec(n=n, allow_horiz=horiz, start=start, end=end,
+                              require_touch=touch, weight=weight)
+        width = min(3 * comb(n + 1 + tmax, tmax), (tmax + 2) * 3 ** n).bit_length()
+        spent = list(accumulate(c * (tmax + 1) * width for c in live_state_counts(spec, tmax)))
+        cap = data.draw(st.sampled_from(sorted({*spent, *(x - 1 for x in spent)})))
+        crossing = next((step for step, bits in enumerate(spent) if bits > cap), None)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks_mod, "FAMILY_CAP", cap)
+            if crossing is None:
+                assert family_poly(spec, tmax) == tpoly_family_poly(spec, tmax)
+            else:
+                with pytest.raises(FamilyLimitError, match=f"state bits at step {crossing}$"):
+                    family_poly(spec, tmax)
 
     @pytest.mark.parametrize("n", range(25))
     def test_benchmark_windows_under_the_cap(self, n):
