@@ -22,7 +22,8 @@ WEIGHT_CHOICES = ("all", "exclude-start")
 
 
 # Most state bits (live states x slots x width, over the seeding and steps) a walk family may
-# touch; on a 2-CPU x86_64 host windows under it took <= 0.8 s and 162 MiB, refusals <= 0.55 s.
+# touch; on a 2-CPU x86_64 host windows under it took <= 0.8 s and 162 MiB, and refusals,
+# decided before the pass, <= 0.02 s.
 FAMILY_CAP = 2 * 10 ** 9
 
 
