@@ -114,11 +114,6 @@ class TestSeriesLimit:
             solve()
         assert time.perf_counter() - t0 < 0.5  # refused before the pass
 
-    def test_windows_past_the_old_series_cap_run(self):
-        # the solver refused A:45's window of 46 x 509 coefficients (cost 5.5e8)
-        p = length_genfunc("A", 45)
-        assert p.cap == length_bound("A", 45) and p(1) == card_involutions("A", 45)
-
 
 class TestLengthGenfunc:
     @pytest.mark.parametrize("fam,n", [("A", 4), ("A", 7), ("B", 3), ("B", 6),
