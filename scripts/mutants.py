@@ -56,14 +56,27 @@ MUTANTS = [
      "tests/test_cli.py::TestFiniteFaultInjection::test_shifted_walk_family_fails_length"),
     ("src/fcheaps/genfunc.py", "w[n - k].shift(2 * k + 1)", "w[n - k].shift(2 * k)",
      "tests/test_genfunc.py::TestLengthGenfunc::test_spot_value"),
-    ("src/fcheaps/genfunc.py", '_walks("Dodd", n, tmax).scale(2)', '_walks("Dodd", n, tmax)',
+    ("src/fcheaps/genfunc.py", 'family_poly(_family("Dodd", n), tmax).scale(2)',
+     'family_poly(_family("Dodd", n), tmax)',
      "tests/test_genfunc.py::TestLengthGenfunc::test_matches_oracle"),
-    ("src/fcheaps/genfunc.py", "WalkFamilySpec(n, allow_horiz=True, start=1, end=0,",
-     "WalkFamilySpec(n, allow_horiz=True, start=0, end=0,",
+    ("src/fcheaps/genfunc.py", '"W": dict(allow_horiz=True, start=1,',
+     '"W": dict(allow_horiz=True, start=0,',
      "tests/test_genfunc.py::TestLengthGenfunc::test_matches_oracle"),
-    ("src/fcheaps/genfunc.py", "series_id, xmax, tmax, rows=True)",
-     "series_id, xmax + 1, tmax, rows=True)[1:]",
+    ("src/fcheaps/genfunc.py", "series_id, xmax), tmax)", "series_id, xmax + 1), tmax)[1:]",
      "tests/test_genfunc.py::TestSolveSeries::test_known_low_coefficients"),
+    ("src/fcheaps/genfunc.py", '"Fhat": dict(start="any", end="any", require_touch=True),',
+     '"Fhat": dict(start="any", end="any"),',
+     "tests/test_genfunc.py::TestWalkPolynomials::test_affine_rows_count_axis_touching_walks"),
+    ("src/fcheaps/enumerator.py", 'report._record("maj", oracle_maj == formula_maj,',
+     'report._record("maj", True,',
+     "tests/test_cli.py::TestFiniteFaultInjection::test_shifted_maj_fails_maj"),
+    ("src/fcheaps/enumerator.py", 'report._record("maj-by-descents", by_desc == alt,',
+     'report._record("maj-by-descents", True,',
+     "tests/test_cli.py::TestFiniteFaultInjection"
+     "::test_shifted_descent_term_fails_maj_by_descents"),
+    ("src/fcheaps/enumerator.py", 'report._record("length", False, str(formula_len))',
+     'report._record("length", True, str(formula_len))',
+     "tests/test_cli.py::TestFailedWalkTotals::test_verify"),
     ("src/fcheaps/walks.py", "step += (FAMILY_CAP - spent) // (len(states) * slots) + 1",
      "step += (FAMILY_CAP - spent) // (len(states) * slots) + 2",
      "tests/test_walks.py::TestPackedFamilyPoly"

@@ -5,10 +5,11 @@ lines built only when asked for) except enumerate --stream's JSON listing,
 which is written in blocks.
 
 Exit codes: 0 success, 1 verification mismatch or failed cells audit (in
-every format), 2 invalid input, an affine window too short for verify to
-decide, an enumerate --stream length that outgrew the memory guard, or a
-window whose walk families exceed FAMILY_CAP (series, genfunc length, verify
-and walks family).
+every format), or walk families failing their own total (genfunc length and
+series write one Error: line; verify reports a failed length), 2 invalid
+input, an affine window too short for verify to decide, an enumerate
+--stream length that outgrew the memory guard, or a window whose walk
+families exceed FAMILY_CAP (series, genfunc length, verify and walks family).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .cells import cells_report
 from .coxeter import (FAMILIES, GroupType, InvalidGroupError, build_graph,
                       normalize_family)
 from .enumerator import MemoryGuardError, cross_validate, enumerate_fc, listed_words
-from .genfunc import (SERIES_IDS, InconclusiveWindowError, SeriesLimitError,
+from .genfunc import (SERIES_IDS, ClosedFormError, InconclusiveWindowError,
                       card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, solve_series)
 from .qpoly import TPoly
@@ -40,10 +41,11 @@ def _group_type(family: str, rank: int) -> GroupType:
         raise click.UsageError(str(e))
 
 
-def _exit_limit(message: str) -> NoReturn:
-    """A resource limit: one Error: line on stderr, then exit 2."""
+def _exit_error(message: str, code: int = 2) -> NoReturn:
+    """A resource limit (code 2) or a failed closed-form check (code 1): one
+    Error: line on stderr, then exit."""
     click.echo(f"Error: {message}", err=True)
-    sys.exit(2)
+    sys.exit(code)
 
 
 def _emit_json(payload) -> None:
@@ -143,7 +145,7 @@ def enumerate_cmd(family: str, rank: int, max_length: int, mode: str,
         try:
             words = listed_words(g, max_length, mode)
         except MemoryGuardError as e:
-            _exit_limit(f"{e}; lower --max-length")
+            _exit_error(f"{e}; lower --max-length")
         elements = ((length, g.spell(word))
                     for length, bucket in enumerate(words) for word in bucket)
         if fmt == "json":
@@ -186,8 +188,10 @@ def genfunc_cmd(stat: str, family: str, rank: int, descents: int | None, fmt: st
             poly = length_genfunc(t.family, t.n)
     except (InvalidGroupError, ValueError) as e:
         raise click.UsageError(str(e))
-    except SeriesLimitError as e:
-        _exit_limit(f"{e}; lower --rank")
+    except FamilyLimitError as e:
+        _exit_error(f"{e}; lower --rank")
+    except ClosedFormError as e:
+        _exit_error(str(e), 1)
     _emit_poly(poly, "q" if stat == "maj" else "t", fmt, meta)
 
 
@@ -208,8 +212,10 @@ def series_cmd(series_id: str, xmax: int, tmax: int, fmt: str) -> None:
         raise click.UsageError("--xmax and --tmax must be >= 0")
     try:
         s = solve_series(series_id, xmax, tmax)
-    except SeriesLimitError as e:
-        _exit_limit(f"{e}; lower --xmax or --tmax")
+    except FamilyLimitError as e:
+        _exit_error(f"{e}; lower --xmax or --tmax")
+    except ClosedFormError as e:
+        _exit_error(str(e), 1)
     _emit(fmt, {"id": series_id, "xmax": xmax, "tmax": tmax,
                 "coeffs": [[str(c) for c in p.coeffs] for p in s.coeffs]},
           chain(["xpow,tpow,coefficient"], (f"{k},{e},{c}" for k, p in enumerate(s.coeffs)
@@ -250,7 +256,7 @@ def walks_family(length: int, no_horiz: bool, touch: bool, start: str, end: str,
     try:
         poly = family_poly(spec, tmax)
     except FamilyLimitError as e:
-        _exit_limit(f"{e}; lower --tmax")
+        _exit_error(f"{e}; lower --tmax")
     _emit_poly(poly, "t", fmt, {"n": length, "allow_horiz": not no_horiz,
                                 "touch": touch, "start": start, "end": end,
                                 "weight": weight, "tmax": tmax})
@@ -274,8 +280,8 @@ def verify_cmd(family: str, rank: int, max_length: int | None, fmt: str) -> None
         report = cross_validate(t.family, t.n, max_length)
     except InconclusiveWindowError as e:
         raise click.UsageError(str(e))
-    except SeriesLimitError as e:
-        _exit_limit(f"{e}; lower --rank")
+    except FamilyLimitError as e:
+        _exit_error(f"{e}; lower --rank")
     p = report.period
     payload = {"type": t.family, "rank": t.n, "ok": report.ok, "checks": report.checks,
                "failures": report.failures, "notes": report.notes}

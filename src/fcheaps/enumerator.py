@@ -14,8 +14,8 @@ import bisect
 from dataclasses import dataclass, field
 
 from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
-from .genfunc import (InconclusiveWindowError, affine_period, affine_periodic_part,
-                      card_involutions, length_genfunc, maj_genfunc,
+from .genfunc import (ClosedFormError, InconclusiveWindowError, affine_period,
+                      affine_periodic_part, card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
 from .heaps import (Heap, _palindromic, _place, classify_involution, is_alternating,
                     is_self_dual, major_index)
@@ -279,7 +279,9 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
     A finite group is enumerated in one pass of walk_fc under "involutions",
     and every involution adds to the length counts, the major index counts
     and, for B, the alternating-class major index counts.  Its length
-    polynomial is counted first, so a SeriesLimitError comes before the walk.
+    polynomial is counted first, so a FamilyLimitError comes before the walk;
+    a ClosedFormError, the walk families failing their own total, is the
+    failed `length` verdict with the error's message.
     An affine window shorter than two declared periods raises
     InconclusiveWindowError before enumerating: reconciliation needs two
     periods of zero remainder below the cap, so such a window cannot decide.
@@ -288,7 +290,10 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
     g = build_graph(t)
     report = ValidationReport(group=t)
     if not t.is_affine:
-        formula_len = length_genfunc(family, n)
+        try:
+            formula_len = length_genfunc(family, n)
+        except ClosedFormError as e:
+            formula_len = e
         counts, majs, alt_majs = [0], [0], [0]
         for length, h in walk_fc(g, None, "involutions"):
             if h is None:
@@ -311,10 +316,13 @@ def cross_validate(family: str, n: int, max_length: int | None = None) -> Valida
                        _first_divergence(oracle_maj, formula_maj,
                                          max(oracle_maj.degree(), formula_maj.degree(), 0)))
         report.length = oracle_len
-        good = (oracle_len.degree() <= formula_len.cap
-                and oracle_len.truncate(formula_len.cap) == formula_len)
-        report._record("length", good,
-                       _first_divergence(oracle_len, formula_len, formula_len.cap))
+        if isinstance(formula_len, ClosedFormError):
+            report._record("length", False, str(formula_len))
+        else:
+            good = (oracle_len.degree() <= formula_len.cap
+                    and oracle_len.truncate(formula_len.cap) == formula_len)
+            report._record("length", good,
+                           _first_divergence(oracle_len, formula_len, formula_len.cap))
         if family == "B":
             alt = TPoly(alt_majs)
             # the piece of k descents is empty once n < 2k - 1

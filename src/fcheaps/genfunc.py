@@ -1,10 +1,10 @@
 """Closed-form counts and series for fully commutative involutions.
 
-Length polynomials and the walk series are sums of walk families, each
+Length polynomials, the walk series and the affine families' eventually
+periodic closed parts are sums of the walk families of one table, each
 counted for every number of steps by one pass of the walk DP; major index
-polynomials are explicit q-binomial sums; the affine families get an
-eventually periodic closed part that a reconciliation step matches against
-enumerated counts.
+polynomials are explicit q-binomial sums; a reconciliation step matches the
+affine closed parts against enumerated counts.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import comb, lcm
 from .coxeter import GroupType, InvalidGroupError
 from .qpoly import (PeriodReport, Series, TPoly, detect_period, periodicize, qbinomial,
                     qbinomial_column)
-from .walks import FamilyLimitError, WalkFamilySpec, family_poly, family_rows
+from .walks import WalkFamilySpec, family_poly, family_rows
 
 SERIES_IDS = ("M", "Q", "Qo", "Mstar")
 
@@ -24,45 +24,37 @@ class ClosedFormError(RuntimeError):
     """A walk-family count or closed form failed its own consistency check."""
 
 
-class SeriesLimitError(RuntimeError):
-    """A series or length window whose walk families exceed FAMILY_CAP."""
+# The walk families that the length counts, series and affine periodic parts
+# sum.  The paper encodes the heap of an involution as a Dyck-type walk whose
+# heights are the heap's occurrence counts per generator, so the heap's length
+# is the walk's weight; "flats" are horizontal steps on the axis.
+_FAMILIES = {
+    "M": dict(start=0, end=0),       # closed walks, no flats (Dyck paths)
+    "Q": dict(start=0, end="any"),   # free end, no flats
+    "Qo": dict(start=0, end="odd"),  # odd end, no flats
+    "A": dict(allow_horiz=True, start=0, end=0),  # type A (scheme typeA: 0, counts, 0); Mstar
+    "B": dict(allow_horiz=True, start=0, end="any"),  # B's alternating ones (typeB: 0, counts)
+    "Dodd": dict(allow_horiz=True, start=0, end="odd"),  # 2 Dodd + A + W's k = 1: D's alternating
+    # what lies below the peak of a right-peak involution of type B or D
+    "W": dict(allow_horiz=True, start=1, end=0, weight="exclude-start"),
+    # closed walks around the cycle (scheme affineA) that touch the axis: with
+    # flats the aperiodic part of affine type A, without (Ohat) its periodic part
+    "affA": dict(allow_horiz=True, start="any", end="eq-start", require_touch=True,
+                 weight="exclude-start"),
+    "Ohat": dict(start="any", end="eq-start", require_touch=True, weight="exclude-start"),
+    # axis-touching walks, no flats, all points weighted, with the start and end
+    # parities the suffix names: the periodic parts of affC, affB and affD
+    "Fhat": dict(start="any", end="any", require_touch=True),
+    "Fhat-o": dict(start="any", end="odd", require_touch=True),
+    "Fhat-e": dict(start="any", end="even", require_touch=True),
+    "Fhat-oo": dict(start="odd", end="odd", require_touch=True),
+    "Fhat-ee": dict(start="even", end="even", require_touch=True),
+}
 
 
 def _family(name: str, n: int) -> WalkFamilySpec:
-    """The n-step walk families that the length counts and series sum.
-
-    The paper encodes the heap of an involution as a Dyck-type walk whose
-    heights are the heap's occurrence counts per generator, so the heap's
-    length is the walk's weight; "flats" are horizontal steps on the axis.
-    """
-    if name == "M":     # closed walks, no flats (Dyck paths)
-        return WalkFamilySpec(n, start=0, end=0)
-    if name == "Q":     # free end, no flats
-        return WalkFamilySpec(n, start=0, end="any")
-    if name == "Qo":    # odd end, no flats
-        return WalkFamilySpec(n, start=0, end="odd")
-    if name == "A":     # type A (scheme typeA, counts padded by 0 at both ends); Mstar
-        return WalkFamilySpec(n, allow_horiz=True, start=0, end=0)
-    if name == "B":     # alternating involutions of type B (scheme typeB, a 0 prepended)
-        return WalkFamilySpec(n, allow_horiz=True, start=0, end="any")
-    if name == "Dodd":  # twice these, A's walks and W's k = 1 term: D's alternating ones
-        return WalkFamilySpec(n, allow_horiz=True, start=0, end="odd")
-    if name == "W":     # what lies below the peak of a right-peak involution of type B or D
-        return WalkFamilySpec(n, allow_horiz=True, start=1, end=0, weight="exclude-start")
-    # "affA": closed walks around the cycle (scheme affineA) that touch the axis,
-    # with flats: the aperiodic part of affine type A
-    return WalkFamilySpec(n, allow_horiz=True, start="any", end="eq-start",
-                          require_touch=True, weight="exclude-start")
-
-
-def _walks(name: str, n: int, tmax: int, rows: bool = False):
-    """family_poly of the named family, or with rows its family_rows;
-    SeriesLimitError past FAMILY_CAP."""
-    spec = _family(name, n)
-    try:
-        return family_rows(spec, tmax) if rows else family_poly(spec, tmax)
-    except FamilyLimitError as e:
-        raise SeriesLimitError(str(e)) from e
+    """The n-step walks of the family _FAMILIES names."""
+    return WalkFamilySpec(n, **_FAMILIES[name])
 
 
 def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
@@ -80,11 +72,11 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     by the first-return decomposition of a walk.  A row whose heaviest walk
     fits under tmax holds every walk, so at t = 1 it must total their
     number (Catalan or central binomial; ClosedFormError otherwise).
-    SeriesLimitError when the pass would exceed FAMILY_CAP.
+    FamilyLimitError when the pass would exceed FAMILY_CAP.
     """
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}; expected one of {SERIES_IDS}")
-    rows = _walks("A" if series_id == "Mstar" else series_id, xmax, tmax, rows=True)
+    rows = family_rows(_family("A" if series_id == "Mstar" else series_id, xmax), tmax)
     for k, row in enumerate(rows):
         half = k // 2
         central = comb(k, half)
@@ -118,19 +110,21 @@ def length_genfunc(family: str, n: int) -> TPoly:
 
     W_j being the j-step walks of family "W".  The window holds every
     involution, so the polynomial must total card_involutions at t = 1
-    (ClosedFormError otherwise).  SeriesLimitError past FAMILY_CAP.
+    (ClosedFormError otherwise).  FamilyLimitError past FAMILY_CAP.
     """
     GroupType(family, n)
     tmax = length_bound(family, n)
     if family == "A":
-        poly = _walks("A", n, tmax)
+        poly = family_poly(_family("A", n), tmax)
     elif family == "B":
-        w = _walks("W", n - 1, tmax, rows=True)
-        poly = sum((w[n - k].shift(2 * k + 1) for k in range(1, n)), _walks("B", n, tmax))
+        w = family_rows(_family("W", n - 1), tmax)
+        poly = sum((w[n - k].shift(2 * k + 1) for k in range(1, n)),
+                   family_poly(_family("B", n), tmax))
     else:
-        w = _walks("W", n, tmax, rows=True)
+        w = family_rows(_family("W", n), tmax)
         poly = sum((w[n - k + 1].shift(2 * k) for k in range(1, n + 1)),
-                   _walks("Dodd", n, tmax).scale(2) + _walks("A", n, tmax))
+                   family_poly(_family("Dodd", n), tmax).scale(2)
+                   + family_poly(_family("A", n), tmax))
     card = card_involutions(family, n)
     if poly(1) != card:
         raise ClosedFormError(f"{family}:{n} length polynomial totals {poly(1)}, not {card}")
@@ -225,26 +219,6 @@ def maj_genfunc_by_descents(n: int, k: int) -> TPoly:
     return total.shift((k - 1) * (k - 1) + 1)
 
 
-def ohat_poly(n: int, tmax: int) -> TPoly:
-    """Closed axis-touching walks, weight excluding the start point."""
-    spec = WalkFamilySpec(n=n, allow_horiz=False, start="any", end="eq-start",
-                          require_touch=True, weight="exclude-start")
-    return family_poly(spec, tmax)
-
-
-def fhat_poly(n: int, tmax: int, start="any", end="any") -> TPoly:
-    """Axis-touching walks with endpoint parity constraints, all points weighted."""
-    spec = WalkFamilySpec(n=n, allow_horiz=False, start=start, end=end,
-                          require_touch=True, weight="all")
-    return family_poly(spec, tmax)
-
-
-def _affa_poly_term(n: int, tmax: int) -> TPoly:
-    """Aperiodic part of the cyclic family: the n-step walks of family
-    "affA" (closed, with flats, touching the axis, start not weighted)."""
-    return _walks("affA", n, tmax)
-
-
 def affine_period(family: str, n: int) -> int:
     """Declared period of an affine family's involution counts."""
     t = GroupType(family, n)
@@ -261,23 +235,25 @@ def affine_period(family: str, n: int) -> int:
 
 def affine_periodic_part(family: str, n: int, lmax: int) -> tuple[TPoly, int]:
     """Closed eventually periodic polynomial (capped at lmax) and the declared
-    period for an affine family's involution counts."""
+    period for an affine family's involution counts: walk families of
+    _FAMILIES, each repeated by periodicize, plus affA's aperiodic family."""
     period = affine_period(family, n)
     if family == "affA":
-        part = periodicize(ohat_poly(n, lmax), n, n, lmax) + _affa_poly_term(n, lmax)
+        part = periodicize(family_poly(_family("Ohat", n), lmax), n, n, lmax) \
+            + family_poly(_family("affA", n), lmax)
     elif family == "affC":
-        part = periodicize(fhat_poly(n, lmax), n + 1, n + 1, lmax) \
+        part = periodicize(family_poly(_family("Fhat", n), lmax), n + 1, n + 1, lmax) \
             + periodicize(TPoly([2]), 2 * n + 3, 2, lmax)
     elif family == "affB":
-        fo = fhat_poly(n, lmax, end="odd").scale(2)
-        fe = fhat_poly(n, lmax, end="even").scale(2)
+        fo = family_poly(_family("Fhat-o", n), lmax).scale(2)
+        fe = family_poly(_family("Fhat-e", n), lmax).scale(2)
         part = periodicize(fo, 2 * n + 2, 2 * n + 2, lmax) \
             + periodicize(fe, n + 1, 2 * n + 2, lmax) \
             + periodicize(TPoly.one(), 2 * n + 4, 1, lmax) \
             + periodicize(TPoly.one(), 4 * n + 2, 2 * n + 1, lmax)
     else:
-        foo = fhat_poly(n, lmax, start="odd", end="odd").scale(4)
-        fee = fhat_poly(n, lmax, start="even", end="even").scale(4)
+        foo = family_poly(_family("Fhat-oo", n), lmax).scale(4)
+        fee = family_poly(_family("Fhat-ee", n), lmax).scale(4)
         part = periodicize(foo, 2 * n + 2, 2 * n + 2, lmax) \
             + periodicize(fee, n + 1, 2 * n + 2, lmax) \
             + periodicize(TPoly([2]), 2 * n + 6, 2, lmax) \

@@ -125,16 +125,13 @@ class WalkFamilySpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("length must be >= 0")
-        if isinstance(self.start, int):
-            if self.start < 0:
-                raise ValueError("start height must be >= 0")
-        elif self.start not in START_CHOICES:
-            raise ValueError(f"bad start constraint {self.start!r}")
-        if isinstance(self.end, int):
-            if self.end < 0:
-                raise ValueError("end height must be >= 0")
-        elif self.end not in END_CHOICES:
-            raise ValueError(f"bad end constraint {self.end!r}")
+        for name, value, choices in (("start", self.start, START_CHOICES),
+                                     ("end", self.end, END_CHOICES)):
+            if isinstance(value, int):
+                if value < 0:
+                    raise ValueError(f"{name} height must be >= 0")
+            elif value not in choices:
+                raise ValueError(f"bad {name} constraint {value!r}")
         if self.weight not in WEIGHT_CHOICES:
             raise ValueError(f"bad weight mode {self.weight!r}")
 

@@ -4,15 +4,15 @@ It solves each walk series coefficient by coefficient on a bivariate
 truncated Series, checks the solution against its functional equation with
 whole-series arithmetic, and reads the length polynomials and affA's
 aperiodic term off products of those series.  It is kept here as the
-differential oracle of genfunc.solve_series, length_genfunc and
-_affa_poly_term, which count the same walks with one pass of the walk DP.
+differential oracle of genfunc.solve_series, length_genfunc and the "affA"
+walk family, which count the same walks with one pass of the walk DP.
 The Series operations and the triangular pass that only this solver used
 are functions here.
 """
 
 from typing import Sequence
 
-from fcheaps.genfunc import SERIES_IDS, ClosedFormError, SeriesLimitError, length_bound
+from fcheaps.genfunc import SERIES_IDS, ClosedFormError, length_bound
 from fcheaps.qpoly import Series, TPoly
 
 # Most (xmax + 1)^2 (tmax + 1)^2 one series window may cost.  The solver
@@ -22,6 +22,10 @@ from fcheaps.qpoly import Series, TPoly
 # (0.49e9) 3.8 s and Mstar at 100 x 300 (0.92e9) 10.3 s: at most about 12 ns
 # per unit, so no window under the cap solves for much more than 6 s.
 SERIES_CAP = 5 * 10 ** 8
+
+
+class SeriesCapError(RuntimeError):
+    """A series window whose cost exceeds SERIES_CAP."""
 
 
 def series_one(xmax: int, tmax: int) -> Series:
@@ -104,7 +108,7 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
     checked, independently of the recursion, to satisfy its functional
     equation on the truncated window with whole-series arithmetic
     (ClosedFormError otherwise).  A window whose cost (xmax + 1)^2 (tmax + 1)^2
-    exceeds SERIES_CAP (read per call) raises SeriesLimitError before
+    exceeds SERIES_CAP (read per call) raises SeriesCapError before
     anything is allocated.
     """
     if series_id not in SERIES_IDS:
@@ -121,11 +125,11 @@ def solve_series(series_id: str, xmax: int, tmax: int) -> Series:
 
 def _solve_m(xmax: int, tmax: int) -> tuple[Series, Series]:
     """M and the product M(x) M(tx) its check forms, which Qo and the peak
-    terms of the length polynomials reuse; SeriesLimitError first when the
+    terms of the length polynomials reuse; SeriesCapError first when the
     window costs more than SERIES_CAP."""
     cost = ((xmax + 1) * (tmax + 1)) ** 2
     if cost > SERIES_CAP:
-        raise SeriesLimitError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
+        raise SeriesCapError(f"series window of {xmax + 1} x {tmax + 1} coefficients "
                                f"costs {cost}, more than {SERIES_CAP}")
     unit = series_one(xmax, tmax)
     m = Series(xmax, tmax, solve_triangular(unit.coeffs, None, 1, 2, tmax))

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from click.testing import CliRunner
 
+import fcheaps.enumerator
 from fcheaps.cells import cells_report
 from fcheaps.cli import main
 from fcheaps.coxeter import GroupType, build_graph
@@ -13,6 +14,7 @@ from fcheaps.enumerator import ValidationReport, iter_fc, passes_filter
 from fcheaps.genfunc import _family, affine_period, affine_periodic_part, card_involutions
 from fcheaps.qpoly import PeriodReport, TPoly
 from fcheaps.walks import WalkFamilySpec, family_poly
+from test_genfunc import drop_one_walk
 
 
 def run(*argv):
@@ -388,6 +390,61 @@ class TestFiniteFaultInjection:
         r = run("verify", "--type", "D", "--rank", "4")
         assert r.exit_code == 1
         assert r.output.endswith(" MISMATCH\nfailure: card: enumerated 25, formula 26\n")
+
+    @staticmethod
+    def shifted_up(p: TPoly) -> TPoly:
+        """p with its lowest coefficient's one unit moved one degree up."""
+        k = next(i for i, c in enumerate(p.coeffs) if c)
+        return p - TPoly.term(k, p.cap) + TPoly.term(k + 1, p.cap)
+
+    def test_shifted_maj_fails_maj(self, monkeypatch):
+        formula = fcheaps.enumerator.maj_genfunc
+        monkeypatch.setattr("fcheaps.enumerator.maj_genfunc",
+                            lambda family, n: self.shifted_up(formula(family, n)))
+        r = run("verify", "--type", "A", "--rank", "4")
+        assert r.exit_code == 1
+        assert r.output.endswith(" MISMATCH\nfailure: maj: first divergence at degree 0: "
+                                 "1 vs 0\n")
+
+    def test_shifted_descent_term_fails_maj_by_descents(self, monkeypatch):
+        # the one-descent term of B:4 moved: the alternating class no longer
+        # sums to it, while the whole maj polynomial still matches
+        formula = fcheaps.enumerator.maj_genfunc_by_descents
+        monkeypatch.setattr("fcheaps.enumerator.maj_genfunc_by_descents",
+                            lambda n, k: self.shifted_up(formula(n, k)) if k == 1
+                            else formula(n, k))
+        r = run("verify", "--type", "B", "--rank", "4", "--format", "json")
+        assert r.exit_code == 1
+        assert json.loads(r.output)["failures"] == [
+            "maj-by-descents: first divergence at degree 1: 0 vs 1"]
+
+
+class TestFailedWalkTotals:
+    """Walk families that fail their own t = 1 total: verify reports a failed
+    length verdict with the check's message, genfunc length and series write
+    one Error: line, and each exits 1."""
+
+    @pytest.fixture(autouse=True)
+    def lose_a_walk(self, monkeypatch):
+        drop_one_walk(monkeypatch, 4)
+
+    def test_verify(self):
+        r = run("verify", "--type", "A", "--rank", "4")
+        assert r.exit_code == 1
+        assert r.output == ("card=6 maj=1+q+2q^2+q^3+q^4 length=1+3t+t^2+t^4 MISMATCH\n"
+                            "failure: length: A:4 length polynomial totals 5, not 6\n")
+
+    def test_genfunc_length(self):
+        r = run("genfunc", "length", "--type", "A", "--rank", "4")
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "Error: A:4 length polynomial totals 5, not 6\n"
+
+    def test_series(self):
+        r = run("series", "--id", "M", "--xmax", "8", "--tmax", "30")
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr == "Error: M row 4 totals 1 walks, not 2\n"
 
 
 AFFINE_FAILURES = {

@@ -1,5 +1,8 @@
+import ast
 import time
+from itertools import accumulate, product
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,16 +11,16 @@ from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.qpoly import TPoly, qbinomial
 from fcheaps.genfunc import (
     SERIES_IDS, solve_series, length_bound, length_genfunc, card_involutions,
-    maj_genfunc, maj_genfunc_by_descents, ohat_poly, fhat_poly,
+    maj_genfunc, maj_genfunc_by_descents,
     affine_periodic_part, reconcile, ReconcileError,
 )
 from fcheaps.enumerator import maj_profile
-from fcheaps.genfunc import (ClosedFormError, InconclusiveWindowError, SeriesLimitError,
-                             _affa_poly_term, affine_period)
+from fcheaps import genfunc
+from fcheaps.genfunc import ClosedFormError, InconclusiveWindowError, _family, affine_period
 from fcheaps.coxeter import InvalidGroupError
 from fcheaps.enumerator import cross_validate
 from fcheaps.qpoly import Series
-from fcheaps.walks import family_poly, family_rows
+from fcheaps.walks import FamilyLimitError, family_poly, family_rows
 from profiles import length_profile
 import series_oracle as oracle
 
@@ -83,23 +86,23 @@ class TestWalkFamiliesEqualTheSolver:
             for n in ranks:
                 assert length_genfunc(family, n) == oracle.length_genfunc(family, n), (family, n)
         for n in range(3, 13):
-            assert _affa_poly_term(n, 60) == oracle.affa_poly_term(n, 60), n
+            assert family_poly(_family("affA", n), 60) == oracle.affa_poly_term(n, 60), n
 
 
 class TestSeriesLimit:
     """Series and length windows are bounded by the walk families' FAMILY_CAP
-    and refused with SeriesLimitError.  At a cap of 900 state bits Mstar at
+    and refused with FamilyLimitError.  At a cap of 900 state bits Mstar at
     4 x 5, B:2 and D:2 fit; Mstar at 4 x 6 and B:3 do not."""
 
     def test_cap_is_read_per_call(self, monkeypatch):
         monkeypatch.setattr("fcheaps.walks.FAMILY_CAP", 900)
         assert solve_series("Mstar", 4, 5).coeffs[4].coeffs == (1, 3, 1, 0, 1)
-        with pytest.raises(SeriesLimitError, match="^walk family of 1 start heights on 7 slots "
+        with pytest.raises(FamilyLimitError, match="^walk family of 1 start heights on 7 slots "
                                                    "of 10 bits exceeds 900 state bits at step 4$"):
             solve_series("Mstar", 4, 6)
         assert length_genfunc("B", 2).coeffs == (1, 2, 0, 2)
         assert length_genfunc("D", 2) == oracle.length_genfunc("D", 2)
-        with pytest.raises(SeriesLimitError, match="on 11 slots of 9 bits exceeds 900 state "
+        with pytest.raises(FamilyLimitError, match="on 11 slots of 9 bits exceeds 900 state "
                                                    "bits at step 3$"):
             length_genfunc("B", 3)
 
@@ -110,7 +113,7 @@ class TestSeriesLimit:
                                        lambda: length_genfunc("D", 100)])
     def test_default_cap_refuses_wide_windows(self, solve):
         t0 = time.perf_counter()
-        with pytest.raises(SeriesLimitError, match="exceeds 2000000000 state bits"):
+        with pytest.raises(FamilyLimitError, match="exceeds 2000000000 state bits"):
             solve()
         assert time.perf_counter() - t0 < 0.5  # refused before the pass
 
@@ -190,14 +193,55 @@ class TestByDescents:
             assert maj_genfunc_by_descents(n, k).coeffs == poly.coeffs
 
 
+PARITY = {"any": lambda h: True, "odd": lambda h: h % 2 == 1, "even": lambda h: h % 2 == 0}
+
+
+def axis_touching_walks(n, tmax, start, end, weigh_start):
+    """Weight polynomial, by listing every start height and step sequence, of
+    the n-step walks without flats that touch the axis and never go below it,
+    whose start height has the parity start and whose end height the parity
+    end, or equals the start height for end "eq-start"."""
+    coeffs = [0] * (tmax + 1)
+    for h0 in range(tmax + 2):
+        for steps in product((1, -1), repeat=n):
+            hs = list(accumulate(steps, initial=h0))
+            weight = sum(hs) - (0 if weigh_start else h0)
+            ends = hs[-1] == h0 if end == "eq-start" else PARITY[end](hs[-1])
+            if min(hs) == 0 and PARITY[start](h0) and ends and weight <= tmax:
+                coeffs[weight] += 1
+    return TPoly(coeffs, tmax)
+
+
 class TestWalkPolynomials:
     def test_ohat_small(self):
-        assert ohat_poly(4, 12).coeffs == (0, 0, 2, 0, 4)
+        assert family_poly(_family("Ohat", 4), 12).coeffs == (0, 0, 2, 0, 4)
 
     def test_fhat_parity(self):
-        p = fhat_poly(3, 12, start="any", end="odd")
-        q = fhat_poly(3, 12, start="odd", end="odd")
+        p = family_poly(_family("Fhat-o", 3), 12)
+        q = family_poly(_family("Fhat-oo", 3), 12)
         assert all(p[k] >= q[k] for k in range(13))
+
+    @pytest.mark.parametrize("name,start,end,weigh_start", [
+        ("Ohat", "any", "eq-start", False), ("Fhat", "any", "any", True),
+        ("Fhat-o", "any", "odd", True), ("Fhat-e", "any", "even", True),
+        ("Fhat-oo", "odd", "odd", True), ("Fhat-ee", "even", "even", True)])
+    def test_affine_rows_count_axis_touching_walks(self, name, start, end, weigh_start):
+        for n in range(1, 7):
+            assert family_poly(_family(name, n), 14) == \
+                axis_touching_walks(n, 14, start, end, weigh_start), n
+
+
+def test_walk_families_are_named_only_in_the_table():
+    # every WalkFamilySpec of genfunc is a row of _FAMILIES, built by _family,
+    # and the family limit is walks.FamilyLimitError, not a genfunc copy of it
+    tree = ast.parse(Path(genfunc.__file__).read_text())
+    spec_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == "WalkFamilySpec"]
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_family")
+    assert spec_calls and all(table.lineno <= c.lineno <= table.end_lineno for c in spec_calls)
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes and not [name for name in classes if "Limit" in name]
 
 
 class TestAffinePeriodicPart:
@@ -278,6 +322,25 @@ class TestReconcile:
             reconcile(oracle, periodic, 3)
 
 
+def drop_one_walk(monkeypatch, row):
+    """Make the DP lose one walk of `row` steps from every family genfunc counts."""
+    def drop(p):
+        k = next((i for i, c in enumerate(p.coeffs) if c), None)
+        return p if k is None else p - TPoly.term(k, cap=p.cap)
+
+    def rows(spec, tmax):
+        out = family_rows(spec, tmax)
+        if len(out) > row:
+            out[row] = drop(out[row])
+        return out
+
+    def poly(spec, tmax):
+        out = family_poly(spec, tmax)
+        return drop(out) if spec.n == row else out
+    monkeypatch.setattr("fcheaps.genfunc.family_rows", rows)
+    monkeypatch.setattr("fcheaps.genfunc.family_poly", poly)
+
+
 class TestTypedConsistencyErrors:
     @pytest.mark.parametrize("sid,settled", [("M", 0), ("Q", 1), ("Qo", 1)])
     def test_unsettled_iteration_raises(self, monkeypatch, sid, settled):
@@ -291,28 +354,9 @@ class TestTypedConsistencyErrors:
         with pytest.raises(ClosedFormError, match=f"^{sid} iteration"):
             oracle.solve_series(sid, 3, 6)
 
-    @staticmethod
-    def drop_one_walk(monkeypatch, row):
-        """Make the DP lose one walk of `row` steps from every family it counts."""
-        def drop(p):
-            k = next((i for i, c in enumerate(p.coeffs) if c), None)
-            return p if k is None else p - TPoly.term(k, cap=p.cap)
-
-        def rows(spec, tmax):
-            out = family_rows(spec, tmax)
-            if len(out) > row:
-                out[row] = drop(out[row])
-            return out
-
-        def poly(spec, tmax):
-            out = family_poly(spec, tmax)
-            return drop(out) if spec.n == row else out
-        monkeypatch.setattr("fcheaps.genfunc.family_rows", rows)
-        monkeypatch.setattr("fcheaps.genfunc.family_poly", poly)
-
     @pytest.mark.parametrize("sid,row", [("M", 4), ("Q", 3), ("Qo", 5), ("Mstar", 6)])
     def test_series_row_losing_a_walk_raises(self, monkeypatch, sid, row):
-        self.drop_one_walk(monkeypatch, row)
+        drop_one_walk(monkeypatch, row)
         with pytest.raises(ClosedFormError, match=f"^{sid} row {row} totals"):
             solve_series(sid, 8, 30)
 
@@ -320,11 +364,11 @@ class TestTypedConsistencyErrors:
         # row 8 of M lacks the two of its 14 walks that weigh over 12 (UUUUDDDD
         # weighs 16), so its total says nothing and one walk more may go
         full = solve_series("M", 8, 12).coeffs[8](1)
-        self.drop_one_walk(monkeypatch, 8)
+        drop_one_walk(monkeypatch, 8)
         assert solve_series("M", 8, 12).coeffs[8](1) == full - 1 == 14 - 2 - 1
 
     @pytest.mark.parametrize("family", ["A", "B", "D"])
     def test_length_row_losing_a_walk_raises(self, monkeypatch, family):
-        self.drop_one_walk(monkeypatch, 4)
+        drop_one_walk(monkeypatch, 4)
         with pytest.raises(ClosedFormError, match=f"^{family}:4 length polynomial totals"):
             length_genfunc(family, 4)
