@@ -236,7 +236,8 @@ def test_walk_families_are_named_only_in_the_table():
     # and the family limit is walks.FamilyLimitError, not a genfunc copy of it
     tree = ast.parse(Path(genfunc.__file__).read_text())
     spec_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name) and node.func.id == "WalkFamilySpec"]
+                  and getattr(node.func, "id", getattr(node.func, "attr", None))
+                  == "WalkFamilySpec"]
     table = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_family")
     assert spec_calls and all(table.lineno <= c.lineno <= table.end_lineno for c in spec_calls)
