@@ -2,18 +2,16 @@
 
 A reduction move deletes the top element of a descent generator when one of
 its cyclic neighbors becomes a right descent of what is left; iterating to a
-fixed point lands on an irreducible representative.  The representative,
-together with a top/bottom splitting, recovers the unique involution of the
-fiber when one exists.
+fixed point lands on an irreducible representative.  cells_report groups
+the FC heaps of a cycle into fibers by representative and audits that each
+fiber holds at most one involution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coxeter import CoxeterGraph, GroupType, build_graph
 from .enumerator import walk_fc
-from .heaps import Heap, is_reduced_fc, is_self_dual
+from .heaps import Heap, is_self_dual
 
 
 class CellError(ValueError):
@@ -126,85 +124,6 @@ def is_irreducible_structural(h: Heap) -> bool:
         return n % 2 == 0 and any(
             _zigzag(h, [(phase + j) % n for j in range(n + 1)]) for phase in (0, 1))
     return all(len(run) % 2 and _zigzag(h, run) for run in _cyclic_runs(support, n))
-
-
-@dataclass(frozen=True)
-class TopBottomSplit:
-    """Canonical-order letter words of the two parts of an irreducible heap.
-
-    factor_count is the number of full alternating parity layers peeled off
-    a full-support heap (None when the support has gaps)."""
-
-    top_word: tuple[int, ...]
-    bottom_word: tuple[int, ...]
-    factor_count: int | None
-
-
-def _peel_maxima(g: CoxeterGraph, word) -> tuple[int, list[int], list[int]]:
-    """The labels of the maximal elements of the word's heap as a bitmask,
-    their letters in word order, and the word with them removed."""
-    hh = Heap.from_word(g, word)
-    maxima = {hh.last[s] for s in range(g.size) if hh.descents >> s & 1}
-    return (hh.descents, [c for p, c in enumerate(word) if p in maxima],
-            [c for p, c in enumerate(word) if p not in maxima])
-
-
-def split_top_bottom(h: Heap) -> TopBottomSplit:
-    """Split an irreducible heap into its involutive top and leftover bottom.
-
-    Gapped support: the top is the set of maximal elements.  Full support:
-    greedily peel maximal layers that are exactly one parity class of
-    generators, alternating parity layer to layer.
-    """
-    n = _require_cycle(h.graph)
-    if not is_irreducible_structural(h):
-        raise CellError("top/bottom split needs an irreducible heap")
-    word = h.canonical_word
-    if len(set(word)) != n:
-        _labels, top, bottom = _peel_maxima(h.graph, word)
-        return TopBottomSplit(tuple(top), tuple(bottom), None)
-    classes = tuple(sum(1 << s for s in range(i, n, 2)) for i in (0, 1))
-    remaining = list(word)
-    top: list[int] = []
-    count = 0
-    # The first peel matches a class, so count ends >= 1.  It takes the
-    # descents of h.  h passed is_irreducible_structural, so its tops zigzag
-    # around the even cycle; the labels whose top lies above both
-    # neighbours' tops are one parity class, and they are the descents.
-    # A peeled class C never comes right back: on the cycle (two neighbours
-    # each, every m = 3) an FC heap has exactly one copy of each neighbour
-    # between consecutive copies of a generator (fewer leave a short braid
-    # convex, Stembridge 1996; two of one neighbour nest around the cycle
-    # back to the generator).  A copy of u in C left above the last copy of
-    # a neighbour v outside C would follow a peeled u with no v between, so
-    # v keeps a maximal top and the next layer is not C.
-    while remaining:
-        labels, layer, rest = _peel_maxima(h.graph, remaining)
-        if labels not in classes:
-            break
-        count += 1
-        top.extend(layer)
-        remaining = rest
-    return TopBottomSplit(tuple(top), tuple(remaining), count)
-
-
-def involution_of(h: Heap) -> Heap | None:
-    """The self-dual heap whose reduction lands on the irreducible h.
-
-    None exactly when the heap has full support and an even number of
-    peeled layers.  Otherwise the word of h followed by the reversed bottom
-    word forms the involution; the construction is checked before returning.
-    """
-    split = split_top_bottom(h)
-    if split.factor_count is not None and split.factor_count % 2 == 0:
-        return None
-    word = h.canonical_word + tuple(reversed(split.bottom_word))
-    out = Heap.from_word(h.graph, word)
-    if not is_reduced_fc(out):
-        raise CellError("involution candidate is not reduced FC")
-    if not is_self_dual(out):
-        raise CellError("involution candidate is not self-dual")
-    return out
 
 
 def cells_report(n: int, max_length: int) -> dict:

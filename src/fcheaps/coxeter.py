@@ -224,18 +224,3 @@ def canonical_form(word, g: CoxeterGraph) -> tuple[int, ...]:
     """
     w = check_word(word, g)
     return tuple(c for _lay, c in sorted(zip(layers(w, g), w)))
-
-
-def realize_permutation(word, g: CoxeterGraph) -> tuple[int, ...]:
-    """One-line permutation realized by a word in the finite type A family.
-
-    Letters act left to right; generator s_i swaps positions i and i+1.
-    """
-    if g.group.family != "A":
-        raise InvalidGroupError("permutation realization is defined for family A only")
-    w = check_word(word, g)
-    points = g.size + 1
-    perm = list(range(1, points + 1))
-    for c in w:
-        perm[c], perm[c + 1] = perm[c + 1], perm[c]
-    return tuple(perm)

@@ -10,17 +10,15 @@ else only where the path is self-dual) and yields None for the rest.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
-from .coxeter import CoxeterGraph, GroupType, build_graph, realize_permutation
+from .coxeter import CoxeterGraph, GroupType, build_graph
 from .genfunc import (ClosedFormError, InconclusiveWindowError, affine_period,
                       affine_periodic_part, card_involutions, length_genfunc, maj_genfunc,
                       maj_genfunc_by_descents, reconcile, ReconcileError)
 from .heaps import (Heap, _palindromic, _place, classify_involution, is_alternating,
                     is_self_dual, major_index)
 from .qpoly import PeriodError, PeriodReport, TPoly
-from .walks import UP, DOWN, FLAT, Walk
 
 FILTERS = ("all", "involutions", "alternating")
 
@@ -205,40 +203,6 @@ def maj_profile(g: CoxeterGraph, mode: str = "involutions") -> TPoly:
         if h is not None:
             _bump(total, major_index(h))
     return TPoly(total)
-
-
-def rsk_insert(perm) -> list[list[int]]:
-    """Row insertion tableau of a permutation in one-line form."""
-    rows: list[list[int]] = []
-    for v in perm:
-        r = 0
-        while True:
-            if r == len(rows):
-                rows.append([v])
-                break
-            row = rows[r]
-            i = bisect.bisect_left(row, v)
-            if i == len(row):
-                row.append(v)
-                break
-            row[i], v = v, row[i]
-            r += 1
-    return rows
-
-
-def rsk_walk(h: Heap) -> Walk:
-    """Walk read off the insertion tableau of the realized permutation:
-    step i rises iff the value i lands in the first row."""
-    perm = realize_permutation(h.canonical_word, h.graph)
-    rows = rsk_insert(perm)
-    first = set(rows[0]) if rows else set()
-    steps = tuple(UP if i in first else DOWN for i in range(1, len(perm) + 1))
-    return Walk(0, steps)
-
-
-def flats_up(w: Walk) -> Walk:
-    """Copy of the walk with horizontal steps replaced by rises."""
-    return Walk(w.start, tuple(UP if s == FLAT else s for s in w.steps))
 
 
 @dataclass

@@ -63,10 +63,6 @@ class Heap:
             descents = (descents & ~cs) | (1 << c)
         return cls(g, w, tuple(last), tuple(prev), descents, minima)
 
-    @classmethod
-    def empty(cls, g: CoxeterGraph) -> "Heap":
-        return cls.from_word(g, ())
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -89,22 +85,6 @@ class Heap:
 
     def __repr__(self) -> str:
         return f"Heap({self.graph.group}, {self.graph.spell(self.canonical_word)})"
-
-
-def is_reduced_fc(h: Heap) -> bool:
-    """Whether the word heap is a reduced word of a fully commutative element.
-
-    A fold of extend over the word from the empty heap.  Every prefix of a
-    reduced FC word is reduced FC, and extend decides whether one more letter
-    keeps a reduced FC heap so; hence the word is reduced FC iff each of its
-    letters extends the heap of the letters before it.
-    """
-    cur = Heap.empty(h.graph)
-    for s in h.letters:
-        cur = extend(cur, s)
-        if cur is None:
-            return False
-    return True
 
 
 def is_self_dual(h: Heap) -> bool:
@@ -363,6 +343,7 @@ def _place(g: CoxeterGraph, letters, last, prev, s: int) -> bool:
     return False
 
 
+# no caller in src/: kept importable while perfbench/tracer.py traces it
 def extend(h: Heap, s: int) -> Heap | None:
     """Append a maximal element labeled s if the result stays reduced FC.
 

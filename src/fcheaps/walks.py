@@ -290,7 +290,7 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
 
     The schemes biject walks with self-dual *alternating* heaps, which need
     not be fully commutative: on A:4 the linear walk with heights [2, 1, 0]
-    decodes to s1 s2 s1, a braid, so is_reduced_fc rejects it.
+    decodes to s1 s2 s1, a braid, which is not fully commutative.
 
     The counts must sit on a graph whose bonds are the positional path
     0-1-...-(N-1), closed into a cycle when the graph is cyclic; any other
@@ -348,76 +348,3 @@ def decode_walk(w: Walk, scheme: str, g: CoxeterGraph) -> Heap:
             live -= 1
         word += order[:live]
     return Heap.from_word(g, word)
-
-
-@dataclass(frozen=True)
-class FrobeniusSymbol:
-    """Two strictly decreasing rows of equal length; top may reach 0,
-    bottom stays positive.  The weight is the sum of all entries."""
-
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom):
-            raise ValueError("rows differ in length")
-        for row, low in ((self.top, 0), (self.bottom, 1)):
-            if any(a <= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {row} is not strictly decreasing")
-            if row and row[-1] < low:
-                raise ValueError(f"row {row} drops below {low}")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.top) + sum(self.bottom)
-
-    def __len__(self) -> int:
-        return len(self.top)
-
-
-def walk_to_frobenius(w: Walk, mode: str) -> FrobeniusSymbol:
-    """Read the corner coordinates of the grid path traced by a walk.
-
-    mode "A" (closed walk, horizontals allowed): the first half of the
-    horizontal steps, rounded down, become down steps and the rest up steps;
-    then down steps move right and up steps move up.  Corners are the points
-    where an up step is followed by a right step, collected in reverse path
-    order.
-    mode "B" (axis start): every horizontal becomes a down step; the final
-    point joins the corners when the path ends with an up step.
-    """
-    if mode not in ("A", "B"):
-        raise ValueError(f"unknown mode {mode!r}")
-    steps = list(w.steps)
-    if mode == "A":
-        if w.start != 0 or w.end != 0:
-            raise EncodingError("mode A expects a closed axis walk")
-        flats = [i for i, s in enumerate(steps) if s == FLAT]
-        half = len(flats) // 2
-        for i in flats[:half]:
-            steps[i] = DOWN
-        for i in flats[half:]:
-            steps[i] = UP
-    else:
-        if w.start != 0:
-            raise EncodingError("mode B expects an axis start")
-        for i, s in enumerate(steps):
-            if s == FLAT:
-                steps[i] = DOWN
-    x = y = 0
-    corners: list[tuple[int, int]] = []
-    for prev, cur in zip(steps, steps[1:]):
-        x_, y_ = (x, y + 1) if prev == UP else (x + 1, y)
-        if prev == UP and cur == DOWN:
-            corners.append((x_, y_))
-        x, y = x_, y_
-    if steps:
-        x, y = (x, y + 1) if steps[-1] == UP else (x + 1, y)
-    if mode == "B" and steps and steps[-1] == UP:
-        corners.append((x, y))
-    corners.reverse()
-    sym = FrobeniusSymbol(tuple(a for a, _ in corners), tuple(b for _, b in corners))
-    n = len(w)
-    if sym.top and sym.top[0] + sym.bottom[0] > n:
-        raise WalkError("corner coordinates exceed the walk length")
-    return sym

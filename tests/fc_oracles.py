@@ -1,9 +1,10 @@
 """Test-only oracles for the full commutativity layer.
 
-scan_is_reduced_fc is the full commutativity test that the library replaced
-by a fold of extend; commutation_class lists a word's commutation class by
-brute force.  Neither shares code with extend, the normal-form walk or
-canonical_form, so the tests that check those use them as their reference.
+is_reduced_fc decides full commutativity by a fold of extend over the word;
+scan_is_reduced_fc is the test it replaced, and commutation_class lists a
+word's commutation class by brute force.  Neither of these two shares code
+with extend, the normal-form walk or canonical_form, so the tests that check
+those use them as their reference.
 reduce_choosing reduces a cycle heap by whichever move a chooser picks, so
 the tests can check that the cell representative does not depend on it.
 heap_walk is the normal-form walk that the mutable-path walk_fc replaced: it
@@ -79,6 +80,22 @@ def layer_of(h):
 def minimal_labels(h):
     """Labels of the minimal elements, read off the below masks."""
     return {c for c, b in zip(h.letters, below_masks(h)) if b == 0}
+
+
+def is_reduced_fc(h: Heap) -> bool:
+    """Whether the word heap is a reduced word of a fully commutative element.
+
+    A fold of extend over the word from the empty heap.  Every prefix of a
+    reduced FC word is reduced FC, and extend decides whether one more letter
+    keeps a reduced FC heap so; hence the word is reduced FC iff each of its
+    letters extends the heap of the letters before it.
+    """
+    cur = Heap.from_word(h.graph, ())
+    for s in h.letters:
+        cur = extend(cur, s)
+        if cur is None:
+            return False
+    return True
 
 
 def scan_is_reduced_fc(h):
@@ -168,7 +185,7 @@ def heap_walk(g, max_length):
     """
     adjacency = g.adjacency
     top = g.size - 1
-    stack = [Heap.empty(g)]
+    stack = [Heap.from_word(g, ())]
     while stack:
         h = stack.pop()
         yield h

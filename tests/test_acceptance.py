@@ -11,17 +11,16 @@ import random
 import time
 from functools import lru_cache
 
-from fcheaps.coxeter import GroupType, build_graph, realize_permutation
-from fcheaps.cells import (cells_report, involution_of, is_irreducible_structural,
-                           reduce_fully, reduction_moves)
-from fcheaps.enumerator import (cross_validate, flats_up, iter_fc, maj_profile,
-                                passes_filter, rsk_walk)
+from fcheaps.coxeter import GroupType, build_graph
+from fcheaps.cells import cells_report, is_irreducible_structural, reduce_fully, reduction_moves
+from fcheaps.enumerator import cross_validate, iter_fc, maj_profile, passes_filter
 from fcheaps.genfunc import (affine_periodic_part, card_involutions, length_genfunc,
                              maj_genfunc, maj_genfunc_by_descents, solve_series)
 from fcheaps.heaps import is_alternating, is_self_dual
 from fcheaps.qpoly import Series, TPoly, qbinomial
 from fcheaps.walks import Walk, WalkFamilySpec, decode_walk, encode_walk, family_poly
 from fc_oracles import move_choosers, reduce_choosing
+from paper_objects import flats_up, involution_of, realize_permutation, rsk_walk
 from profiles import length_profile
 from series_oracle import scale_poly, series_one, shift_x, subst_x_times_t
 import series_oracle

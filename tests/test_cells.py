@@ -5,9 +5,10 @@ from fcheaps.enumerator import walk_fc
 from fcheaps.heaps import Heap, is_self_dual
 from fcheaps.cells import (
     CellError, remove_top, reduction_moves, reduce_fully,
-    is_irreducible_structural, split_top_bottom, involution_of, cells_report,
+    is_irreducible_structural, cells_report,
 )
 from fc_oracles import maximal_labels, move_choosers, reduce_choosing, scan_is_reduced_fc
+from paper_objects import involution_of, split_top_bottom
 
 C3 = build_graph(GroupType("affA", 3))
 C4 = build_graph(GroupType("affA", 4))
@@ -78,7 +79,7 @@ class TestStructuralIrreducibility:
         assert is_irreducible_structural(heap(C4, 0, 2, 1, 3))
 
     def test_empty_heap(self):
-        assert is_irreducible_structural(Heap.empty(C4))
+        assert is_irreducible_structural(Heap.from_word(C4, ()))
 
     def test_agrees_with_operational(self):
         from fcheaps.enumerator import iter_fc

@@ -3,9 +3,10 @@ from hypothesis import example, given, strategies as st
 
 from fcheaps.coxeter import (
     FAMILIES, _MIN_RANK, GroupType, InvalidGroupError,
-    normalize_family, build_graph, check_word, canonical_form, realize_permutation,
+    normalize_family, build_graph, check_word, canonical_form,
 )
 from fc_oracles import CommutationClassOverflow, commutation_class
+from paper_objects import realize_permutation
 
 
 def test_normalize_family_is_case_insensitive():

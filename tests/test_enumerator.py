@@ -10,13 +10,13 @@ from fcheaps.qpoly import TPoly
 from fcheaps.walks import Walk, UP, DOWN, FLAT, encode_walk
 from fcheaps.enumerator import (
     FILTERS, AFFINE_DEFAULT_WINDOW, MemoryGuardError, passes_filter,
-    iter_fc, walk_fc, enumerate_fc, maj_profile,
-    rsk_insert, rsk_walk, flats_up, cross_validate, _first_divergence,
+    iter_fc, walk_fc, enumerate_fc, maj_profile, cross_validate, _first_divergence,
 )
 from fcheaps.genfunc import maj_genfunc_by_descents
 from fcheaps.heaps import _palindromic, _place, _self_dual, extend
 from fc_oracles import (below_masks, colayer_self_dual, commutation_class, eager_fields,
                         eager_walk, heap_walk, layer_of, old_place, scan_is_reduced_fc)
+from paper_objects import flats_up, rsk_insert, rsk_walk
 from profiles import descent_profiles, filtered_heaps, length_profile
 
 A4 = build_graph(GroupType("A", 4))
@@ -61,7 +61,7 @@ class TestFilters:
     def test_modes(self):
         assert set(FILTERS) == {"all", "involutions", "alternating"}
         with pytest.raises(ValueError):
-            passes_filter(Heap.empty(A4), "evens")
+            passes_filter(Heap.from_word(A4, ()), "evens")
         with pytest.raises(ValueError, match="unknown filter 'evens'"):
             enumerate_fc(A4, 2, "evens")
 
@@ -104,7 +104,7 @@ class TestRSK:
         assert rsk_insert(()) == []
 
     def test_rsk_walk_identity(self):
-        w = rsk_walk(Heap.empty(A4))
+        w = rsk_walk(Heap.from_word(A4, ()))
         assert w.steps == (UP, UP, UP, UP)
 
     def test_rsk_walk_equals_padded_counts_with_flats_up(self):
@@ -150,7 +150,7 @@ class TestCrossValidate:
 def dedup_bfs(g, max_length):
     """The enumeration iter_fc replaced: try every letter on every heap and
     keep one heap per canonical word."""
-    layer = {(): Heap.empty(g)}
+    layer = {(): Heap.from_word(g, ())}
     length = 0
     yield 0, layer[()]
     while layer and (max_length is None or length < max_length):
@@ -269,7 +269,7 @@ def peak_pending(walk):
 def layered_walk(g, max_length):
     """Every reduced FC heap once, a length at a time: while one length is
     yielded, stack gathers the heaps one letter longer."""
-    layer = [Heap.empty(g)]
+    layer = [Heap.from_word(g, ())]
     length = 0
     while layer:
         stack = {}

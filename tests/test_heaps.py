@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import FAMILIES, _MIN_RANK, GroupType, build_graph, canonical_form, layers
 from fcheaps.heaps import (
-    Heap, ClassificationError, is_reduced_fc, is_self_dual,
+    Heap, ClassificationError, is_self_dual,
     major_index, is_alternating, classify_involution, extend, _place, _projector,
 )
-from fc_oracles import (above_masks, below_place, eager_fields, mask_of, maximal_labels,
-                        minimal_labels, old_place, scan_is_reduced_fc)
+from fc_oracles import (above_masks, below_place, eager_fields, is_reduced_fc, mask_of,
+                        maximal_labels, minimal_labels, old_place, scan_is_reduced_fc)
 
 A4 = build_graph(GroupType("A", 4))
 A5 = build_graph(GroupType("A", 5))
@@ -36,7 +36,7 @@ def dual(h):
 
 class TestHeapStructure:
     def test_empty(self):
-        h = Heap.empty(A4)
+        h = Heap.from_word(A4, ())
         assert len(h) == 0
         assert h.canonical_word == ()
         assert h.descents == h.minima == 0
@@ -102,7 +102,7 @@ class TestDuality:
         assert is_self_dual(heap(A4, 1, 0, 2, 1))    # 3412
         assert is_self_dual(heap(A4, 0, 2))
         assert not is_self_dual(heap(A4, 0, 1))
-        assert is_self_dual(Heap.empty(A4))
+        assert is_self_dual(Heap.from_word(A4, ()))
 
     def test_involution_dual_is_involution(self):
         h = heap(B3, 0, 1, 2, 1, 0)
@@ -123,7 +123,7 @@ class TestDescentsAndMaj:
     def test_major_index_weights(self):
         assert major_index(heap(A4, 1, 0, 2, 1)) == 2
         assert major_index(heap(A4, 0, 2)) == 1 + 3
-        assert major_index(Heap.empty(A4)) == 0
+        assert major_index(Heap.from_word(A4, ())) == 0
 
     def test_fork_weights_differ(self):
         # the two fork generators of D carry weights n and n+1
@@ -169,7 +169,7 @@ class TestClassification:
     def test_alternating_class(self):
         assert classify_involution(heap(B2, 1)).kind == "alternating"
         assert classify_involution(heap(B3, 0, 2)).kind == "alternating"
-        assert classify_involution(Heap.empty(B3)).kind == "alternating"
+        assert classify_involution(Heap.from_word(B3, ())).kind == "alternating"
 
     def test_non_self_dual_rejected(self):
         with pytest.raises(ClassificationError):
@@ -229,7 +229,7 @@ class TestExtend:
     @settings(max_examples=300, deadline=None)
     def test_extend_agrees_with_rebuild(self, word):
         g = A5
-        h = Heap.empty(g)
+        h = Heap.from_word(g, ())
         for s in word:
             grown = extend(h, s)
             fresh = Heap.from_word(g, h.canonical_word + (s,))
@@ -248,7 +248,7 @@ class TestExtend:
     @settings(max_examples=200, deadline=None)
     def test_extend_on_cycle(self, word):
         g = build_graph(GroupType("affA", 4))
-        h = Heap.empty(g)
+        h = Heap.from_word(g, ())
         for s in word:
             grown = extend(h, s)
             fresh = Heap.from_word(g, h.canonical_word + (s,))
@@ -324,7 +324,7 @@ class TestPlaceWindows:
         # the heaps are reduced FC: each drawn letter is kept when it extends
         g = build_graph(GroupType(fam, _MIN_RANK[fam] + extra_rank + (fam == "A")))
         word = data.draw(st.lists(st.integers(0, g.size - 1), max_size=16))
-        h = Heap.empty(g)
+        h = Heap.from_word(g, ())
         for s in word:
             for u in range(g.size):
                 old, eager = old_placements(h, u)

@@ -2,13 +2,14 @@
 
 A public top-level function or class, or a public method, counts as called
 when its name appears in code under src/, scripts/ or perfbench/ (its tests
-excluded) outside the lines of its own definition: as a name, an attribute,
-an imported name, or a part of a dotted string such as the benchmark
-tracer's targets.  Helpers only the tests use belong in tests/.  Exempt are
-the click commands, which the CLI group reaches through their decorators,
-and the paper's objects kept as a library without a command of their own.
-The names that only the tracer reaches are listed, so that they leave src/
-when the benchmark stops tracing them.
+excluded) outside the lines of its own definition: as a name, an imported
+name, an attribute, or a part of a dotted string such as the benchmark
+tracer's targets.  A top-level name is reached as an attribute only of a
+package module (heaps.extend), so list.extend does not call it.  Helpers
+only the tests use belong in tests/.  Exempt are the click commands, which
+the CLI group reaches through their decorators.  The names that only the
+tracer reaches are listed, so that they leave src/ when the benchmark stops
+tracing them.
 Every name that a module of the package, of tests/ or of scripts/ imports is
 read somewhere in that module; perfbench/ is not scanned, because its files
 change only together with the benchmark.
@@ -25,12 +26,10 @@ PACKAGE = ROOT / "src" / "fcheaps"
 CALLER_FILES = sorted(
     [*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").rglob("*.py"),
      *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)])
-PAPER_OBJECTS = {"FrobeniusSymbol", "walk_to_frobenius", "rsk_insert", "rsk_walk",
-                 "flats_up", "involution_of", "split_top_bottom", "TopBottomSplit"}
 # public names whose callers outside the tests are all in perfbench/tracer.py:
 # its TARGETS strings and the metric names derived from them
 PINNED_BY_BENCHMARK = {"iter_fc", "maj_profile", "CoxeterGraph.neighbors", "canonical_form",
-                       "Series.geom"}
+                       "Series.geom", "extend"}
 TRACER = ROOT / "perfbench" / "tracer.py"
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
@@ -57,35 +56,55 @@ def _definitions():
     return out
 
 
-def _references() -> dict[str, list[tuple[str | None, pathlib.Path, int]]]:
-    """Bare name -> the (owner, file, line) places that mention it.
+def _mentions(source: str) -> list[tuple[str | None, str, int]]:
+    """(owner, bare name, line) of each place in the source that mentions a name.
 
-    The owner is the class an attribute is read from (Heap.from_word), None
-    for an attribute of any other value, and "" for a plain name or import.
+    The owner is the class or package module an attribute is read from
+    (Heap.from_word, heaps.extend), None for an attribute of any other
+    value, and "" for a plain name or import.
     """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found = [("", node.id)]
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            found = [(owner if owner in CLASSES | MODULES else None, node.attr)]
+        elif isinstance(node, ast.alias):
+            found = [("", node.name.rsplit(".", 1)[-1])]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and DOTTED.fullmatch(node.value):
+            parts = node.value.split(".")
+            found = [("", parts[0])] + list(zip(parts, parts[1:]))
+        else:
+            continue
+        out += [(owner, name, node.lineno) for owner, name in found]
+    return out
+
+
+def _references() -> dict[str, list[tuple[str | None, pathlib.Path, int]]]:
+    """Bare name -> the (owner, file, line) places that mention it."""
     refs: dict[str, list[tuple[str | None, pathlib.Path, int]]] = {}
     for path in CALLER_FILES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                found = [("", node.id)]
-            elif isinstance(node, ast.Attribute):
-                owner = node.value.id if isinstance(node.value, ast.Name) else None
-                found = [(owner if owner in CLASSES else None, node.attr)]
-            elif isinstance(node, ast.alias):
-                found = [("", node.name.rsplit(".", 1)[-1])]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
-                    and DOTTED.fullmatch(node.value):
-                parts = node.value.split(".")
-                found = [("", parts[0])] + list(zip(parts, parts[1:]))
-            else:
-                continue
-            for owner, name in found:
-                refs.setdefault(name, []).append((owner, path, node.lineno))
+        for owner, name, line in _mentions(path.read_text()):
+            refs.setdefault(name, []).append((owner, path, line))
     return refs
+
+
+def _reaches(owner, cls) -> bool:
+    """Whether a mention with this owner can reach a definition in class cls
+    ("" for a top-level one).
+
+    A method is reached as an attribute: of its own class, or of a value
+    whose class the code does not name.  A top-level name is reached as a
+    plain name or as an attribute of a package module.
+    """
+    return owner in (None, cls) if cls else owner == "" or owner in MODULES
 
 
 DEFINITIONS = _definitions()
 CLASSES = {name for name, *_ in DEFINITIONS if "." not in name}
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 REFERENCES = _references()
 
 
@@ -96,20 +115,14 @@ def test_definitions_were_read():
 
 
 def _callers(qualname, path, first, last) -> list[tuple[pathlib.Path, int]]:
-    """The (file, line) places outside its own definition that reach a name.
-
-    A method is reached as an attribute: of its own class, or of a value
-    whose class the code does not name.
-    """
+    """The (file, line) places outside its own definition that reach a name."""
     cls, _, name = qualname.rpartition(".")
     return [(p, line) for owner, p, line in REFERENCES.get(name, [])
-            if not (p == path and first <= line <= last)
-            and (not cls or owner is None or owner == cls)]
+            if not (p == path and first <= line <= last) and _reaches(owner, cls)]
 
 
 @pytest.mark.parametrize("qualname,path,first,last",
-                         [pytest.param(*d, id=d[0]) for d in DEFINITIONS
-                          if d[0] not in PAPER_OBJECTS])
+                         [pytest.param(*d, id=d[0]) for d in DEFINITIONS])
 def test_public_name_has_a_caller(qualname, path, first, last):
     assert _callers(qualname, path, first, last), \
         f"{qualname} ({path.name}) is used only by tests; move it to tests/"
@@ -120,6 +133,14 @@ def test_names_pinned_only_by_the_benchmark_are_listed():
     pinned = {d[0] for d in DEFINITIONS
               if {p for p, _line in _callers(*d)} == {TRACER}}
     assert pinned == PINNED_BY_BENCHMARK
+
+
+def test_a_list_method_does_not_reach_a_module_function():
+    source = ("from fcheaps import heaps\ncounts = [0]\ncounts.extend([0])\n"
+              "heaps.extend(h, 0)\n")
+    reached = sorted(line for owner, name, line in _mentions(source)
+                     if name == "extend" and _reaches(owner, ""))
+    assert reached == [4]
 
 
 def _unused_imports(source: str) -> list[str]:

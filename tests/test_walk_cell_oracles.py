@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fcheaps import cells, heaps
-from fcheaps.cells import (CellError, TopBottomSplit, cells_report,
-                           is_irreducible_structural, reduce_fully, reduction_moves,
-                           remove_top, split_top_bottom)
+from fcheaps.cells import (CellError, cells_report, is_irreducible_structural, reduce_fully,
+                           reduction_moves, remove_top)
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import iter_fc, walk_fc
 from fcheaps.heaps import (ClassificationError, Heap, classify_involution,
@@ -29,6 +28,7 @@ from fcheaps.walks import (SCHEMES, EncodingError, Walk, WalkError, count_profil
                            decode_walk, encode_walk)
 from fc_oracles import (above_masks, below_masks, eager_fields, maximal_labels, move_choosers,
                         old_fork_merged_alternating, old_zigzag, reduce_choosing)
+from paper_objects import TopBottomSplit, split_top_bottom
 from test_acceptance import _random_heights, _scheme_cases
 
 

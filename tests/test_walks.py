@@ -9,15 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from fcheaps.coxeter import GroupType, build_graph
 from fcheaps.enumerator import listed_words
-from fcheaps.heaps import Heap, is_alternating, is_reduced_fc, is_self_dual, major_index
+from fcheaps.heaps import Heap, is_alternating, is_self_dual, major_index
 from fcheaps import walks as walks_mod
 from fcheaps.walks import (
     UP, DOWN, FLAT, Walk, WalkError, EncodingError, WalkFamilySpec,
     END_CHOICES, START_CHOICES, WEIGHT_CHOICES, FamilyLimitError,
-    family_poly, family_rows, encode_walk, decode_walk,
-    FrobeniusSymbol, walk_to_frobenius, _height_ok,
+    family_poly, family_rows, encode_walk, decode_walk, _height_ok,
 )
 from fcheaps.qpoly import TPoly
+from fc_oracles import is_reduced_fc
+from paper_objects import FrobeniusSymbol, walk_to_frobenius
 
 A4 = build_graph(GroupType("A", 4))
 B2 = build_graph(GroupType("B", 2))
@@ -117,7 +118,7 @@ class TestFamilyPoly:
 
 class TestEncodeDecode:
     def test_empty_heap_linear(self):
-        w = encode_walk(Heap.empty(A4), "linear")
+        w = encode_walk(Heap.from_word(A4, ()), "linear")
         assert w.heights() == [0, 0, 0]
 
     def test_3412_type_a(self):
@@ -322,11 +323,11 @@ class TestFrobenius:
 
 class TestTypedConsistencyErrors:
     def test_corner_beyond_walk_length_raises(self, monkeypatch):
-        from fcheaps import walks
+        import paper_objects
 
         def shifted(top, bottom):
             return FrobeniusSymbol(tuple(t + 100 for t in top), bottom)
-        monkeypatch.setattr(walks, "FrobeniusSymbol", shifted)
+        monkeypatch.setattr(paper_objects, "FrobeniusSymbol", shifted)
         with pytest.raises(WalkError, match="corner coordinates"):
             walk_to_frobenius(Walk(0, (UP, DOWN)), "A")
 
