@@ -3,8 +3,7 @@
 A reduction move deletes the top element of a descent generator when one of
 its cyclic neighbors becomes a right descent of what is left; iterating to a
 fixed point lands on an irreducible representative.  cells_report groups
-the FC heaps of a cycle into fibers by representative and audits that each
-fiber holds at most one involution.
+the FC heaps of a cycle into fibers by representative and audits them.
 """
 
 from __future__ import annotations
