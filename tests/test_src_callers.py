@@ -10,6 +10,8 @@ only the tests use belong in tests/.  Exempt are the click commands, which
 the CLI group reaches through their decorators.  The names that only the
 tracer reaches are listed, so that they leave src/ when the benchmark stops
 tracing them.
+The paper's objects that no command reads live in tests/paper_objects.py,
+and src/ defines none of their names, so each has one definition.
 Every name that a module of the package, of tests/ or of scripts/ imports is
 read somewhere in that module; perfbench/ is not scanned, because its files
 change only together with the benchmark.
@@ -31,6 +33,7 @@ CALLER_FILES = sorted(
 PINNED_BY_BENCHMARK = {"iter_fc", "maj_profile", "CoxeterGraph.neighbors", "canonical_form",
                        "Series.geom", "extend"}
 TRACER = ROOT / "perfbench" / "tracer.py"
+TEST_PAPER_OBJECTS = ROOT / "tests" / "paper_objects.py"
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
@@ -133,6 +136,18 @@ def test_names_pinned_only_by_the_benchmark_are_listed():
     pinned = {d[0] for d in DEFINITIONS
               if {p for p, _line in _callers(*d)} == {TRACER}}
     assert pinned == PINNED_BY_BENCHMARK
+
+
+def _top_level_names(path) -> list[str]:
+    return [node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+@pytest.mark.parametrize("name", _top_level_names(TEST_PAPER_OBJECTS))
+def test_paper_object_is_not_defined_in_src(name):
+    defined_in = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                  if name in _top_level_names(path)]
+    assert defined_in == [], f"{name} is defined in tests/paper_objects.py and in src/"
 
 
 def test_a_list_method_does_not_reach_a_module_function():
